@@ -18,7 +18,18 @@ Conventions used throughout:
   copies its value backward (``Y[n-1] = Y[n]``), carries zero ``Z``/``Gamma``
   rows, and accrues no driver correction.  Regressions are fitted on the
   still-alive subset when it is large enough to identify the basis, and on
-  all paths otherwise.
+  all paths otherwise.  While every path is alive no boolean mask is
+  applied at all.
+
+Each step does its shared work once.  One :class:`regress.Design` (the
+standardized basis matrix and its thin QR factorization) serves the Gamma,
+Z and Y fits, each target block solved on its own against that factor so a
+block's bits do not depend on which other blocks are fitted; the fitted
+values at the fit states are read off the basis matrix itself.  ``sigma``
+and ``mu`` are evaluated once, ``sigma`` is inverted once (a division when
+every matrix is diagonal, a batched inverse otherwise) for both the Z and
+Gamma solves, and the ``mu'z`` and trace terms of ``phi`` are formed
+once for all Picard sweeps, which then re-evaluate ``f`` alone.
 """
 
 from __future__ import annotations
@@ -33,6 +44,14 @@ from .model import ProblemSpec, as_points
 from .paths import PathBatch
 
 
+def _ito_terms(mu, sig, z, gamma) -> tuple:
+    """``mu'z`` and ``0.5*Tr[sigma sigma' gamma]``, the terms the Itô transform adds to ``f``."""
+    mu_z = np.einsum("jd,jd->j", mu, np.asarray(z, dtype=np.float64))
+    ssT = np.einsum("jab,jcb->jac", sig, sig)
+    trace = np.einsum("jab,jba->j", ssT, np.asarray(gamma, dtype=np.float64))
+    return mu_z, 0.5 * trace
+
+
 def phi_transform(spec: ProblemSpec) -> Callable:
     """Itô-form driver ``phi = f + mu'z + 0.5*Tr[sigma sigma' gamma]``.
 
@@ -42,11 +61,9 @@ def phi_transform(spec: ProblemSpec) -> Callable:
     def phi(t, x, y, z, gamma):
         f_val = np.asarray(spec.f(t, x, y, z, gamma), dtype=np.float64)
         mu = np.asarray(spec.mu(x), dtype=np.float64)
-        mu_z = np.einsum("jd,jd->j", mu, np.asarray(z, dtype=np.float64))
         sig = np.asarray(spec.sigma(x), dtype=np.float64)
-        ssT = np.einsum("jab,jcb->jac", sig, sig)
-        trace = np.einsum("jab,jba->j", ssT, np.asarray(gamma, dtype=np.float64))
-        return (f_val + mu_z) + 0.5 * trace
+        mu_z, half_trace = _ito_terms(mu, sig, z, gamma)
+        return (f_val + mu_z) + half_trace
 
     return phi
 
@@ -149,17 +166,29 @@ def terminal_hessian_impl(spec: ProblemSpec, X_T) -> np.ndarray:
     return H
 
 
-def _solve_sigma_T(sig: np.ndarray, rhs: np.ndarray, step: int) -> np.ndarray:
-    """Batched solve of ``sigma' v = rhs`` with a located error on failure."""
-    sig_T = np.transpose(sig, (0, 2, 1))
-    try:
-        return np.linalg.solve(sig_T, rhs)
-    except np.linalg.LinAlgError:
-        dets = np.abs(np.linalg.det(sig_T))
-        j = int(np.argmin(dets))
-        raise SingularSigma(
-            f"singular diffusion matrix at path {j}, step {step}"
-        ) from None
+def _invert_sigma(sig: np.ndarray, alive: np.ndarray, step: int) -> tuple:
+    """Invert the diffusion matrices of one step once, for the Z and Gamma solves.
+
+    Returns ``(diag, inverse)``: the (J, d) diagonal and None when every
+    matrix is diagonal, so the solves divide; otherwise None and the batched
+    (J, d, d) inverse.  A singular matrix raises SingularSigma naming its
+    path, an index into the batch (``alive`` marks the rows of ``sig``).
+    """
+    d = sig.shape[-1]
+    diag = sig[:, np.arange(d), np.arange(d)]
+    # Diagonal exactly when no nonzero entry lies off the diagonal.
+    if np.count_nonzero(sig) == np.count_nonzero(diag):
+        zero = np.flatnonzero((diag == 0.0).any(axis=1))
+        if zero.size == 0:
+            return diag, None
+        j = int(zero[0])
+    else:
+        try:
+            return None, np.linalg.inv(sig)
+        except np.linalg.LinAlgError:
+            j = int(np.argmin(np.abs(np.linalg.det(sig))))
+    path = int(np.flatnonzero(alive)[j])
+    raise SingularSigma(f"singular diffusion matrix at path {path}, step {step}")
 
 
 def picard_y(Ey: np.ndarray, correction: Callable, dt: float, iters: int):
@@ -182,14 +211,13 @@ def backward_sweep(
     batch: PathBatch,
     basis: regress.BasisSpec,
     picard_iters: int,
-    phi: Callable,
     with_gamma: bool,
 ):
     """Run the backward recursion; the solver modules wrap the result.
 
-    ``phi(t, x, y, z, gamma)`` is the Itô-form driver; when ``with_gamma`` is
-    False no second-order column is maintained and ``phi`` receives ``None``
-    for ``gamma``.
+    Each step charges the Itô form ``phi = f + mu'z + 0.5*Tr[sigma sigma' gamma]``.
+    When ``with_gamma`` is False no second-order column is maintained and
+    ``phi`` is evaluated at a zero Hessian.
 
     Returns ``(Y, Z, Gamma, root_mean, pathwise, fits, diagnostics)`` where
     ``pathwise`` is the per-path accumulated functional (terminal payout
@@ -222,62 +250,71 @@ def backward_sweep(
     pathwise = Y[:, N].copy()
     fits = []
     for n in range(N, 0, -1):
-        Xp = X[:, n - 1]
-        alive = stop > (n - 1)
-        n_alive = int(alive.sum())
-        fit_idx = alive if n_alive >= max(p, 2) else slice(None)
-        states = Xp[fit_idx]
-        t_prev = times[n - 1]
+        k = n - 1
+        t_prev = times[k]
+        alive = stop > k
+        n_alive = int(np.count_nonzero(alive))
+        # Rows updated at node k (a slice, so no gather, when all are alive)
+        # and rows fitted on; the fit falls back to every path when too few
+        # are alive to identify the basis.
+        rows = slice(None) if n_alive == J else alive
+        fit_on_rows = n_alive >= max(p, 2)
+        fit_rows = rows if fit_on_rows else slice(None)
+        x = X[rows, k]
+        dsg = regress.design(X[fit_rows, k], basis)
+
+        def expect(target):
+            reg = regress.fit(dsg, target, basis)
+            return reg, regress.predict(reg, dsg if fit_on_rows else x)
+
+        sig = np.asarray(spec.sigma(x), dtype=np.float64)
+        mu = np.asarray(spec.mu(x), dtype=np.float64)
+        sig_diag, sig_inv = _invert_sigma(sig, alive, k)
+
         fit_g = None
-
         if with_gamma:
-            target_g = (Z[:, n][:, :, None] * dW[:, n - 1][:, None, :]).reshape(J, d * d)
-            fit_g = regress.fit(states, target_g[fit_idx], basis)
-            G = regress.predict(fit_g, Xp[alive]).reshape(n_alive, d, d) / dt
-            sig_alive = np.asarray(spec.sigma(Xp[alive]), dtype=np.float64)
-            G = np.transpose(
-                _solve_sigma_T(sig_alive, np.transpose(G, (0, 2, 1)), n - 1),
-                (0, 2, 1),
-            )
-            G = 0.5 * (G + np.transpose(G, (0, 2, 1)))
-            Gamma[:, n - 1] = 0.0
-            Gamma[alive, n - 1] = G
-            assert np.array_equal(
-                Gamma[:, n - 1], np.transpose(Gamma[:, n - 1], (0, 2, 1))
-            )
+            target_g = Z[fit_rows, n][:, :, None] * dW[fit_rows, k][:, None, :]
+            fit_g, Eg = expect(target_g.reshape(-1, d * d))
+            G = Eg.reshape(n_alive, d, d) / dt
+            # Gamma = E[Z dW'] sigma^{-1} / dt, symmetrized.
+            G = G / sig_diag[:, None, :] if sig_inv is None else G @ sig_inv
+            gamma = 0.5 * (G + np.transpose(G, (0, 2, 1)))
+            assert np.array_equal(gamma, np.transpose(gamma, (0, 2, 1)))
+            Gamma[rows, k] = gamma
+        else:
+            gamma = np.zeros((n_alive, d, d))  # phi is evaluated at a zero Hessian
 
-        target_z = dW[:, n - 1] * Y[:, n][:, None]
-        fit_z = regress.fit(states, target_z[fit_idx], basis)
-        Ez = regress.predict(fit_z, Xp[alive]).reshape(n_alive, d)
-        sig_alive = np.asarray(spec.sigma(Xp[alive]), dtype=np.float64)
-        z_alive = _solve_sigma_T(sig_alive, (Ez / dt)[:, :, None], n - 1)[:, :, 0]
-        Z[:, n - 1] = 0.0
-        Z[alive, n - 1] = z_alive
+        fit_z, Ez = expect(dW[fit_rows, k] * Y[fit_rows, n][:, None])
+        Ez = Ez.reshape(n_alive, d) / dt
+        # Z = sigma'^{-1} E[dW Y] / dt.
+        if sig_inv is None:
+            z = Ez / sig_diag
+        else:
+            z = np.einsum("jba,jb->ja", sig_inv, Ez)
+        Z[rows, k] = z
 
-        fit_y = regress.fit(states, Y[fit_idx, n], basis)
-        Ey = regress.predict(fit_y, Xp[alive])
-        gamma_alive = Gamma[alive, n - 1] if with_gamma else None
+        fit_y, Ey = expect(Y[fit_rows, n])
+        # Only f moves between Picard sweeps; the rest of phi is fixed per step.
+        mu_z, half_trace = _ito_terms(mu, sig, z, gamma)
 
-        def correction(y, _t=t_prev, _x=Xp[alive], _z=z_alive, _g=gamma_alive):
-            return phi(_t, _x, y, _z, _g)
+        def correction(y):
+            f_val = np.asarray(spec.f(t_prev, x, y, z, gamma), dtype=np.float64)
+            return (f_val + mu_z) + half_trace
 
-        y_alive, phi_last = picard_y(Ey, correction, dt, picard_iters)
-        Y[:, n - 1] = Y[:, n]
-        Y[alive, n - 1] = y_alive
+        y, phi_last = picard_y(Ey, correction, dt, picard_iters)
+        if n_alive < J:
+            Y[:, k] = Y[:, n]
+        Y[rows, k] = y
         if phi_last is not None:
-            pathwise[alive] -= phi_last * dt
+            pathwise[rows] -= phi_last * dt
 
-        cols_ok = np.all(np.isfinite(Y[:, n - 1])) and np.all(
-            np.isfinite(Z[:, n - 1])
-        )
-        if with_gamma:
-            cols_ok = cols_ok and np.all(np.isfinite(Gamma[:, n - 1]))
-        if not cols_ok:
-            raise NonFinite(f"non-finite backward value at step {n - 1}")
+        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(z))
+                and np.all(np.isfinite(gamma))):
+            raise NonFinite(f"non-finite backward value at step {k}")
 
         fits.append(
             {
-                "n": n - 1,
+                "n": k,
                 "t": t_prev,
                 "y": fit_y,
                 "z": fit_z,

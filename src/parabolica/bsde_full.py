@@ -9,6 +9,12 @@ current state, in an order that keeps the data flow acyclic:
 3. ``Y_{n-1}`` solves ``Y = E[Y_n | X] - phi(t, X, Y, Z, Gamma) * dt`` by
    Picard sweeps, where ``phi = f + mu'z + 0.5*Tr[sigma sigma' gamma]``.
 
+All three expectations are projections on the same basis at the same
+states, so a step builds and factors one design and solves the three target
+blocks against it; ``sigma`` is evaluated and inverted once per step and
+serves the Gamma solve, the Z solve and every Picard sweep (see
+``_backward``).
+
 The drift-adjustment process of the second-order system is never estimated:
 the recursion does not use it, and when a closed-form solution is available
 the verification module reconstructs it independently.
@@ -104,9 +110,9 @@ def backward_solve_2bsde(
     paths, and propagates RegressionFailure/NonFinite from the per-step
     estimates.
     """
-    gen = PhiGenerator.from_spec(spec)
+    PhiGenerator.from_spec(spec)  # rejects a phi that is non-finite where probed
     Y, Z, Gamma, root_mean, pathwise, fits, diagnostics = backward_sweep(
-        spec, batch, basis, picard_iters, gen.phi, with_gamma=True
+        spec, batch, basis, picard_iters, with_gamma=True
     )
     return _package(
         batch.grid, batch.J, Y, Z, Gamma, root_mean, pathwise, fits, diagnostics

@@ -126,13 +126,9 @@ def backward_solve_semilinear(
     Hessian argument; RegressionFailure and NonFinite propagate from the
     per-step fits and updates.
     """
-    gen = SemilinearGenerator.from_spec(spec)
-
-    def phi(t, x, y, z, gamma, _gen=gen):
-        return _gen.phi(t, x, y, z)
-
+    SemilinearGenerator.from_spec(spec)  # rejects a phi that still depends on gamma
     Y, Z, Gamma, root_mean, pathwise, fits, diagnostics = backward_sweep(
-        spec, batch, basis, picard_iters, phi, with_gamma=False
+        spec, batch, basis, picard_iters, with_gamma=False
     )
     return _package(
         batch.grid, batch.J, Y, Z, Gamma, root_mean, pathwise, fits, diagnostics

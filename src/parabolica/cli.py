@@ -61,7 +61,6 @@ from .errors import (
     ConfigError,
     NonFinite,
     ParabolicaError,
-    RankDeficient,
     RegressionFailure,
     SingularSigma,
 )
@@ -85,7 +84,7 @@ _SUBCOMMANDS = {
 # Failures of the computation itself, as opposed to failures of the
 # request; these map to exit 2, everything else under ParabolicaError
 # to exit 1.
-_NUMERIC_ERRORS = (NonFinite, SingularSigma, RankDeficient, RegressionFailure, CflViolation)
+_NUMERIC_ERRORS = (NonFinite, SingularSigma, RegressionFailure, CflViolation)
 
 CONFIG_SCHEMA = {
     "type": "object",

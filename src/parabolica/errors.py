@@ -59,10 +59,6 @@ class MissingBinding(ParabolicaError):
     """An expression references a variable the evaluation context lacks."""
 
 
-class RankDeficient(ParabolicaError):
-    """A regression design matrix is rank deficient and could not be repaired."""
-
-
 class RegressionFailure(ParabolicaError):
     """A least-squares fit produced unusable (non-finite) coefficients."""
 

@@ -8,10 +8,17 @@ lexicographic order, constant first) and piecewise-constant indicators
 on a per-dimension binning of the empirical bounding box.
 
 States are standardized (per-dimension shift/scale) before the
-polynomial design matrix is built, which keeps the normal equations
-well conditioned far from the origin; coefficients live in standardized
-coordinates and :func:`monomial_coefficients` maps them back when the
-raw-space polynomial is wanted.
+polynomial design matrix is built, which keeps it well conditioned far
+from the origin; coefficients live in standardized coordinates and
+:func:`monomial_coefficients` maps them back when the raw-space
+polynomial is wanted.
+
+:func:`design` builds the basis matrix of one set of states and factors
+it once by a thin QR; rank and condition come from the singular values
+of the small triangular factor.  :func:`fit` accepts either states or
+such a :class:`Design`, so several target blocks on the same states
+share one factorization while each is still solved on its own, and
+:func:`predict` at the design's states reuses its basis matrix.
 
 The ridge penalty never touches the constant term, so the fitted
 surface reproduces the sample mean of the targets exactly for every
@@ -36,6 +43,8 @@ from .errors import DimensionMismatch, NonFinite, RegressionFailure
 __all__ = [
     "BasisSpec",
     "RegressionFit",
+    "Design",
+    "design",
     "fit",
     "predict",
     "basis_size",
@@ -109,17 +118,28 @@ def _validate_states(states, d: Optional[int] = None) -> np.ndarray:
     return x
 
 
-def _poly_design(z: np.ndarray, q: int) -> np.ndarray:
-    J, d = z.shape
-    powers = [np.ones((J, q + 1)) for _ in range(d)]
-    for i in range(d):
-        for k in range(1, q + 1):
-            powers[i][:, k] = powers[i][:, k - 1] * z[:, i]
-    cols = [
-        np.prod([powers[i][:, e] for i, e in enumerate(idx)], axis=0)
-        for idx in multi_indices(d, q)
-    ]
-    return np.stack(cols, axis=1)
+def _poly_design(zt: np.ndarray, q: int) -> np.ndarray:
+    """Basis matrix (J, p) from standardized states given per dimension, (d, J).
+
+    Each column multiplies the powers of its nonzero exponents in dimension
+    order; a power is the previous power times z.
+    """
+    d, J = zt.shape
+    powers = np.empty((d, q + 1, J))
+    powers[:, 0] = 1.0
+    for k in range(1, q + 1):
+        np.multiply(powers[:, k - 1], zt, out=powers[:, k])
+    idx_list = multi_indices(d, q)
+    phi = np.empty((len(idx_list), J))
+    for col, idx in zip(phi, idx_list):
+        factors = [powers[i, e] for i, e in enumerate(idx) if e]
+        if not factors:
+            col[:] = 1.0
+            continue
+        col[:] = factors[0]
+        for factor in factors[1:]:
+            col *= factor
+    return phi.T
 
 
 def _bin_indices(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, bins: int) -> np.ndarray:
@@ -132,41 +152,58 @@ def _bin_indices(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, bins: int) -> np
     return flat
 
 
-def _design(fit_or_basis, x, *, x_mean, x_scale, box_min, box_max) -> np.ndarray:
-    basis = fit_or_basis
+def _design(basis, x, *, x_mean, x_scale, box_min, box_max) -> np.ndarray:
     if basis.kind == "polynomial":
-        z = (x - x_mean) / x_scale
-        return _poly_design(z, basis.degree)
+        zt = (x.T - x_mean[:, None]) / x_scale[:, None]
+        return _poly_design(zt, basis.degree)
     flat = _bin_indices(x, box_min, box_max, basis.bins)
     phi = np.zeros((len(x), basis.bins ** x.shape[1]))
     phi[np.arange(len(x)), flat] = 1.0
     return phi
 
 
-def fit(states, targets, basis: BasisSpec) -> RegressionFit:
-    """Least-squares fit of targets on basis functions of states.
+@dataclass(frozen=True, eq=False)
+class Design:
+    """Basis matrix of one set of states and its thin QR factorization.
 
-    Vector targets (J, k) are fitted column-wise through one shared
-    factorization.  Raises RegressionFailure when there are fewer
-    samples than basis functions, NonFinite on bad inputs.
+    Built by :func:`design`; every :func:`fit` handed the same design
+    solves against this one factor, and :func:`predict` at the design's
+    own states reuses ``phi`` instead of rebuilding it.
+    """
+
+    basis: BasisSpec
+    dim: int
+    phi: np.ndarray                 # (J, p) basis functions at the states
+    q: np.ndarray                   # (J, p) orthonormal columns, phi = q @ r
+    r: np.ndarray                   # (p, p) upper triangular
+    condition_estimate: float
+    rank_deficient: bool
+    x_mean: Optional[np.ndarray] = None
+    x_scale: Optional[np.ndarray] = None
+    box_min: Optional[np.ndarray] = None
+    box_max: Optional[np.ndarray] = None
+
+
+def design(states, basis: BasisSpec) -> Design:
+    """Standardize the states, build the basis matrix and factor it.
+
+    The rank and condition come from the singular values of ``r``, which
+    are those of the basis matrix: singular values below
+    ``s_max * max(J, p) * eps`` count as rank loss.  Raises
+    RegressionFailure when there are fewer samples than basis functions,
+    NonFinite on non-finite states.
     """
     x = _validate_states(states)
-    y = np.asarray(targets, dtype=np.float64)
-    squeeze = y.ndim == 1
-    if squeeze:
-        y = y[:, None]
-    if y.shape[0] != x.shape[0]:
-        raise DimensionMismatch("states and targets disagree on sample count")
-    if not np.all(np.isfinite(y)):
-        raise NonFinite("targets contain non-finite entries")
     J, d = x.shape
     p = basis_size(basis, d)
     if J < p:
         raise RegressionFailure(f"{J} samples cannot support {p} basis functions")
 
     if basis.kind == "polynomial":
-        x_mean = x.mean(axis=0)
-        std = x.std(axis=0)
+        xt = np.ascontiguousarray(x.T)  # one contiguous row per dimension
+        x = xt.T
+        x_mean = xt.mean(axis=1)
+        std = xt.std(axis=1)
         x_scale = np.where(std > 0, std, 1.0)
         box_min = box_max = None
     else:
@@ -175,16 +212,58 @@ def fit(states, targets, basis: BasisSpec) -> RegressionFit:
 
     phi = _design(basis, x, x_mean=x_mean, x_scale=x_scale,
                   box_min=box_min, box_max=box_max)
+    q, r = np.linalg.qr(phi)
 
-    sv = np.linalg.svd(phi, compute_uv=False)
+    sv = np.linalg.svd(r, compute_uv=False)
     tol = sv[0] * max(J, p) * np.finfo(np.float64).eps if sv[0] > 0 else 0.0
     rank = int(np.sum(sv > tol))
-    rank_deficient = rank < p
     with np.errstate(divide="ignore"):
         condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
+    return Design(
+        basis=basis,
+        dim=d,
+        phi=phi,
+        q=q,
+        r=r,
+        condition_estimate=condition,
+        rank_deficient=rank < p,
+        x_mean=x_mean,
+        x_scale=x_scale,
+        box_min=box_min,
+        box_max=box_max,
+    )
 
+
+def fit(states, targets, basis: BasisSpec) -> RegressionFit:
+    """Least-squares fit of targets on basis functions of states.
+
+    ``states`` is a (J, d) array or a :class:`Design` already built from
+    one with this basis.  Vector targets (J, k) are fitted column-wise
+    against the design's one factorization.  Raises RegressionFailure
+    when there are fewer samples than basis functions, NonFinite on bad
+    inputs.
+    """
+    if isinstance(states, Design):
+        dsg = states
+        if dsg.basis != basis:
+            raise RegressionFailure("design was built for another basis")
+    else:
+        dsg = design(states, basis)
+    y = np.asarray(targets, dtype=np.float64)
+    squeeze = y.ndim == 1
+    if squeeze:
+        y = y[:, None]
+    if y.shape[0] != dsg.phi.shape[0]:
+        raise DimensionMismatch("states and targets disagree on sample count")
+    if not np.all(np.isfinite(y)):
+        raise NonFinite("targets contain non-finite entries")
+    p = dsg.r.shape[1]
+
+    # With phi = q r, ||phi c - y||^2 = ||r c - q'y||^2 + (a term free of c),
+    # so the p x p triangle stands in for the J x p design.
+    A, B = dsg.r, dsg.q.T @ y
     ridge = basis.ridge
-    if ridge == 0.0 and rank_deficient:
+    if ridge == 0.0 and dsg.rank_deficient:
         ridge = _RANK_RETRY_RIDGE
     if ridge > 0.0:
         # Penalize by row augmentation.  The constant column of the
@@ -193,38 +272,44 @@ def fit(states, targets, basis: BasisSpec) -> RegressionFit:
         penalized = np.arange(1 if basis.kind == "polynomial" else 0, p)
         aug = np.zeros((len(penalized), p))
         aug[np.arange(len(penalized)), penalized] = np.sqrt(ridge)
-        A = np.vstack([phi, aug])
-        B = np.vstack([y, np.zeros((len(penalized), y.shape[1]))])
-    else:
-        A, B = phi, y
+        A = np.vstack([A, aug])
+        B = np.vstack([B, np.zeros((len(penalized), y.shape[1]))])
     coef, *_ = np.linalg.lstsq(A, B, rcond=None)
 
     if basis.kind == "piecewise_constant":
         # Bins that saw no data predict the global mean instead of 0.
-        counts = phi.sum(axis=0)
+        counts = dsg.phi.sum(axis=0)
         coef[counts == 0] = y.mean(axis=0)
 
     if not np.all(np.isfinite(coef)):
         raise NonFinite("regression produced non-finite coefficients")
 
-    residual_rms = float(np.sqrt(np.mean((phi @ coef - y) ** 2)))
+    residual_rms = float(np.sqrt(np.mean((dsg.phi @ coef - y) ** 2)))
     return RegressionFit(
         basis=basis,
-        dim=d,
+        dim=dsg.dim,
         coefficients=coef[:, 0] if squeeze else coef,
         residual_rms=residual_rms,
-        condition_estimate=condition,
-        rank_deficient=rank_deficient,
+        condition_estimate=dsg.condition_estimate,
+        rank_deficient=dsg.rank_deficient,
         ridge_used=ridge,
-        x_mean=x_mean,
-        x_scale=x_scale,
-        box_min=box_min,
-        box_max=box_max,
+        x_mean=dsg.x_mean,
+        x_scale=dsg.x_scale,
+        box_min=dsg.box_min,
+        box_max=dsg.box_max,
     )
 
 
 def predict(reg: RegressionFit, states) -> np.ndarray:
-    """Evaluate the fitted conditional-expectation surface."""
+    """Evaluate the fitted conditional-expectation surface.
+
+    ``states`` is a (J, d) array, or the :class:`Design` the fit was made
+    on, whose basis matrix is then used as it stands.
+    """
+    if isinstance(states, Design):
+        if states.x_mean is not reg.x_mean or states.box_min is not reg.box_min:
+            raise RegressionFailure("the fit was not made on this design")
+        return states.phi @ reg.coefficients
     x = _validate_states(states, reg.dim)
     phi = _design(reg.basis, x, x_mean=reg.x_mean, x_scale=reg.x_scale,
                   box_min=reg.box_min, box_max=reg.box_max)

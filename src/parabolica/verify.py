@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.stats
+from scipy.special import stdtrit
 
 from .errors import (
     CflViolation,
@@ -316,11 +316,19 @@ def estimate_rate(errors: Sequence) -> RateEstimate:
     log_h, log_e = np.log(arr[:, 0]), np.log(arr[:, 1])
     if np.all(log_h == log_h[0]):
         raise DegenerateInput("rate estimation needs at least two distinct step sizes")
-    fit = scipy.stats.linregress(log_h, log_e)
+    # The centered-moment formulas of an ordinary least-squares line fit.
+    ssxm, ssxym, _, ssym = np.cov(log_h, log_e, bias=True).flat
+    slope = ssxym / ssxm
+    intercept = np.mean(log_e) - slope * np.mean(log_h)
+    if ssym == 0.0:
+        r = np.nan if ssxym == 0.0 else 0.0
+    else:
+        r = min(1.0, max(-1.0, ssxym / np.sqrt(ssxm * ssym)))
     dof = arr.shape[0] - 2
-    quantile = float(scipy.stats.t.ppf(0.975, dof)) if dof > 0 else float("inf")
-    half = float(fit.stderr) * quantile if np.isfinite(fit.stderr) else 0.0
-    return RateEstimate(slope=float(fit.slope), half_width=half, intercept=float(fit.intercept))
+    stderr = np.sqrt((1.0 - r**2) * ssym / ssxm / dof)
+    quantile = float(stdtrit(dof, 0.975))
+    half = float(stderr) * quantile if np.isfinite(stderr) else 0.0
+    return RateEstimate(slope=float(slope), half_width=half, intercept=float(intercept))
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 import dataclasses
 import math
 
+import re
+
 import numpy as np
 import pytest
 
-from parabolica import hjb, model, paths
+from parabolica import hjb, model, paths, regress
 from parabolica.bsde_full import (
     PhiGenerator,
     backward_solve_2bsde,
@@ -283,3 +285,139 @@ class TestFailureModes:
         )
         with np.errstate(over="ignore"), pytest.raises(NonFinite, match=r"step \d+"):
             backward_solve_2bsde(spec, _simulate(spec, 8, 200, 0), BASIS2)
+
+
+def _correlated_spec(sigma_of_x, x0=(0.2, -0.1)):
+    """Two-dimensional heat-type problem with a caller-supplied diffusion."""
+
+    def f(t, x, y, z, gamma):
+        sig = sigma_of_x(x)
+        return -0.5 * np.einsum("jab,jcb,jca->j", sig, sig, gamma)
+
+    def dg(x):
+        out = np.empty_like(x)
+        out[:, 0] = 2.0 * x[:, 0] + x[:, 1]
+        out[:, 1] = x[:, 0]
+        return out
+
+    return model.ProblemSpec(
+        dim=2,
+        horizon=1.0,
+        mu=lambda x: np.zeros_like(x),
+        sigma=sigma_of_x,
+        f=f,
+        g=lambda x: x[:, 0] ** 2 + x[:, 0] * x[:, 1],
+        dg=dg,
+        x0_default=np.array(x0),
+        name="correlated",
+    )
+
+
+CORRELATED = np.array([[1.0, 0.0], [0.5, 1.0]])
+
+
+def _constant_sigma(x):
+    return np.broadcast_to(CORRELATED, (len(x), 2, 2)).copy()
+
+
+def _located(exc_info):
+    match = re.search(r"path (\d+), step (\d+)", str(exc_info.value))
+    assert match, str(exc_info.value)
+    return int(match.group(1)), int(match.group(2))
+
+
+class TestWorkCounts:
+    """One sigma/mu evaluation and one factorization per backward step."""
+
+    def test_two_bsde_solve_evaluates_sigma_and_factors_once_per_step(self, monkeypatch):
+        base = model.catalog_get("bsb_uncertain_vol")
+        calls = {"sigma": 0, "mu": 0, "design": 0, "qr": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        spec = dataclasses.replace(
+            base, sigma=counted("sigma", base.sigma), mu=counted("mu", base.mu)
+        )
+        N = 6
+        batch = _simulate(spec, N, 400, 2)
+        assert calls["sigma"] == N and calls["mu"] == N  # one per Euler step
+        monkeypatch.setattr(regress, "design", counted("design", regress.design))
+        monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+        backward_solve_2bsde(spec, batch, BASIS2, picard_iters=3)
+        # Euler steps, the generator probe, then one per backward step.
+        assert calls["sigma"] == N + 1 + N
+        assert calls["mu"] == N + 1 + N
+        assert calls["design"] == N
+        assert calls["qr"] == N
+
+
+class TestGeneralSigma:
+    """A correlated constant diffusion takes the batched-inverse route."""
+
+    def test_z_and_gamma_match_independent_solves_on_the_same_fits(self):
+        spec = _correlated_spec(_constant_sigma)
+        batch = _simulate(spec, 8, 4000, 4)
+        sol = backward_solve_2bsde(spec, batch, BASIS2)
+        dt = batch.grid.dt
+        for k in (0, 3, 7):
+            x = batch.X[:, k]
+            sig_T = np.transpose(_constant_sigma(x), (0, 2, 1))
+            fits = sol.fits[k]
+            e_z = regress.predict(fits["z"], x) / dt
+            want_z = np.linalg.solve(sig_T, e_z[:, :, None])[:, :, 0]
+            np.testing.assert_allclose(sol.Z[:, k], want_z, rtol=1e-12, atol=1e-12)
+            e_g = regress.predict(fits["gamma"], x).reshape(-1, 2, 2) / dt
+            g = np.transpose(np.linalg.solve(sig_T, np.transpose(e_g, (0, 2, 1))), (0, 2, 1))
+            want_g = 0.5 * (g + np.transpose(g, (0, 2, 1)))
+            np.testing.assert_allclose(sol.Gamma[:, k], want_g, rtol=1e-12, atol=1e-12)
+
+    def test_singular_general_sigma_names_a_singular_path_and_step(self):
+        def sigma(x):
+            out = np.broadcast_to(CORRELATED, (len(x), 2, 2)).copy()
+            out[x[:, 0] > 0.5] = 1.0  # [[1, 1], [1, 1]]
+            return out
+
+        spec = _correlated_spec(sigma)
+        batch = _simulate(spec, 4, 200, 1)
+        with pytest.raises(SingularSigma) as exc_info:
+            backward_solve_2bsde(spec, batch, BASIS2)
+        j, k = _located(exc_info)
+        assert np.linalg.det(sigma(batch.X[j : j + 1, k]))[0] == 0.0
+
+    def test_singular_diagonal_sigma_names_a_singular_path_and_step(self):
+        def sigma(x):
+            out = np.zeros((len(x), 2, 2))
+            out[:, 0, 0] = 1.0
+            out[:, 1, 1] = np.where(x[:, 0] > 0.5, 0.0, 1.0)
+            return out
+
+        spec = _correlated_spec(sigma)
+        batch = _simulate(spec, 4, 200, 1)
+        with pytest.raises(SingularSigma) as exc_info:
+            backward_solve_2bsde(spec, batch, BASIS2)
+        j, k = _located(exc_info)
+        assert batch.X[j, k, 0] > 0.5
+
+
+class TestStoppedPaths:
+    def test_stopped_paths_are_frozen_through_the_fit_fallback(self):
+        # A narrow box stops most paths early: late steps have fewer alive
+        # paths than basis functions (the fit falls back to every path) and
+        # the last ones have none alive at all.
+        base = model.catalog_get("boundary_heat")
+        x0 = base.x0_default
+        spec = dataclasses.replace(base, domain=model.Box(x0 - 0.3, x0 + 0.3))
+        batch = _simulate(spec, 12, 40, 5)
+        stop = batch.stop_index
+        assert (stop < 12).sum() == 40 and (stop <= 2).sum() < 40
+        sol = backward_solve_2bsde(spec, batch, BASIS2)
+        for j in range(40):
+            s = stop[j]
+            np.testing.assert_array_equal(sol.Y[j, s:], sol.Y[j, 12])
+            assert not sol.Z[j, s:12].any() and not sol.Gamma[j, s:12].any()
+        assert np.isfinite(sol.Y).all() and np.isfinite(sol.Z).all()
+        assert [f["alive"] for f in sol.fits] == [int((stop > k).sum()) for k in range(12)]

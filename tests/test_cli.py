@@ -377,3 +377,17 @@ class TestModuleEntryPoint:
         sub.pop("environment")
         inproc.pop("environment")
         assert sub == inproc
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs about a second and tens of MB on every start.
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, parabolica.cli; sys.exit('scipy.stats' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr or "scipy.stats was imported"

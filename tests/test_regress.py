@@ -9,6 +9,7 @@ from parabolica.errors import DimensionMismatch, NonFinite, RegressionFailure
 from parabolica.regress import (
     BasisSpec,
     basis_size,
+    design,
     fit,
     monomial_coefficients,
     multi_indices,
@@ -234,3 +235,47 @@ def test_multi_index_order_is_graded_lex():
     assert multi_indices(2, 2) == [
         (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0),
     ]
+
+
+class TestSharedDesign:
+    def test_fit_on_a_design_is_the_fit_on_its_states(self):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(300, 2)) + 4.0
+        Y = rng.normal(size=(300, 3))
+        basis = BasisSpec(degree=2)
+        dsg = design(x, basis)
+        for target in (Y[:, 0], Y):
+            a, b = fit(dsg, target, basis), fit(x, target, basis)
+            np.testing.assert_array_equal(a.coefficients, b.coefficients)
+            assert a.residual_rms == b.residual_rms
+            assert a.condition_estimate == b.condition_estimate
+
+    def test_predict_on_the_design_reuses_its_basis_matrix(self):
+        rng = np.random.default_rng(15)
+        x = rng.uniform(1.0, 3.0, size=(200, 2))
+        basis = BasisSpec(degree=3)
+        dsg = design(x, basis)
+        reg = fit(dsg, rng.normal(size=(200, 2)), basis)
+        np.testing.assert_array_equal(predict(reg, dsg), dsg.phi @ reg.coefficients)
+        np.testing.assert_allclose(predict(reg, dsg), predict(reg, x), rtol=0, atol=1e-12)
+
+    def test_condition_and_rank_come_from_the_triangle(self):
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(400, 2))
+        dsg = design(x, BasisSpec(degree=2))
+        sv = np.linalg.svd(dsg.phi, compute_uv=False)
+        assert dsg.condition_estimate == pytest.approx(sv[0] / sv[-1], rel=1e-10)
+        assert not dsg.rank_deficient
+        np.testing.assert_allclose(dsg.q @ dsg.r, dsg.phi, atol=1e-12)
+
+    def test_foreign_designs_are_rejected(self):
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(50, 1))
+        dsg = design(x, BasisSpec(degree=2))
+        with pytest.raises(RegressionFailure):
+            fit(dsg, rng.normal(size=50), BasisSpec(degree=1))
+        reg = fit(x, rng.normal(size=50), BasisSpec(degree=2))
+        with pytest.raises(RegressionFailure):
+            predict(reg, dsg)
+        with pytest.raises(DimensionMismatch):
+            fit(dsg, np.ones(49), BasisSpec(degree=2))
