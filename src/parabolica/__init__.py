@@ -27,8 +27,7 @@ _SUBMODULES = frozenset({
     "paths",
     "regress",
     "linear_fk",
-    "bsde_semilinear",
-    "bsde_full",
+    "backward",
     "hjb",
     "verify",
     "cli",

@@ -1,12 +1,30 @@
-"""Shared arithmetic for the backward solvers.
+"""Backward solvers: the semi-linear BSDE and the 2BSDE on one recursion.
 
-Both backward solvers (the semi-linear one and the fully non-linear one) are
-thin front-ends over :func:`backward_sweep`.  Keeping the recursion in one
-place is not just deduplication: the semi-linear reduction property -- a
-gamma-free problem must produce the same Y and Z through either solver --
-holds to near machine precision precisely because both run the identical
-sequence of floating-point operations, differing only in whether a
-second-order column is maintained.
+Both solvers charge the Itô form of the generator,
+``phi = f + mu'z + 0.5*Tr[sigma sigma' gamma]``, and march backward from
+the terminal condition along a simulated batch.  Each step estimates up to
+three conditional expectations against the current state, in an order that
+keeps the data flow acyclic:
+
+1. ``Gamma_{n-1} = (1/dt) * E[Z_n dW' | X_{n-1}] * sigma(X_{n-1})^{-1}``,
+   symmetrized -- it needs only the next node's ``Z``;
+2. ``Z_{n-1} = (1/dt) * sigma(X_{n-1})'^{-1} * E[dW Y_n | X_{n-1}]``;
+3. ``Y_{n-1}`` solves ``Y = E[Y_n | X] - phi(t, X, Y, Z, Gamma) * dt`` by
+   Picard sweeps started at the regressed conditional expectation.
+
+The semi-linear BSDE is the Gamma-free special case: for the problems
+:func:`backward_solve_semilinear` accepts, the ``gamma`` dependence cancels
+identically in ``phi``, so step 1 is skipped and ``phi`` is evaluated at a
+zero Hessian.  Running both solvers through the one sweep is not just
+deduplication: the semi-linear reduction property -- a gamma-free problem
+must produce the same Y and Z through either solver -- holds to near
+machine precision precisely because both run the identical sequence of
+floating-point operations, differing only in whether a second-order column
+is maintained.
+
+The drift-adjustment process of the second-order system is never estimated:
+the recursion does not use it, and when a closed-form solution is available
+the verification module reconstructs it independently.
 
 Conventions used throughout:
 
@@ -30,18 +48,54 @@ and ``mu`` are evaluated once, ``sigma`` is inverted once (a division when
 every matrix is diagonal, a batched inverse otherwise) for both the Z and
 Gamma solves, and the ``mu'z`` and trace terms of ``phi`` are formed
 once for all Picard sweeps, which then re-evaluate ``f`` alone.
+
+Terminal columns are pinned analytically: ``Y_T = g(X_T)``,
+``Z_T = Dg(X_T)`` (declared gradient, else central differences with kink
+flagging), and ``Gamma_T`` from differentiating the terminal data once more.
+Kinked terminal conditions are flagged in the solution diagnostics rather
+than rejected; the scheme assumes smooth data and the flag documents where
+that assumption broke.
+
+``root_value`` reports the cross-sectional mean of the root column together
+with a CLT standard error measured on the pathwise-accumulated functional
+(terminal payout minus the driver corrections each path was charged).  The
+per-step projections preserve sample means, so that functional's mean tracks
+the nested root value; its spread -- unlike the root column's, which
+collapses when every path starts at the same point -- is the real
+Monte Carlo uncertainty of the reported number.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import regress
-from .errors import NonFinite, SingularSigma
+from .errors import GammaDependence, NonFinite, SingularSigma
+from .linear_fk import Estimate
 from .model import ProblemSpec, as_points
 from .paths import PathBatch
+
+__all__ = ["BackwardSolution", "backward_solve_semilinear", "backward_solve_2bsde"]
+
+
+@dataclass(frozen=True, eq=False)
+class BackwardSolution:
+    """Output of a backward solve.
+
+    ``Y`` is (J, N+1), ``Z`` is (J, N+1, d); ``Gamma`` is (J, N+1, d, d) for
+    the fully non-linear scheme and None otherwise.  ``fits`` holds one dict
+    per time step with the regression diagnostics that produced that node.
+    """
+
+    Y: np.ndarray
+    Z: np.ndarray
+    Gamma: Optional[np.ndarray]
+    root_value: Estimate
+    fits: tuple
+    diagnostics: dict = field(default_factory=dict)
 
 
 def _ito_terms(mu, sig, z, gamma) -> tuple:
@@ -68,47 +122,85 @@ def phi_transform(spec: ProblemSpec) -> Callable:
     return phi
 
 
-def terminal_gradient_impl(spec: ProblemSpec, X_T) -> tuple:
+def screen_driver(spec: ProblemSpec, gamma_free: bool) -> None:
+    """Reject a driver the backward sweep cannot run, before any path work.
+
+    Evaluates ``phi`` at random states and symmetric Hessian arguments.  A
+    non-finite value raises NonFinite.  With ``gamma_free`` (the semi-linear
+    solver) ``phi`` is probed at eight times, each with two independent
+    Hessian arguments; a spread beyond 1e-10 means the problem is genuinely
+    second-order and raises GammaDependence.  Otherwise one probe is made,
+    so ``sigma`` and ``mu`` run once.
+    """
+    phi = phi_transform(spec)
+    name = spec.name or "<anonymous>"
+    samples, d = 16, spec.dim
+    rng = np.random.default_rng(0)
+    x0 = spec.x0_default
+    scale = 1.0 + float(np.max(np.abs(x0)))
+    times = rng.uniform(0.0, spec.horizon, size=8) if gamma_free else [0.5 * spec.horizon]
+    for t in times:
+        x = x0[None, :] + scale * rng.standard_normal((samples, d))
+        y = rng.standard_normal(samples)
+        z = rng.standard_normal((samples, d))
+        values = []
+        for _ in range(2 if gamma_free else 1):
+            gamma = rng.standard_normal((samples, d, d))
+            values.append(phi(t, x, y, z, 0.5 * (gamma + np.transpose(gamma, (0, 2, 1)))))
+        if not np.all(np.isfinite(values)):
+            raise NonFinite(f"transformed driver of {name!r} is non-finite at sampled points")
+        if gamma_free:
+            gap = np.max(np.abs(values[0] - values[1]))
+            if gap > 1e-10:
+                raise GammaDependence(
+                    f"generator of {name!r} keeps second-order dependence "
+                    f"after the transform (spread {gap:.2e}); "
+                    "use the fully non-linear solver"
+                )
+
+
+def _moved(fn, x: np.ndarray, *moves) -> np.ndarray:
+    """``fn`` at the states ``x`` with ``step`` added to column ``i`` for each ``(i, step)``."""
+    xs = x.copy()
+    for i, step in moves:
+        xs[:, i] += step
+    return np.asarray(fn(xs), dtype=np.float64)
+
+
+def terminal_gradient(spec: ProblemSpec, X_T) -> tuple:
     """Gradient of the terminal condition per path.
 
     Returns ``(grad, kinked, used_fd)``.  With ``spec.dg`` present the
     declared gradient is evaluated directly and no kink detection runs.
     Otherwise each component uses a central difference with step
     ``h = 1e-5 * (1 + |x_i|)``, and a component is flagged as kinked when its
-    one-sided slopes disagree beyond what smooth curvature explains.
+    one-sided slopes disagree beyond what smooth curvature explains (e.g. a
+    hinge payout differentiated at its hinge, where the central difference
+    returns the midpoint slope).
     """
     x = as_points(X_T, spec.dim)
     J, d = x.shape
-    if spec.dg is not None:
-        grad = np.asarray(spec.dg(x), dtype=np.float64)
-        grad = grad.reshape(J, d)
-        if not np.all(np.isfinite(grad)):
-            j = int(np.argmax(~np.isfinite(grad).all(axis=1)))
-            raise NonFinite(f"non-finite terminal gradient at path {j}")
-        return grad, np.zeros((J, d), dtype=bool), False
-
-    grad = np.empty((J, d))
     kinked = np.zeros((J, d), dtype=bool)
-    g0 = np.asarray(spec.g(x), dtype=np.float64)
-    for i in range(d):
-        h = 1e-5 * (1.0 + np.abs(x[:, i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[:, i] += h
-        xm[:, i] -= h
-        gp = np.asarray(spec.g(xp), dtype=np.float64)
-        gm = np.asarray(spec.g(xm), dtype=np.float64)
-        grad[:, i] = (gp - gm) / (2.0 * h)
-        fwd = (gp - g0) / h
-        bwd = (g0 - gm) / h
-        kinked[:, i] = np.abs(fwd - bwd) > 0.05 * (1.0 + np.abs(fwd) + np.abs(bwd))
+    used_fd = spec.dg is None
+    if not used_fd:
+        grad = np.asarray(spec.dg(x), dtype=np.float64).reshape(J, d)
+    else:
+        grad = np.empty((J, d))
+        g0 = np.asarray(spec.g(x), dtype=np.float64)
+        for i in range(d):
+            h = 1e-5 * (1.0 + np.abs(x[:, i]))
+            gp, gm = _moved(spec.g, x, (i, h)), _moved(spec.g, x, (i, -h))
+            grad[:, i] = (gp - gm) / (2.0 * h)
+            fwd = (gp - g0) / h
+            bwd = (g0 - gm) / h
+            kinked[:, i] = np.abs(fwd - bwd) > 0.05 * (1.0 + np.abs(fwd) + np.abs(bwd))
     if not np.all(np.isfinite(grad)):
         j = int(np.argmax(~np.isfinite(grad).all(axis=1)))
         raise NonFinite(f"non-finite terminal gradient at path {j}")
-    return grad, kinked, True
+    return grad, kinked, used_fd
 
 
-def terminal_hessian_impl(spec: ProblemSpec, X_T) -> np.ndarray:
+def terminal_hessian(spec: ProblemSpec, X_T) -> np.ndarray:
     """Hessian of the terminal condition per path, symmetrized.
 
     Differentiates ``spec.dg`` centrally when available (one rounding level
@@ -121,43 +213,23 @@ def terminal_hessian_impl(spec: ProblemSpec, X_T) -> np.ndarray:
     if spec.dg is not None:
         for j_dim in range(d):
             h = 1e-5 * (1.0 + np.abs(x[:, j_dim]))
-            xp = x.copy()
-            xm = x.copy()
-            xp[:, j_dim] += h
-            xm[:, j_dim] -= h
-            dp = np.asarray(spec.dg(xp), dtype=np.float64).reshape(J, d)
-            dm = np.asarray(spec.dg(xm), dtype=np.float64).reshape(J, d)
+            dp = _moved(spec.dg, x, (j_dim, h)).reshape(J, d)
+            dm = _moved(spec.dg, x, (j_dim, -h)).reshape(J, d)
             H[:, :, j_dim] = (dp - dm) / (2.0 * h)[:, None]
     else:
-        g0 = np.asarray(spec.g(x), dtype=np.float64)
+        g0 = _moved(spec.g, x)
         steps = [1e-4 * (1.0 + np.abs(x[:, i])) for i in range(d)]
-        for i in range(d):
-            xp = x.copy()
-            xm = x.copy()
-            xp[:, i] += steps[i]
-            xm[:, i] -= steps[i]
-            gp = np.asarray(spec.g(xp), dtype=np.float64)
-            gm = np.asarray(spec.g(xm), dtype=np.float64)
-            H[:, i, i] = (gp - 2.0 * g0 + gm) / steps[i] ** 2
+        for i, hi in enumerate(steps):
+            gp, gm = _moved(spec.g, x, (i, hi)), _moved(spec.g, x, (i, -hi))
+            H[:, i, i] = (gp - 2.0 * g0 + gm) / hi**2
             for j_dim in range(i + 1, d):
-                xpp = x.copy()
-                xpm = x.copy()
-                xmp = x.copy()
-                xmm = x.copy()
-                for arr, si, sj in (
-                    (xpp, 1.0, 1.0),
-                    (xpm, 1.0, -1.0),
-                    (xmp, -1.0, 1.0),
-                    (xmm, -1.0, -1.0),
-                ):
-                    arr[:, i] += si * steps[i]
-                    arr[:, j_dim] += sj * steps[j_dim]
+                hj = steps[j_dim]
                 cross = (
-                    np.asarray(spec.g(xpp), dtype=np.float64)
-                    - np.asarray(spec.g(xpm), dtype=np.float64)
-                    - np.asarray(spec.g(xmp), dtype=np.float64)
-                    + np.asarray(spec.g(xmm), dtype=np.float64)
-                ) / (4.0 * steps[i] * steps[j_dim])
+                    _moved(spec.g, x, (i, hi), (j_dim, hj))
+                    - _moved(spec.g, x, (i, hi), (j_dim, -hj))
+                    - _moved(spec.g, x, (i, -hi), (j_dim, hj))
+                    + _moved(spec.g, x, (i, -hi), (j_dim, -hj))
+                ) / (4.0 * hi * hj)
                 H[:, i, j_dim] = cross
                 H[:, j_dim, i] = cross
     H = 0.5 * (H + np.transpose(H, (0, 2, 1)))
@@ -206,24 +278,18 @@ def picard_y(Ey: np.ndarray, correction: Callable, dt: float, iters: int):
     return y, last
 
 
-def backward_sweep(
+def _sweep(
     spec: ProblemSpec,
     batch: PathBatch,
     basis: regress.BasisSpec,
     picard_iters: int,
     with_gamma: bool,
-):
-    """Run the backward recursion; the solver modules wrap the result.
+) -> BackwardSolution:
+    """Run the backward recursion over the batch.
 
-    Each step charges the Itô form ``phi = f + mu'z + 0.5*Tr[sigma sigma' gamma]``.
     When ``with_gamma`` is False no second-order column is maintained and
-    ``phi`` is evaluated at a zero Hessian.
-
-    Returns ``(Y, Z, Gamma, root_mean, pathwise, fits, diagnostics)`` where
-    ``pathwise`` is the per-path accumulated functional (terminal payout
-    minus the driver corrections actually charged); by mean preservation of
-    the per-step projections its sample mean tracks the nested root value, so
-    its spread is the honest CLT scale for the reported estimate.
+    ``phi`` is evaluated at a zero Hessian.  The root value's stderr is the
+    spread of the pathwise functional (see the module docstring).
     """
     if picard_iters < 0:
         raise ValueError("picard_iters must be non-negative")
@@ -240,12 +306,12 @@ def backward_sweep(
     if not np.all(np.isfinite(Y[:, N])):
         j = int(np.argmax(~np.isfinite(Y[:, N])))
         raise NonFinite(f"non-finite terminal value at path {j}")
-    grad_T, kinked, used_fd = terminal_gradient_impl(spec, X[:, N])
+    grad_T, kinked, used_fd = terminal_gradient(spec, X[:, N])
     Z[:, N] = grad_T
     Gamma = None
     if with_gamma:
         Gamma = np.zeros((J, N + 1, d, d))
-        Gamma[:, N] = terminal_hessian_impl(spec, X[:, N])
+        Gamma[:, N] = terminal_hessian(spec, X[:, N])
 
     pathwise = Y[:, N].copy()
     fits = []
@@ -279,7 +345,6 @@ def backward_sweep(
             # Gamma = E[Z dW'] sigma^{-1} / dt, symmetrized.
             G = G / sig_diag[:, None, :] if sig_inv is None else G @ sig_inv
             gamma = 0.5 * (G + np.transpose(G, (0, 2, 1)))
-            assert np.array_equal(gamma, np.transpose(gamma, (0, 2, 1)))
             Gamma[rows, k] = gamma
         else:
             gamma = np.zeros((n_alive, d, d))  # phi is evaluated at a zero Hessian
@@ -324,10 +389,52 @@ def backward_sweep(
         )
 
     fits.reverse()
-    diagnostics = {
-        "terminal_gradient_fd": used_fd,
-        "terminal_kink_fraction": float(np.mean(np.any(kinked, axis=1))),
-        "terminal_kinked": kinked,
-    }
-    root_mean = float(np.mean(Y[:, 0]))
-    return Y, Z, Gamma, root_mean, pathwise, fits, diagnostics
+    stderr = float(np.std(pathwise, ddof=1) / np.sqrt(J)) if J > 1 else 0.0
+    return BackwardSolution(
+        Y=Y,
+        Z=Z,
+        Gamma=Gamma,
+        root_value=Estimate(value=float(np.mean(Y[:, 0])), stderr=stderr, J=J),
+        fits=tuple(fits),
+        diagnostics={
+            "terminal_gradient_fd": used_fd,
+            "terminal_kink_fraction": float(np.mean(np.any(kinked, axis=1))),
+            "terminal_kinked": kinked,
+        },
+    )
+
+
+def backward_solve_semilinear(
+    spec: ProblemSpec,
+    batch: PathBatch,
+    basis: regress.BasisSpec,
+    picard_iters: int = 2,
+) -> BackwardSolution:
+    """Solve a gamma-free problem backward along a simulated batch.
+
+    Raises GammaDependence when the transformed driver still depends on its
+    Hessian argument and NonFinite when it is non-finite where probed;
+    RegressionFailure and NonFinite propagate from the per-step fits and
+    updates.
+    """
+    screen_driver(spec, gamma_free=True)
+    return _sweep(spec, batch, basis, picard_iters, with_gamma=False)
+
+
+def backward_solve_2bsde(
+    spec: ProblemSpec,
+    batch: PathBatch,
+    basis: regress.BasisSpec,
+    picard_iters: int = 2,
+) -> BackwardSolution:
+    """Solve a fully non-linear problem backward along a simulated batch.
+
+    The returned solution carries the full ``Gamma`` block, symmetric at
+    every node by construction.  Raises NonFinite when the transformed
+    driver is non-finite where probed, SingularSigma (with the offending
+    path and step) when the diffusion matrix cannot be inverted along the
+    paths, and propagates RegressionFailure/NonFinite from the per-step
+    estimates.
+    """
+    screen_driver(spec, gamma_free=False)
+    return _sweep(spec, batch, basis, picard_iters, with_gamma=True)

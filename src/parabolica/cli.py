@@ -15,8 +15,9 @@ writes its artifacts into ``--out``:
 * ``controls.csv`` — per-node means of the extracted feedback control
   (hjb runs only).
 * ``paths.bin`` — the simulated batch as four concatenated raw ``.npy``
-  records (times, X, dW, stop_index).  Always written by ``simulate``,
-  by the solve subcommands only when the config sets ``dump_paths``.
+  records (times, X, dW, stop_index), read back by ``paths.load_batch``.
+  Always written by ``simulate``, by the solve subcommands only when the
+  config sets ``dump_paths``.
 
 Exit codes: 0 success, 1 validation failure (bad invocation, unreadable
 or schema-invalid config, inconsistent problem definition), 2 numeric
@@ -42,7 +43,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import dataclasses
-import io
 import json
 import math
 import platform
@@ -54,8 +54,7 @@ import jsonschema
 import numpy as np
 
 from . import hjb, model, verify
-from .bsde_full import backward_solve_2bsde
-from .bsde_semilinear import backward_solve_semilinear
+from .backward import backward_solve_2bsde, backward_solve_semilinear
 from .errors import (
     CflViolation,
     ConfigError,
@@ -65,7 +64,7 @@ from .errors import (
     SingularSigma,
 )
 from .linear_fk import LinearCoefficients, feynman_kac_estimate, pathwise_remainders
-from .paths import TimeGrid, euler_simulate
+from .paths import TimeGrid, encode_batch, euler_simulate
 from .regress import BasisSpec
 
 __all__ = ["RunConfig", "CONFIG_SCHEMA", "main"]
@@ -342,19 +341,6 @@ def _controls_csv(grid, controls) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _paths_blob(batch) -> bytes:
-    """The batch as concatenated raw .npy records.
-
-    times (N+1,), X (J, N+1, d), dW (J, N, d), stop_index (J,), in that
-    order.  Raw records rather than an archive because zip headers embed
-    timestamps, which would break byte-identical reruns.
-    """
-    buf = io.BytesIO()
-    for arr in (batch.grid.times, batch.X, batch.dW, batch.stop_index):
-        np.save(buf, np.ascontiguousarray(arr), allow_pickle=False)
-    return buf.getvalue()
-
-
 def _execute(config: RunConfig):
     """Run one config; returns (exit_code, value, stderr, checks, artifacts)."""
     spec, cp = _resolve_problem(config)
@@ -389,7 +375,7 @@ def _execute(config: RunConfig):
         payoff = np.asarray(spec.g(batch.X[:, -1]), dtype=np.float64)
         value = float(payoff.mean())
         stderr = float(payoff.std(ddof=1) / np.sqrt(batch.J)) if batch.J > 1 else 0.0
-        artifacts["paths.bin"] = _paths_blob(batch)
+        artifacts["paths.bin"] = encode_batch(batch)
     elif config.scheme == "linear":
         coeffs = LinearCoefficients.from_spec(spec)
         est = feynman_kac_estimate(coeffs, batch, config.threads)
@@ -399,12 +385,9 @@ def _execute(config: RunConfig):
         artifacts["steps.csv"] = _steps_csv(
             spec, batch, pathwise_remainders(coeffs, batch), None, None
         )
-    elif config.scheme == "semilinear":
-        sol = backward_solve_semilinear(spec, batch, config.basis, config.picard_iters)
-        value, stderr = sol.root_value.value, sol.root_value.stderr
-        artifacts["steps.csv"] = _steps_csv(spec, batch, sol.Y, sol.Z, None)
-    else:  # full_2bsde or hjb
-        sol = backward_solve_2bsde(spec, batch, config.basis, config.picard_iters)
+    else:  # semilinear, full_2bsde or hjb; Gamma is None for semilinear
+        solve = backward_solve_semilinear if config.scheme == "semilinear" else backward_solve_2bsde
+        sol = solve(spec, batch, config.basis, config.picard_iters)
         value, stderr = sol.root_value.value, sol.root_value.stderr
         artifacts["steps.csv"] = _steps_csv(spec, batch, sol.Y, sol.Z, sol.Gamma)
         if config.scheme == "hjb":
@@ -412,7 +395,7 @@ def _execute(config: RunConfig):
             artifacts["controls.csv"] = _controls_csv(grid, controls)
 
     if config.dump_paths and "paths.bin" not in artifacts:
-        artifacts["paths.bin"] = _paths_blob(batch)
+        artifacts["paths.bin"] = encode_batch(batch)
     return 0, value, stderr, None, artifacts
 
 

@@ -20,8 +20,9 @@ measurements.
 
 from __future__ import annotations
 
+import io
+import math
 import os
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -38,7 +39,7 @@ __all__ = [
     "brownian_increments",
     "euler_simulate",
     "exit_time_stats",
-    "save_batch",
+    "encode_batch",
     "load_batch",
 ]
 
@@ -82,7 +83,6 @@ class PathBatch:
     dW: np.ndarray          # (J, N, d)
     X: np.ndarray           # (J, N+1, d)
     stop_index: np.ndarray  # (J,) first node outside the domain, N if none
-    seed: int
     domain: Optional[Box] = None
 
     @property
@@ -217,7 +217,7 @@ def euler_simulate(
             stop[newly_out] = n + 1
             alive &= inside
 
-    return PathBatch(grid=grid, J=J, dW=dW, X=X, stop_index=stop, seed=seed, domain=domain)
+    return PathBatch(grid=grid, J=J, dW=dW, X=X, stop_index=stop, domain=domain)
 
 
 def exit_time_stats(batch: PathBatch) -> dict:
@@ -237,41 +237,55 @@ def exit_time_stats(batch: PathBatch) -> dict:
     return {"fraction_stopped": fraction, "mean_stop_time": mean_stop}
 
 
-_MAGIC = b"PBD1"
+def encode_batch(batch: PathBatch) -> bytes:
+    """The batch as concatenated raw .npy records.
 
-
-def save_batch(batch: PathBatch, path: str) -> None:
-    """Binary dump: magic, little-endian header {seed, J, N, d, t0, T}, arrays.
-
-    The domain is not serialized; a reloaded batch keeps stop_index but
-    reports no domain.
+    times (N+1,), X (J, N+1, d), dW (J, N, d), stop_index (J,), in that
+    order.  Raw records rather than an archive because zip headers embed
+    timestamps, which would break byte-identical reruns.  The domain is not
+    serialized; a reloaded batch keeps stop_index but reports no domain.
     """
-    J, N, d = batch.J, batch.grid.N, batch.dim
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<qqqq", int(batch.seed), J, N, d))
-        fh.write(struct.pack("<dd", batch.grid.t0, batch.grid.T))
-        fh.write(np.ascontiguousarray(batch.dW, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(batch.X, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(batch.stop_index, dtype="<i8").tobytes())
+    buf = io.BytesIO()
+    for arr in (batch.grid.times, batch.X, batch.dW, batch.stop_index):
+        np.save(buf, np.ascontiguousarray(arr), allow_pickle=False)
+    return buf.getvalue()
+
+
+def _read_record(raw: bytearray, buf: io.BytesIO, dtype) -> np.ndarray:
+    """The next .npy record of ``raw`` (read through ``buf``), a view into it of ``dtype``."""
+    fmt = np.lib.format
+    version = fmt.read_magic(buf)
+    read_header = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
+    shape, fortran_order, stored = read_header(buf)
+    count = math.prod(shape)
+    fits = min(shape, default=0) >= 0 and count * stored.itemsize <= len(raw) - buf.tell()
+    if fortran_order or stored != dtype or not fits:
+        raise ValueError(f"a record is not a C-ordered {np.dtype(dtype)} array of its stated size")
+    arr = np.frombuffer(raw, dtype=dtype, count=count, offset=buf.tell())
+    buf.seek(count * stored.itemsize, io.SEEK_CUR)
+    return arr.reshape(shape)
 
 
 def load_batch(path: str) -> PathBatch:
+    """Read a batch written by :func:`encode_batch`.
+
+    Raises ConfigError unless the file holds exactly the four records, with
+    dtypes and shapes that fit together and times equal to the uniform grid
+    they span.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _MAGIC:
-        raise ConfigError(f"{path} is not a path-batch dump")
-    seed, J, N, d = struct.unpack_from("<qqqq", raw, 4)
-    t0, T = struct.unpack_from("<dd", raw, 36)
-    offset = 52
-    n_dw, n_x = J * N * d, J * (N + 1) * d
-    expected = offset + 8 * (n_dw + n_x + J)
-    if len(raw) != expected:
-        raise ConfigError(f"{path}: truncated dump ({len(raw)} bytes, expected {expected})")
-    dW = np.frombuffer(raw, dtype="<f8", count=n_dw, offset=offset).reshape(J, N, d).copy()
-    offset += 8 * n_dw
-    X = np.frombuffer(raw, dtype="<f8", count=n_x, offset=offset).reshape(J, N + 1, d).copy()
-    offset += 8 * n_x
-    stop = np.frombuffer(raw, dtype="<i8", count=J, offset=offset).astype(np.int64)
-    return PathBatch(grid=TimeGrid(t0, T, N), J=J, dW=dW, X=X,
-                     stop_index=stop, seed=int(seed), domain=None)
+        raw = bytearray(fh.read())
+    buf = io.BytesIO(raw)
+    try:
+        times, X, dW, stop = (_read_record(raw, buf, t) for t in (np.float64,) * 3 + (np.int64,))
+    except ValueError as exc:
+        raise ConfigError(f"{path} is not a path-batch dump: {exc}") from None
+    if buf.tell() != len(raw):
+        raise ConfigError(f"{path}: trailing bytes after the path-batch records")
+    J, N, d = stop.size, times.size - 1, X.shape[-1] if X.ndim else 0
+    if (times.shape, X.shape, dW.shape, stop.shape) != ((N + 1,), (J, N + 1, d), (J, N, d), (J,)):
+        raise ConfigError(f"{path}: path-batch records do not fit together")
+    grid = TimeGrid(float(times[0]), float(times[-1]), N)
+    if not np.array_equal(grid.times, times):
+        raise ConfigError(f"{path}: stored times are not a uniform grid")
+    return PathBatch(grid=grid, J=J, dW=dW, X=X, stop_index=stop, domain=None)

@@ -234,8 +234,9 @@ def twobsde_residuals(spec: ProblemSpec, batch: PathBatch) -> dict:
         r1_n = dY_n - f(.) dt - Z' dX - (1/2) Tr[Gamma sigma sigma'] dt
         r2_n = dZ_n - A dt - Gamma dX
 
-    restricted to paths still alive over the step.  The terminal row is
-    checked against the payoff and must agree exactly.
+    restricted to paths still alive over the step.  ``terminal_gap`` is
+    ``max |v(T, X_T) - g(X_T)|``, the analytic solution's disagreement with
+    the payoff at the terminal time.
     """
     if spec.analytic_v is None:
         raise MissingAnalyticV(
@@ -247,11 +248,7 @@ def twobsde_residuals(spec: ProblemSpec, batch: PathBatch) -> dict:
     J, n_nodes, d = X.shape
     N = n_nodes - 1
 
-    terminal = av.value(times[-1], X[:, -1])
-    if not np.array_equal(terminal, spec.g(X[:, -1])):
-        raise AssertionError(
-            "analytic solution disagrees with the payoff at the terminal time"
-        )
+    terminal_gap = float(np.max(np.abs(av.value(times[-1], X[:, -1]) - spec.g(X[:, -1]))))
 
     r1_rms = np.empty(N)
     r2_rms = np.empty(N)
@@ -291,7 +288,7 @@ def twobsde_residuals(spec: ProblemSpec, batch: PathBatch) -> dict:
         "r2_rms": r2_rms,
         "r1_aggregate": math.sqrt(r1_sq_total / max(r1_count, 1)),
         "r2_aggregate": math.sqrt(r2_sq_total / max(r2_count, 1)),
-        "terminal_gap": 0.0,
+        "terminal_gap": terminal_gap,
     }
 
 
@@ -354,7 +351,7 @@ def verify_problem(
     Returns ``{"checks": [{"name", "metric", "threshold", "pass"}, ...]}``
     with one entry for the finite-difference comparison (1-D problems), one
     for the first residual's step-halving ratio, and one for the terminal
-    identity.
+    identity (the largest ``terminal_gap`` over the residual runs, if any).
     """
     if spec.analytic_v is None:
         raise MissingAnalyticV(
@@ -383,12 +380,14 @@ def verify_problem(
             {"name": "fd_oracle", "metric": metric, "threshold": fd_tol, "pass": metric <= fd_tol}
         )
 
-    aggregates = {}
+    aggregates, terminal_gaps = {}, []
     for N in residual_Ns:
         batch = euler_simulate(
             spec, TimeGrid(0.0, spec.horizon, int(N)), spec.x0_default, J=residual_J, seed=seed
         )
-        aggregates[int(N)] = twobsde_residuals(spec, batch)["r1_aggregate"]
+        residuals = twobsde_residuals(spec, batch)
+        aggregates[int(N)] = residuals["r1_aggregate"]
+        terminal_gaps.append(residuals["terminal_gap"])
     sizes = sorted(aggregates)
     ratios = [
         aggregates[a] / aggregates[b]
@@ -406,7 +405,9 @@ def verify_problem(
             }
         )
 
-    checks.append(
-        {"name": "terminal_identity", "metric": 0.0, "threshold": 0.0, "pass": True}
-    )
+    if terminal_gaps:
+        metric = float(np.max(terminal_gaps))
+        checks.append(
+            {"name": "terminal_identity", "metric": metric, "threshold": 0.0, "pass": metric <= 0.0}
+        )
     return {"checks": checks}

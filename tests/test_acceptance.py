@@ -13,8 +13,7 @@ import time
 import numpy as np
 
 from parabolica import hjb, model, paths
-from parabolica.bsde_full import backward_solve_2bsde
-from parabolica.bsde_semilinear import backward_solve_semilinear
+from parabolica.backward import backward_solve_2bsde, backward_solve_semilinear
 from parabolica.linear_fk import LinearCoefficients, feynman_kac_estimate
 from parabolica.regress import BasisSpec, fit, multi_indices, predict
 from parabolica.verify import FdGrid, estimate_rate, fd_solve_1d, twobsde_residuals

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from parabolica import hjb, model, paths, regress
-from parabolica.bsde_full import (
-    PhiGenerator,
+from parabolica.backward import (
     backward_solve_2bsde,
+    backward_solve_semilinear,
+    phi_transform,
     terminal_gradient,
 )
-from parabolica.bsde_semilinear import backward_solve_semilinear
 from parabolica.errors import MissingGamma, NonFinite, SingularSigma
 from parabolica.regress import BasisSpec
 
@@ -70,15 +70,17 @@ class TestTerminalGradient:
     def test_supplied_gradient_is_used_verbatim(self):
         spec = model.catalog_get("heat")  # g = x^2 with dg = 2x
         x = np.array([[3.0], [-1.5], [0.0]])
-        np.testing.assert_array_equal(terminal_gradient(spec, x), spec.dg(x))
+        grad, kinked, used_fd = terminal_gradient(spec, x)
+        np.testing.assert_array_equal(grad, spec.dg(x))
+        assert used_fd is False and not kinked.any()
 
     def test_difference_fallback_is_exact_on_quadratics(self):
         spec = dataclasses.replace(model.catalog_get("heat"), dg=None, name="heat_nodg")
         x = np.array([[3.0], [0.25]])
-        grad, diag = terminal_gradient(spec, x, return_diagnostics=True)
+        grad, kinked, used_fd = terminal_gradient(spec, x)
         np.testing.assert_allclose(grad, 2.0 * x, atol=1e-6)
-        assert diag["used_fd"] is True
-        assert not diag["kinked"].any()
+        assert used_fd is True
+        assert not kinked.any()
 
     def test_hinge_payoff_returns_half_slope_and_is_flagged(self):
         spec = model.ProblemSpec(
@@ -92,34 +94,57 @@ class TestTerminalGradient:
             name="hinge",
         )
         x = np.array([[1.0], [2.0], [0.0]])
-        grad, diag = terminal_gradient(spec, x, return_diagnostics=True)
+        grad, kinked, _ = terminal_gradient(spec, x)
         assert grad[0, 0] == pytest.approx(0.5, abs=1e-9)
         assert grad[1, 0] == pytest.approx(1.0, abs=1e-9)
         assert grad[2, 0] == pytest.approx(0.0, abs=1e-9)
-        assert diag["kinked"][0, 0] and not diag["kinked"][1:].any()
-        assert diag["kink_fraction"] == pytest.approx(1.0 / 3.0)
+        assert kinked[0, 0] and not kinked[1:].any()
+        # A solve whose paths end at these states reports the same fraction.
+        batch = paths.PathBatch(
+            grid=paths.TimeGrid(0.0, 1.0, 1),
+            J=3,
+            dW=np.zeros((3, 1, 1)),
+            X=np.stack([x, x], axis=1),
+            stop_index=np.ones(3, dtype=np.int64),
+        )
+        sol = backward_solve_2bsde(spec, batch, BasisSpec(kind="polynomial", degree=0))
+        assert sol.diagnostics["terminal_kink_fraction"] == pytest.approx(1.0 / 3.0)
 
 
 class TestPhiGenerator:
+    """The Itô-form driver phi and the screen both entry points run on it."""
+
     def test_heat_transform_collapses_to_zero(self):
-        gen = PhiGenerator.from_spec(model.catalog_get("heat"))
+        phi = phi_transform(model.catalog_get("heat"))
         rng = np.random.default_rng(0)
         x = rng.normal(size=(30, 1))
         y, z = rng.normal(size=30), rng.normal(size=(30, 1))
         gamma = rng.normal(size=(30, 1, 1))
         np.testing.assert_array_equal(
-            gen.phi(0.3, x, y, z, gamma), np.zeros(30)
+            phi(0.3, x, y, z, gamma), np.zeros(30)
         )
 
-    def test_undefined_driver_is_rejected_at_construction(self):
+    @pytest.mark.parametrize(
+        "solve", [backward_solve_semilinear, backward_solve_2bsde], ids=["semilinear", "2bsde"]
+    )
+    def test_undefined_driver_is_rejected_at_construction(self, solve, monkeypatch):
+        # A NaN driver has a NaN spread between Hessian arguments, which no
+        # "spread > tolerance" test catches; the finiteness screen must name
+        # the driver before the sweep builds a single design.
         spec = dataclasses.replace(
             model.catalog_get("heat"),
             f=lambda t, x, y, z, gamma: np.full(len(x), np.nan),
             analytic_v=None,
             name="undefined",
         )
-        with pytest.raises(NonFinite):
-            PhiGenerator.from_spec(spec)
+        batch = _simulate(spec, 4, 50, 0)
+
+        def no_design(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(regress, "design", no_design)
+        with pytest.raises(NonFinite, match="driver of 'undefined'"):
+            solve(spec, batch, BASIS2)
 
 
 class TestMartingalePayoff:

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from parabolica import model, paths
-from parabolica._backward import picard_y
-from parabolica.bsde_semilinear import (
+from parabolica.backward import (
     BackwardSolution,
-    SemilinearGenerator,
     backward_solve_semilinear,
+    phi_transform,
+    picard_y,
+    screen_driver,
 )
 from parabolica.errors import GammaDependence, NonFinite
 from parabolica.regress import BasisSpec
@@ -51,28 +52,30 @@ def _picard2_recurrence(c, N):
 class TestGeneratorScreening:
     def test_catalog_problems_with_gamma_free_drivers_pass(self):
         for name in ("heat", "gbm_linear", "semilinear_exp"):
-            gen = SemilinearGenerator.from_spec(model.catalog_get(name))
-            assert callable(gen.phi)
+            screen_driver(model.catalog_get(name), gamma_free=True)
 
     def test_transformed_driver_drops_the_trace_term(self):
         # semilinear_exp has f = -y - (1/2)tr(gamma) with sigma = I, so the
         # transform cancels the trace exactly and phi(y) = -y survives.
-        gen = SemilinearGenerator.from_spec(model.catalog_get("semilinear_exp"))
+        spec = model.catalog_get("semilinear_exp")
+        screen_driver(spec, gamma_free=True)
         rng = np.random.default_rng(3)
         x = rng.normal(size=(40, 1))
         y = rng.normal(size=40)
         z = rng.normal(size=(40, 1))
-        np.testing.assert_array_equal(gen.phi(0.25, x, y, z), -y)
+        # The sweep evaluates a gamma-free phi at a zero Hessian.
+        phi = phi_transform(spec)
+        np.testing.assert_array_equal(phi(0.25, x, y, z, np.zeros((40, 1, 1))), -y)
 
     def test_discount_bond_driver_keeps_gamma_dependence(self):
         # f = r*y with a non-degenerate sigma leaves +tr(sigma sigma' gamma)/2
         # in phi, so the screen must push this problem to the full solver.
         with pytest.raises(GammaDependence, match="discount_bond"):
-            SemilinearGenerator.from_spec(model.catalog_get("discount_bond"))
+            screen_driver(model.catalog_get("discount_bond"), gamma_free=True)
 
     def test_uncertain_volatility_driver_is_rejected(self):
         with pytest.raises(GammaDependence):
-            SemilinearGenerator.from_spec(model.catalog_get("bsb_uncertain_vol"))
+            screen_driver(model.catalog_get("bsb_uncertain_vol"), gamma_free=True)
 
     def test_solver_entry_point_screens_too(self):
         batch = _simulate(model.catalog_get("discount_bond"), 4, 50, 0)

@@ -210,6 +210,10 @@ class TestArtifacts:
         assert np.array_equal(X, batch.X)
         assert np.array_equal(dW, batch.dW)
         assert np.array_equal(stop, batch.stop_index)
+        loaded = paths.load_batch(str(tmp_path / "out" / "paths.bin"))
+        assert loaded.grid == grid and loaded.J == 50
+        for got, want in ((loaded.X, X), (loaded.dW, dW), (loaded.stop_index, stop)):
+            assert np.array_equal(got, want)
 
         payoff = spec.g(batch.X[:, -1])
         summary = _summary(tmp_path)

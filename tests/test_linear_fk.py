@@ -176,7 +176,6 @@ class TestStoppedPaths:
             dW=np.zeros((2, 4, 1)),
             X=X,
             stop_index=np.array([2, 4], dtype=np.int64),
-            seed=0,
             domain=model.Box(np.array([-1.0]), np.array([1.0])),
         )
 

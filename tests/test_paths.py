@@ -1,5 +1,7 @@
 """Tests for increment generation, Euler simulation, and exit handling."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,10 @@ from parabolica.paths import (
     PathBatch,
     TimeGrid,
     brownian_increments,
+    encode_batch,
     euler_simulate,
     exit_time_stats,
     load_batch,
-    save_batch,
 )
 
 # Reference exit fraction for |W| leaving (-1, 1) before t = 1 observed
@@ -213,10 +215,9 @@ class TestSerialization:
     def test_round_trip(self, tmp_path):
         spec = catalog_get("boundary_heat")
         batch = euler_simulate(spec, TimeGrid(0.25, 1.0, 6), [0.5], 17, seed=99)
-        fname = str(tmp_path / "batch.bin")
-        save_batch(batch, fname)
-        loaded = load_batch(fname)
-        assert loaded.seed == 99
+        fname = tmp_path / "batch.bin"
+        fname.write_bytes(encode_batch(batch))
+        loaded = load_batch(str(fname))
         assert loaded.J == 17
         assert loaded.grid == TimeGrid(0.25, 1.0, 6)
         np.testing.assert_array_equal(loaded.dW, batch.dW)
@@ -233,8 +234,42 @@ class TestSerialization:
         spec = catalog_get("heat")
         batch = euler_simulate(spec, TimeGrid(0.0, 1.0, 4), [0.0], 5, seed=1)
         fname = tmp_path / "batch.bin"
-        save_batch(batch, str(fname))
-        data = fname.read_bytes()
-        fname.write_bytes(data[:-16])
+        fname.write_bytes(encode_batch(batch)[:-16])
         with pytest.raises(ConfigError):
+            load_batch(str(fname))
+
+    @staticmethod
+    def _records(*arrays) -> bytes:
+        buf = io.BytesIO()
+        for arr in arrays:
+            np.save(buf, arr, allow_pickle=False)
+        return buf.getvalue()
+
+    def test_rejects_records_that_do_not_fit_together(self, tmp_path):
+        batch = euler_simulate(catalog_get("heat"), TimeGrid(0.0, 1.0, 4), [0.0], 5, seed=1)
+        times, X, dW, stop = batch.grid.times, batch.X, batch.dW, batch.stop_index
+        fname = tmp_path / "batch.bin"
+        for blob in (
+            self._records(times, X, dW[:, :3], stop),       # one step short
+            self._records(times, X, dW, stop[:4]),          # one path short
+            self._records(times, X, dW, stop.astype(np.float64)),
+            self._records(times, X, dW, stop, stop),        # a fifth record
+            self._records(times, X, dW),                    # a missing record
+            self._records(times ** 2, X, dW, stop),         # a non-uniform grid
+            encode_batch(batch) + b"\0",
+        ):
+            fname.write_bytes(blob)
+            with pytest.raises(ConfigError):
+                load_batch(str(fname))
+
+    @pytest.mark.parametrize("shape", [(10**12,), (-1,), (-2, -4)])
+    def test_rejects_a_header_whose_stated_size_does_not_fit_the_file(self, tmp_path, shape):
+        # 8 TB promised against 64 bytes present is rejected without
+        # allocating; numpy's header reader lets negative extents through.
+        buf = io.BytesIO()
+        header = {"descr": "<f8", "fortran_order": False, "shape": shape}
+        np.lib.format.write_array_header_1_0(buf, header)
+        fname = tmp_path / "batch.bin"
+        fname.write_bytes(buf.getvalue() + bytes(64))
+        with pytest.raises(ConfigError, match="stated size"):
             load_batch(str(fname))

@@ -227,8 +227,12 @@ class TestResiduals:
             name="heat_offset",
         )
         batch = euler_simulate(broken, TimeGrid(0.0, 1.0, 4), broken.x0_default, J=10, seed=0)
-        with pytest.raises(AssertionError, match="terminal"):
-            twobsde_residuals(broken, batch)
+        assert twobsde_residuals(broken, batch)["terminal_gap"] == pytest.approx(1e-9, rel=1e-6)
+        report = verify_problem(broken, residual_Ns=(8, 16), residual_J=200)
+        check = report["checks"][-1]
+        assert check["name"] == "terminal_identity"
+        assert check["metric"] == pytest.approx(1e-9, rel=1e-6)
+        assert check["pass"] is False
 
 
 class TestEstimateRate:
