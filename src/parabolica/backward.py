@@ -389,12 +389,11 @@ def _sweep(
         )
 
     fits.reverse()
-    stderr = float(np.std(pathwise, ddof=1) / np.sqrt(J)) if J > 1 else 0.0
     return BackwardSolution(
         Y=Y,
         Z=Z,
         Gamma=Gamma,
-        root_value=Estimate(value=float(np.mean(Y[:, 0])), stderr=stderr, J=J),
+        root_value=Estimate(float(np.mean(Y[:, 0])), Estimate.of(pathwise).stderr, J),
         fits=tuple(fits),
         diagnostics={
             "terminal_gradient_fd": used_fd,

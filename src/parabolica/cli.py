@@ -63,7 +63,7 @@ from .errors import (
     RegressionFailure,
     SingularSigma,
 )
-from .linear_fk import LinearCoefficients, feynman_kac_estimate, pathwise_remainders
+from .linear_fk import Estimate, LinearCoefficients, feynman_kac_estimate, pathwise_remainders
 from .paths import TimeGrid, encode_batch, euler_simulate
 from .regress import BasisSpec
 
@@ -142,12 +142,6 @@ CONFIG_SCHEMA = {
     "required": ["problem"],
     "additionalProperties": False,
 }
-
-# Control problems behind catalog entries whose generator was assembled
-# from one, keyed by problem name; solve-hjb needs the original problem
-# to extract the feedback control.
-_CATALOG_CONTROLS = {"hjb_uncertain_vol": hjb.uncertain_volatility_control}
-
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
@@ -286,20 +280,6 @@ def _load_json(path: str) -> dict:
     return obj
 
 
-def _resolve_problem(config: RunConfig):
-    """The problem spec plus, when one exists, its control problem."""
-    if isinstance(config.problem, str):
-        spec = model.catalog_get(config.problem)
-        maker = _CATALOG_CONTROLS.get(config.problem)
-        return spec, maker() if maker is not None else None
-    obj = dict(config.problem)
-    spec = model.problem_from_dict(obj)
-    cp = None
-    if obj.get("control") is not None:
-        cp = hjb.control_problem_from_dict(obj["control"], spec.dim)
-    return spec, cp
-
-
 def _fmt(v) -> str:
     return format(float(v), ".17g")
 
@@ -343,7 +323,10 @@ def _controls_csv(grid, controls) -> bytes:
 
 def _execute(config: RunConfig):
     """Run one config; returns (exit_code, value, stderr, checks, artifacts)."""
-    spec, cp = _resolve_problem(config)
+    if isinstance(config.problem, str):
+        spec = model.catalog_get(config.problem)
+    else:
+        spec = model.problem_from_dict(dict(config.problem))
     artifacts = {}
 
     if config.scheme == "verify":
@@ -357,7 +340,7 @@ def _execute(config: RunConfig):
         code = 0 if all(c["pass"] for c in checks) else 3
         return code, None, None, checks, artifacts
 
-    if config.scheme == "hjb" and cp is None:
+    if config.scheme == "hjb" and spec.control is None:
         raise ConfigError(
             "hjb runs need a control problem: use a control catalog entry "
             "or an inline problem with a control block"
@@ -372,14 +355,11 @@ def _execute(config: RunConfig):
     batch = euler_simulate(spec, grid, x0, config.J, config.seed, config.threads)
 
     if config.scheme == "simulate":
-        payoff = np.asarray(spec.g(batch.X[:, -1]), dtype=np.float64)
-        value = float(payoff.mean())
-        stderr = float(payoff.std(ddof=1) / np.sqrt(batch.J)) if batch.J > 1 else 0.0
+        est = Estimate.of(np.asarray(spec.g(batch.X[:, -1]), dtype=np.float64))
         artifacts["paths.bin"] = encode_batch(batch)
     elif config.scheme == "linear":
         coeffs = LinearCoefficients.from_spec(spec)
         est = feynman_kac_estimate(coeffs, batch, config.threads)
-        value, stderr = est.value, est.stderr
         # Per-node column: realized remainders of the path functional,
         # whose cross-sectional means trace the value along the grid.
         artifacts["steps.csv"] = _steps_csv(
@@ -388,15 +368,15 @@ def _execute(config: RunConfig):
     else:  # semilinear, full_2bsde or hjb; Gamma is None for semilinear
         solve = backward_solve_semilinear if config.scheme == "semilinear" else backward_solve_2bsde
         sol = solve(spec, batch, config.basis, config.picard_iters)
-        value, stderr = sol.root_value.value, sol.root_value.stderr
+        est = sol.root_value
         artifacts["steps.csv"] = _steps_csv(spec, batch, sol.Y, sol.Z, sol.Gamma)
         if config.scheme == "hjb":
-            controls = hjb.extract_control(cp, sol, batch)
+            controls = hjb.extract_control(spec.control, sol, batch)
             artifacts["controls.csv"] = _controls_csv(grid, controls)
 
     if config.dump_paths and "paths.bin" not in artifacts:
         artifacts["paths.bin"] = encode_batch(batch)
-    return 0, value, stderr, None, artifacts
+    return 0, est.value, est.stderr, None, artifacts
 
 
 def _build_version() -> str:

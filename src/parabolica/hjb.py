@@ -59,6 +59,8 @@ class ControlProblem:
     ``(J, d, d)``, each evaluated at a single control vector ``u`` of
     length ``control_dim`` and a batch ``x`` of shape ``(J, d)``.
     ``resolution`` is the per-dimension grid size (endpoints included).
+    The sign of ``beta`` depends on the problem's horizon and domain, so
+    :func:`as_problem` screens it, not this class.
     """
 
     dim: int
@@ -86,21 +88,6 @@ class ControlProblem:
             raise ConfigError("control bounds require lower <= upper")
         if self.resolution < 1:
             raise ConfigError("grid resolution must be at least 1")
-        self._check_beta_sign()
-
-    def _check_beta_sign(self, samples: int = 64, seed: int = 0) -> None:
-        # The discount rate must be nonpositive for the value function
-        # to be well-posed; spot-check it on a sampling box (t in [0,1],
-        # x in [-5,5]^d, u over the grid).
-        rng = np.random.default_rng(seed)
-        xs = rng.uniform(-5.0, 5.0, size=(samples, self.dim))
-        ts = rng.uniform(0.0, 1.0, size=8)
-        worst = -np.inf
-        for t in ts:
-            for u in self.grid():
-                worst = max(worst, float(np.max(self.beta(float(t), xs, u))))
-        if worst > 1e-10:
-            raise ConfigError(f"beta must be <= 0; sampled value {worst:.3g}")
 
     def grid(self) -> np.ndarray:
         """Control grid of shape (n_points, control_dim), lexicographic."""
@@ -204,10 +191,23 @@ def uncertain_volatility_control(
 
 
 def as_problem(cp: ControlProblem, base: ProblemSpec, name: Optional[str] = None) -> ProblemSpec:
-    """Replace the generator of ``base`` with the one assembled from ``cp``."""
+    """``base`` with the generator assembled from ``cp``, which it carries as ``control``.
+
+    The discount rate must be nonpositive for the value function to be
+    well-posed; it is spot-checked at 8 times in [0, T], 64 states of the
+    problem's domain ([-5, 5]^d on the whole space) and every grid control.
+    """
+    rng = np.random.default_rng(0)
+    lo, hi = (base.domain.lower, base.domain.upper) if base.domain is not None else (-5.0, 5.0)
+    xs = rng.uniform(lo, hi, size=(64, base.dim))
+    ts = rng.uniform(0.0, base.horizon, size=8)
+    worst = max(float(np.max(cp.beta(float(t), xs, u))) for t in ts for u in cp.grid())
+    if worst > 1e-10:
+        raise ConfigError(f"beta must be <= 0; sampled value {worst:.3g}")
     return dataclasses.replace(
         base,
         f=hjb_generator(cp),
+        control=cp,
         linear_parts=None,
         name=name if name is not None else base.name,
     )

@@ -89,6 +89,13 @@ class Estimate:
     stderr: float
     J: int
 
+    @classmethod
+    def of(cls, samples: np.ndarray) -> "Estimate":
+        """The mean of the per-path ``samples`` with its CLT standard error."""
+        J = len(samples)
+        stderr = float(np.std(samples, ddof=1) / np.sqrt(J)) if J > 1 else 0.0
+        return cls(value=float(np.mean(samples)), stderr=stderr, J=J)
+
 
 def _block_functional(
     coeffs: LinearCoefficients, batch: PathBatch, j0: int, j1: int
@@ -106,12 +113,14 @@ def _block_functional(
         alive = stop > n
         if not np.any(alive):
             break
-        xn = X[alive, n]
+        # A slice rather than a mask gather while every path is alive.
+        rows = slice(None) if alive.all() else alive
+        xn = X[rows, n]
         a_n = np.asarray(coeffs.alpha(times[n], xn), dtype=np.float64)
         b_n = np.asarray(coeffs.beta(times[n], xn), dtype=np.float64)
         with np.errstate(over="ignore", invalid="ignore"):
-            acc[alive] += np.exp(log_B[alive]) * a_n * dt
-            log_B[alive] += b_n * dt
+            acc[rows] += np.exp(log_B[rows]) * a_n * dt
+            log_B[rows] += b_n * dt
 
     payout = np.asarray(coeffs.g(X[:, N]), dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -157,12 +166,14 @@ def pathwise_remainders(coeffs: LinearCoefficients, batch: PathBatch) -> np.ndar
         alive = stop > n
         if not np.any(alive):
             break
-        xn = X[alive, n]
+        # A slice rather than a mask gather while every path is alive.
+        rows = slice(None) if alive.all() else alive
+        xn = X[rows, n]
         a_n = np.asarray(coeffs.alpha(times[n], xn), dtype=np.float64)
         b_n = np.asarray(coeffs.beta(times[n], xn), dtype=np.float64)
         with np.errstate(over="ignore", invalid="ignore"):
-            acc[alive] += np.exp(log_B[alive]) * a_n * dt
-            log_B[alive] += b_n * dt
+            acc[rows] += np.exp(log_B[rows]) * a_n * dt
+            log_B[rows] += b_n * dt
     # Columns past an early exit (and the terminal column) hold the final
     # frozen accumulators.
     acc_hist[:, filled:] = acc[:, None]
@@ -207,10 +218,4 @@ def feynman_kac_estimate(
             for fut in concurrent.futures.as_completed(futures):
                 j0, j1 = futures[fut]
                 values[j0:j1] = fut.result()
-
-    value = float(np.mean(values))
-    if J > 1:
-        stderr = float(np.std(values, ddof=1) / np.sqrt(J))
-    else:
-        stderr = 0.0
-    return Estimate(value=value, stderr=stderr, J=J)
+    return Estimate.of(values)

@@ -14,6 +14,11 @@ states of shape ``(J, d)`` and return per-path arrays:
     f(t, x, y, z, gamma)  -> (J,)      with y (J,), z (J, d), gamma (J, d, d)
     g(x), dg(x)           -> (J,), (J, d)
 
+``linear_parts`` and ``control`` are structured forms of ``f``: the
+``(alpha, beta)`` split the linear scheme reads, and the
+:class:`~parabolica.hjb.ControlProblem` an HJB generator was assembled
+from (set only by ``hjb.as_problem``), which control extraction reads.
+
 ``analytic_v`` (when present) exposes the closed-form solution and its
 derivatives in the same batched convention and is what verification
 routines compare against.
@@ -31,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -44,6 +49,9 @@ from .errors import (
     SingularSigma,
     UnknownProblem,
 )
+
+if TYPE_CHECKING:
+    from .hjb import ControlProblem
 
 __all__ = [
     "Box",
@@ -160,6 +168,7 @@ class ProblemSpec:
     domain: Optional[Box] = None          # None means the whole space
     growth: Optional[GrowthParams] = None
     linear_parts: Optional[tuple[Callable, Callable]] = None  # (alpha, beta), each (t, x) -> (J,)
+    control: Optional[ControlProblem] = None  # the control problem f was assembled from
     name: Optional[str] = None
     x0_default: np.ndarray = field(default=None)  # type: ignore[assignment]
 
@@ -535,21 +544,8 @@ def _bsb_uncertain_vol() -> ProblemSpec:
 def _hjb_uncertain_vol() -> ProblemSpec:
     from . import hjb as _hjb  # deferred: hjb builds on this module
 
-    base = _bsb_uncertain_vol()
-    cp = _hjb.uncertain_volatility_control()
-    generator = _hjb.hjb_generator(cp)
-    return ProblemSpec(
-        dim=1,
-        horizon=base.horizon,
-        mu=base.mu,
-        sigma=base.sigma,
-        f=generator,
-        g=base.g,
-        dg=base.dg,
-        analytic_v=base.analytic_v,
-        growth=base.growth,
-        name="hjb_uncertain_vol",
-        x0_default=np.array([1.0]),
+    return _hjb.as_problem(
+        _hjb.uncertain_volatility_control(), _bsb_uncertain_vol(), name="hjb_uncertain_vol"
     )
 
 
@@ -695,15 +691,15 @@ def problem_from_dict(obj: dict) -> ProblemSpec:
     def g(x):
         return _rows(_expr.evaluate(g_ast, _expr.EvalContext(x=x)), len(x))
 
-    if obj.get("control") is not None:
-        # The generator is assembled from the control coefficients; an
-        # explicit f would be ignored, so reject the ambiguity.
-        if obj.get("f") is not None:
-            raise ConfigError("give either f or a control block, not both")
-        from . import hjb as _hjb
-
-        cp = _hjb.control_problem_from_dict(obj["control"], d)
-        f = _hjb.hjb_generator(cp)
+    control = obj.get("control")
+    if control is not None:
+        # hjb.as_problem below assembles the generator from the control
+        # coefficients; an explicit f or linear split would be dropped, so
+        # reject the ambiguity.
+        for key in ("f", "linear"):
+            if obj.get(key) is not None:
+                raise ConfigError(f"give either {key} or a control block, not both")
+        f = None
     elif obj.get("f") is None:
         raise ConfigError("problem definition needs f or a control block")
     else:
@@ -748,7 +744,7 @@ def problem_from_dict(obj: dict) -> ProblemSpec:
     if obj.get("x0") is not None:
         x0_default = np.asarray(obj["x0"], dtype=np.float64)
 
-    return ProblemSpec(
+    spec = ProblemSpec(
         dim=d,
         horizon=horizon,
         mu=mu,
@@ -762,3 +758,8 @@ def problem_from_dict(obj: dict) -> ProblemSpec:
         name=str(obj.get("name")) if obj.get("name") else None,
         x0_default=x0_default,
     )
+    if control is None:
+        return spec
+    from . import hjb as _hjb
+
+    return _hjb.as_problem(_hjb.control_problem_from_dict(control, d), spec)

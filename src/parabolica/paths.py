@@ -201,16 +201,18 @@ def euler_simulate(
         X[:, n + 1] = X[:, n]
         if not alive.any():
             continue
-        xa = X[alive, n]
+        # A slice rather than a mask gather while every path is alive.
+        rows = slice(None) if alive.all() else alive
+        xa = X[rows, n]
         with np.errstate(over="ignore", invalid="ignore"):
             drift = spec.mu(xa)
             vol = spec.sigma(xa)
-            step = xa + drift * dt + np.einsum("jab,jb->ja", vol, dW[alive, n])
+            step = xa + drift * dt + np.einsum("jab,jb->ja", vol, dW[rows, n])
         finite = np.all(np.isfinite(step), axis=1)
         if not finite.all():
             j_bad = int(np.flatnonzero(alive)[np.argmin(finite)])
             raise NonFinite(f"non-finite state at path {j_bad}, step {n + 1}")
-        X[alive, n + 1] = step
+        X[rows, n + 1] = step
         if domain is not None:
             inside = domain.contains_open(X[:, n + 1])
             newly_out = alive & ~inside
@@ -270,8 +272,8 @@ def load_batch(path: str) -> PathBatch:
     """Read a batch written by :func:`encode_batch`.
 
     Raises ConfigError unless the file holds exactly the four records, with
-    dtypes and shapes that fit together and times equal to the uniform grid
-    they span.
+    dtypes and shapes that fit together, times equal to the uniform grid
+    they span and every stop_index in [0, N].
     """
     with open(path, "rb") as fh:
         raw = bytearray(fh.read())
@@ -288,4 +290,6 @@ def load_batch(path: str) -> PathBatch:
     grid = TimeGrid(float(times[0]), float(times[-1]), N)
     if not np.array_equal(grid.times, times):
         raise ConfigError(f"{path}: stored times are not a uniform grid")
+    if np.any((stop < 0) | (stop > N)):
+        raise ConfigError(f"{path}: a stop_index lies outside [0, {N}]")
     return PathBatch(grid=grid, J=J, dW=dW, X=X, stop_index=stop, domain=None)

@@ -13,7 +13,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from parabolica import cli, model, paths
+from parabolica import cli, hjb, model, paths
 
 HEAT_LINEAR = {"problem": "heat", "scheme": "linear", "J": 10, "N": 4, "seed": 1}
 
@@ -191,6 +191,33 @@ class TestArtifacts:
         for line in lines[1:]:
             u = float(line.split(",")[2])
             assert 0.1 <= u <= 0.2
+
+    def test_inline_control_block_matches_the_catalog_control_problem(self, tmp_path, monkeypatch):
+        # The inline block restates uncertain_volatility_control over the
+        # bsb_uncertain_vol dynamics; it is compiled once, by the problem
+        # builder, and the CLI reads it back from the spec.
+        compiled = []
+        build = hjb.control_problem_from_dict
+
+        def counting_build(*args, **kwargs):
+            compiled.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(hjb, "control_problem_from_dict", counting_build)
+        inline = {
+            "dim": 1, "horizon": 1.0, "mu": ["0"], "sigma": [["0.15*x[0]"]],
+            "g": "x[0]^2", "dg": ["2*x[0]"], "x0": [1.0],
+            "control": {"control_dim": 1, "lower": [0.1], "upper": [0.2],
+                        "a": [["u[0]*x[0]"]]},
+        }
+        runs = {"inline": inline, "catalog": "hjb_uncertain_vol"}
+        for out, problem in runs.items():
+            cfg = {"problem": problem, "scheme": "hjb", "J": 4000, "N": 16, "seed": 3}
+            assert _run(tmp_path, "solve-hjb", cfg, out=out) == 0
+        assert compiled == [1]
+        assert _summary(tmp_path, "inline")["value"] == _summary(tmp_path, "catalog")["value"]
+        controls = [(tmp_path / out / "controls.csv").read_bytes() for out in runs]
+        assert controls[0] == controls[1]
 
     def test_simulate_dump_decodes_to_the_batch(self, tmp_path):
         cfg = {"problem": "boundary_heat", "scheme": "simulate", "J": 50, "N": 6, "seed": 2}

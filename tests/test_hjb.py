@@ -15,7 +15,7 @@ from parabolica.hjb import (
     hjb_generator,
     uncertain_volatility_control,
 )
-from parabolica.model import catalog_get, validate_assumptions
+from parabolica.model import catalog_get, problem_from_dict, validate_assumptions
 
 
 def constant_matrix_problem(lo=0.1, hi=0.2, resolution=21):
@@ -163,15 +163,16 @@ class TestControlProblem:
 
     def test_positive_beta_rejected(self):
         zeros = lambda t, x, u: np.zeros(len(x))
+        cp = ControlProblem(
+            dim=1, control_dim=1,
+            lower=np.array([0.0]), upper=np.array([1.0]),
+            alpha=zeros,
+            beta=lambda t, x, u: np.full(len(x), 0.5),
+            b=lambda t, x, u: np.zeros_like(x),
+            a=lambda t, x, u: np.zeros((len(x), 1, 1)),
+        )
         with pytest.raises(ConfigError):
-            ControlProblem(
-                dim=1, control_dim=1,
-                lower=np.array([0.0]), upper=np.array([1.0]),
-                alpha=zeros,
-                beta=lambda t, x, u: np.full(len(x), 0.5),
-                b=lambda t, x, u: np.zeros_like(x),
-                a=lambda t, x, u: np.zeros((len(x), 1, 1)),
-            )
+            as_problem(cp, catalog_get("bsb_uncertain_vol"))
 
     def test_resolution_must_be_positive(self):
         with pytest.raises(ConfigError):
@@ -246,11 +247,35 @@ class TestFromDict:
             )
 
 
+class TestDiscountScreen:
+    """The sign of beta is screened over the problem's own horizon and domain."""
+
+    @staticmethod
+    def _problem(beta, **extra):
+        return dict({
+            "dim": 1, "horizon": 1.0, "mu": ["0"], "sigma": [["1"]], "g": "x[0]",
+            "control": {"control_dim": 1, "lower": [0.0], "upper": [1.0],
+                        "beta": beta, "a": [["1"]]},
+        }, **extra)
+
+    def test_beta_negative_on_the_domain_is_accepted(self):
+        # 8 - x is positive on most of [-5, 5] but negative on (10, 20).
+        obj = self._problem("8 - x[0]", domain={"lower": [10.0], "upper": [20.0]},
+                            x0=[15.0])
+        assert problem_from_dict(obj).control is not None
+
+    def test_beta_positive_late_in_the_horizon_is_rejected(self):
+        # t - 1.5 is positive only for t in (1.5, 2].
+        with pytest.raises(ConfigError, match="beta must be <= 0"):
+            problem_from_dict(self._problem("t - 1.5", horizon=2.0))
+
+
 def test_as_problem_swaps_the_generator():
     base = catalog_get("bsb_uncertain_vol")
     cp = uncertain_volatility_control()
     spec = as_problem(cp, base, name="assembled")
     assert spec.name == "assembled"
+    assert spec.control is cp and spec.linear_parts is None
     rng = np.random.default_rng(4)
     x = rng.uniform(0.5, 2.0, size=(20, 1))
     gam = rng.uniform(-1, 1, size=(20, 1, 1))

@@ -339,6 +339,14 @@ class TestProblemFromDict:
         with pytest.raises(ConfigError):
             problem_from_dict(obj)
 
+    def test_linear_and_control_together_rejected(self):
+        # The assembled generator has no declared linear split to keep.
+        obj = {k: v for k, v in self.HEAT.items() if k != "f"}
+        obj["linear"] = {"alpha": "0", "beta": "0"}
+        obj["control"] = {"control_dim": 1, "lower": [0.1], "upper": [0.2], "a": [["u[0]"]]}
+        with pytest.raises(ConfigError, match="linear"):
+            problem_from_dict(obj)
+
     def test_missing_f_rejected(self):
         obj = {k: v for k, v in self.HEAT.items() if k != "f"}
         with pytest.raises(ConfigError):

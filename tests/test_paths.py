@@ -262,6 +262,15 @@ class TestSerialization:
             with pytest.raises(ConfigError):
                 load_batch(str(fname))
 
+    @pytest.mark.parametrize("stop_value", [-3, 99])
+    def test_rejects_a_stop_index_outside_the_grid(self, tmp_path, stop_value):
+        batch = euler_simulate(catalog_get("heat"), TimeGrid(0.0, 1.0, 4), [0.0], 5, seed=1)
+        stop = np.full(5, stop_value, dtype=np.int64)
+        fname = tmp_path / "batch.bin"
+        fname.write_bytes(self._records(batch.grid.times, batch.X, batch.dW, stop))
+        with pytest.raises(ConfigError, match="stop_index"):
+            load_batch(str(fname))
+
     @pytest.mark.parametrize("shape", [(10**12,), (-1,), (-2, -4)])
     def test_rejects_a_header_whose_stated_size_does_not_fit_the_file(self, tmp_path, shape):
         # 8 TB promised against 64 bytes present is rejected without
