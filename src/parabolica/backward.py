@@ -47,7 +47,12 @@ values at the fit states are read off the basis matrix itself.  ``sigma``
 and ``mu`` are evaluated once, ``sigma`` is inverted once (a division when
 every matrix is diagonal, a batched inverse otherwise) for both the Z and
 Gamma solves, and the ``mu'z`` and trace terms of ``phi`` are formed
-once for all Picard sweeps, which then re-evaluate ``f`` alone.
+once for all Picard sweeps, which then re-evaluate ``f`` alone.  When the
+problem carries a control (``spec.control``), ``f`` is not called: the
+node's :class:`hjb.NodeHamiltonian` evaluates every grid control's
+coefficients once, each Picard sweep takes ``-max`` over them, and after
+``Y`` is set the same object gives the node's mean maximizing control
+(``BackwardSolution.control_means``), so no second pass re-evaluates them.
 
 Terminal columns are pinned analytically: ``Y_T = g(X_T)``,
 ``Z_T = Dg(X_T)`` (declared gradient, else central differences with kink
@@ -72,7 +77,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import regress
+from . import hjb, regress
 from .errors import GammaDependence, NonFinite, SingularSigma
 from .linear_fk import Estimate
 from .model import ProblemSpec, as_points
@@ -88,6 +93,9 @@ class BackwardSolution:
     ``Y`` is (J, N+1), ``Z`` is (J, N+1, d); ``Gamma`` is (J, N+1, d, d) for
     the fully non-linear scheme and None otherwise.  ``fits`` holds one dict
     per time step with the regression diagnostics that produced that node.
+    ``control_means`` is (N+1, control_dim) when the problem carries a
+    control and Gamma is estimated: row ``n`` is the mean over paths of
+    :func:`hjb.extract_control` at node ``n``.  It is None otherwise.
     """
 
     Y: np.ndarray
@@ -96,6 +104,7 @@ class BackwardSolution:
     root_value: Estimate
     fits: tuple
     diagnostics: dict = field(default_factory=dict)
+    control_means: Optional[np.ndarray] = None
 
 
 def _ito_terms(mu, sig, z, gamma) -> tuple:
@@ -125,30 +134,39 @@ def phi_transform(spec: ProblemSpec) -> Callable:
 def screen_driver(spec: ProblemSpec, gamma_free: bool) -> None:
     """Reject a driver the backward sweep cannot run, before any path work.
 
-    Evaluates ``phi`` at random states and symmetric Hessian arguments.  A
-    non-finite value raises NonFinite.  With ``gamma_free`` (the semi-linear
-    solver) ``phi`` is probed at eight times, each with two independent
-    Hessian arguments; a spread beyond 1e-10 means the problem is genuinely
-    second-order and raises GammaDependence.  Otherwise one probe is made,
-    so ``sigma`` and ``mu`` run once.
+    Evaluates ``phi`` at eight random times in ``[0, T]``, each with a
+    random symmetric Hessian argument, on one draw of random states, so
+    ``sigma`` and ``mu`` run once.  A non-finite value raises NonFinite
+    naming the driver and the time.  With ``gamma_free`` (the semi-linear
+    solver) each time takes a second Hessian argument; a spread beyond
+    1e-10 means the problem is genuinely second-order and raises
+    GammaDependence.
     """
-    phi = phi_transform(spec)
     name = spec.name or "<anonymous>"
     samples, d = 16, spec.dim
     rng = np.random.default_rng(0)
     x0 = spec.x0_default
     scale = 1.0 + float(np.max(np.abs(x0)))
-    times = rng.uniform(0.0, spec.horizon, size=8) if gamma_free else [0.5 * spec.horizon]
+    times = rng.uniform(0.0, spec.horizon, size=8)
+    x = x0[None, :] + scale * rng.standard_normal((samples, d))
+    y = rng.standard_normal(samples)
+    z = rng.standard_normal((samples, d))
+    mu = np.asarray(spec.mu(x), dtype=np.float64)
+    sig = np.asarray(spec.sigma(x), dtype=np.float64)
+
+    def phi(t):
+        gamma = rng.standard_normal((samples, d, d))
+        gamma = 0.5 * (gamma + np.transpose(gamma, (0, 2, 1)))
+        f_val = np.asarray(spec.f(t, x, y, z, gamma), dtype=np.float64)
+        mu_z, half_trace = _ito_terms(mu, sig, z, gamma)
+        return (f_val + mu_z) + half_trace
+
     for t in times:
-        x = x0[None, :] + scale * rng.standard_normal((samples, d))
-        y = rng.standard_normal(samples)
-        z = rng.standard_normal((samples, d))
-        values = []
-        for _ in range(2 if gamma_free else 1):
-            gamma = rng.standard_normal((samples, d, d))
-            values.append(phi(t, x, y, z, 0.5 * (gamma + np.transpose(gamma, (0, 2, 1)))))
+        values = [phi(t) for _ in range(2 if gamma_free else 1)]
         if not np.all(np.isfinite(values)):
-            raise NonFinite(f"transformed driver of {name!r} is non-finite at sampled points")
+            raise NonFinite(
+                f"transformed driver of {name!r} is non-finite at sampled points (t={t:.6g})"
+            )
         if gamma_free:
             gap = np.max(np.abs(values[0] - values[1]))
             if gap > 1e-10:
@@ -263,6 +281,15 @@ def _invert_sigma(sig: np.ndarray, alive: np.ndarray, step: int) -> tuple:
     raise SingularSigma(f"singular diffusion matrix at path {path}, step {step}")
 
 
+def _column_means(u: np.ndarray) -> np.ndarray:
+    """Mean of each column of ``u`` (J, k), one pairwise sum per column.
+
+    ``u.mean(axis=0)`` adds the rows in sequence when k > 1 and can differ
+    from ``u[:, i].mean()`` in the last bits.
+    """
+    return np.array([u[:, i].mean() for i in range(u.shape[1])])
+
+
 def picard_y(Ey: np.ndarray, correction: Callable, dt: float, iters: int):
     """Fixed-point sweeps for ``y = Ey - correction(y) * dt``.
 
@@ -288,8 +315,11 @@ def _sweep(
     """Run the backward recursion over the batch.
 
     When ``with_gamma`` is False no second-order column is maintained and
-    ``phi`` is evaluated at a zero Hessian.  The root value's stderr is the
-    spread of the pathwise functional (see the module docstring).
+    ``phi`` is evaluated at a zero Hessian.  When it is True and the problem
+    carries a control, each node's Hamiltonians are built once, serve every
+    Picard sweep through ``-max`` and then give the node's mean control.
+    The root value's stderr is the spread of the pathwise functional (see
+    the module docstring).
     """
     if picard_iters < 0:
         raise ValueError("picard_iters must be non-negative")
@@ -312,6 +342,14 @@ def _sweep(
     if with_gamma:
         Gamma = np.zeros((J, N + 1, d, d))
         Gamma[:, N] = terminal_hessian(spec, X[:, N])
+
+    cp = spec.control if with_gamma else None
+    control_means = None
+    if cp is not None:
+        control_means = np.empty((N + 1, cp.control_dim))
+        terminal = hjb.NodeHamiltonian(cp, float(times[N]), X[:, N], Z[:, N], Gamma[:, N])
+        control_means[N] = _column_means(terminal.argmax(Y[:, N]))
+        del terminal
 
     pathwise = Y[:, N].copy()
     fits = []
@@ -361,10 +399,11 @@ def _sweep(
         fit_y, Ey = expect(Y[fit_rows, n])
         # Only f moves between Picard sweeps; the rest of phi is fixed per step.
         mu_z, half_trace = _ito_terms(mu, sig, z, gamma)
+        node = None if cp is None else hjb.NodeHamiltonian(cp, t_prev, x, z, gamma)
 
         def correction(y):
-            f_val = np.asarray(spec.f(t_prev, x, y, z, gamma), dtype=np.float64)
-            return (f_val + mu_z) + half_trace
+            f_val = spec.f(t_prev, x, y, z, gamma) if node is None else node.f(y)
+            return (np.asarray(f_val, dtype=np.float64) + mu_z) + half_trace
 
         y, phi_last = picard_y(Ey, correction, dt, picard_iters)
         if n_alive < J:
@@ -376,6 +415,18 @@ def _sweep(
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(z))
                 and np.all(np.isfinite(gamma))):
             raise NonFinite(f"non-finite backward value at step {k}")
+
+        if node is not None:
+            u = np.empty((J, cp.control_dim))
+            u[rows] = node.argmax(y)
+            if n_alive < J:
+                # Stopped paths are read at their frozen Y and zero Z/Gamma,
+                # as extract_control reads the histories.
+                done = ~alive
+                frozen = hjb.NodeHamiltonian(cp, t_prev, X[done, k], Z[done, k], Gamma[done, k])
+                u[done] = frozen.argmax(Y[done, k])
+            control_means[k] = _column_means(u)
+            node = None  # release this node's (G, J) terms before the next is built
 
         fits.append(
             {
@@ -400,6 +451,7 @@ def _sweep(
             "terminal_kink_fraction": float(np.mean(np.any(kinked, axis=1))),
             "terminal_kinked": kinked,
         },
+        control_means=control_means,
     )
 
 

@@ -3,17 +3,19 @@
 Every subcommand reads one JSON config, runs the matching solver, and
 writes its artifacts into ``--out``:
 
-* ``summary.json`` — value, stderr, the resolved config echo, and (for
-  verify runs) the check report.  Runtime and host facts live under a
-  separate ``environment`` key so golden-file comparisons can drop that
-  one field and match the rest byte for byte.
+* ``summary.json`` — value, stderr, the resolved config echo, for
+  verify runs the check report, and for backward runs on a payoff with
+  no declared gradient ``terminal_kink_fraction``, the share of paths
+  whose differenced terminal gradient straddles a kink.  Runtime and
+  host facts live under a separate ``environment`` key so golden-file
+  comparisons can drop that one field and match the rest byte for byte.
 * ``steps.csv`` — per-node means along the grid, header
   ``n,t,mean_Y[,rms_Y_err][,mean_Z_0..][,mean_Gamma_00..]``; the error
   column appears only when the problem has an analytic solution, the Z
   and Gamma blocks only when the scheme estimates them.  Numbers carry
   17 significant digits so parsing them back is exact.
-* ``controls.csv`` — per-node means of the extracted feedback control
-  (hjb runs only).
+* ``controls.csv`` — per-node means of the feedback control, recorded by
+  the backward sweep (hjb runs only).
 * ``paths.bin`` — the simulated batch as four concatenated raw ``.npy``
   records (times, X, dW, stop_index), read back by ``paths.load_batch``.
   Always written by ``simulate``, by the solve subcommands only when the
@@ -53,7 +55,7 @@ from typing import Optional, Union
 import jsonschema
 import numpy as np
 
-from . import hjb, model, verify
+from . import model, verify
 from .backward import backward_solve_2bsde, backward_solve_semilinear
 from .errors import (
     CflViolation,
@@ -310,19 +312,24 @@ def _steps_csv(spec, batch, Y, Z, Gamma) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _controls_csv(grid, controls) -> bytes:
-    k = controls.shape[2]
+def _controls_csv(grid, control_means) -> bytes:
+    k = control_means.shape[1]
     header = ["n", "t"] + [f"mean_u_{i}" for i in range(k)]
     lines = [",".join(header)]
     for n in range(grid.N + 1):
         row = [str(n), _fmt(grid.times[n])]
-        row += [_fmt(controls[:, n, i].mean()) for i in range(k)]
+        row += [_fmt(v) for v in control_means[n]]
         lines.append(",".join(row))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _execute(config: RunConfig):
-    """Run one config; returns (exit_code, value, stderr, checks, artifacts)."""
+    """Run one config; returns (exit_code, value, stderr, report, artifacts).
+
+    ``report`` holds the keys the run adds to ``summary.json``: the verify
+    checks, or the terminal kink fraction of a backward run whose payoff
+    gradient was differenced.
+    """
     if isinstance(config.problem, str):
         spec = model.catalog_get(config.problem)
     else:
@@ -338,7 +345,7 @@ def _execute(config: RunConfig):
         report = verify.verify_problem(spec, seed=config.seed, **opts)
         checks = report["checks"]
         code = 0 if all(c["pass"] for c in checks) else 3
-        return code, None, None, checks, artifacts
+        return code, None, None, {"checks": checks}, artifacts
 
     if config.scheme == "hjb" and spec.control is None:
         raise ConfigError(
@@ -353,6 +360,7 @@ def _execute(config: RunConfig):
         )
     grid = TimeGrid(config.t0, spec.horizon, config.N)
     batch = euler_simulate(spec, grid, x0, config.J, config.seed, config.threads)
+    report = {}
 
     if config.scheme == "simulate":
         est = Estimate.of(np.asarray(spec.g(batch.X[:, -1]), dtype=np.float64))
@@ -370,13 +378,15 @@ def _execute(config: RunConfig):
         sol = solve(spec, batch, config.basis, config.picard_iters)
         est = sol.root_value
         artifacts["steps.csv"] = _steps_csv(spec, batch, sol.Y, sol.Z, sol.Gamma)
+        diagnostics = sol.diagnostics
+        if diagnostics["terminal_gradient_fd"]:
+            report["terminal_kink_fraction"] = diagnostics["terminal_kink_fraction"]
         if config.scheme == "hjb":
-            controls = hjb.extract_control(spec.control, sol, batch)
-            artifacts["controls.csv"] = _controls_csv(grid, controls)
+            artifacts["controls.csv"] = _controls_csv(grid, sol.control_means)
 
     if config.dump_paths and "paths.bin" not in artifacts:
         artifacts["paths.bin"] = encode_batch(batch)
-    return 0, est.value, est.stderr, None, artifacts
+    return 0, est.value, est.stderr, report, artifacts
 
 
 def _build_version() -> str:
@@ -445,7 +455,7 @@ def main(argv=None) -> int:
             seed=args.seed,
             threads=args.threads,
         )
-        code, value, stderr, checks, artifacts = _execute(config)
+        code, value, stderr, report, artifacts = _execute(config)
     except ParabolicaError as exc:
         return _fail(exc)
 
@@ -459,8 +469,7 @@ def main(argv=None) -> int:
             "build": _build_version(),
         },
     }
-    if checks is not None:
-        summary["checks"] = checks
+    summary.update(report)
     artifacts["summary.json"] = (
         json.dumps(summary, indent=2, sort_keys=True) + "\n"
     ).encode("utf-8")

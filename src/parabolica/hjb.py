@@ -42,6 +42,7 @@ from .model import ProblemSpec
 __all__ = [
     "ControlProblem",
     "hamiltonian",
+    "NodeHamiltonian",
     "hjb_generator",
     "extract_control",
     "uncertain_volatility_control",
@@ -97,20 +98,75 @@ class ControlProblem:
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
+def _control_terms(cp: ControlProblem, t, x, z, gamma, u) -> tuple:
+    """The y-free parts of H at one control: ``(alpha, beta, b'z, 1/2 Tr[a a' gamma])``."""
+    u = np.asarray(u, dtype=np.float64).reshape(-1)
+    a_val = cp.a(t, x, u)
+    aat = np.einsum("jab,jcb->jac", a_val, a_val)
+    quad = 0.5 * np.einsum("jab,jba->j", aat, gamma)
+    lin = np.einsum("jd,jd->j", cp.b(t, x, u), z)
+    return cp.alpha(t, x, u), cp.beta(t, x, u), lin, quad
+
+
 def hamiltonian(cp: ControlProblem, t, x, y, z, gamma, u) -> np.ndarray:
     """The controlled drift H = alpha + beta*y + b'z + 1/2 Tr[a a' gamma]."""
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
     with np.errstate(invalid="ignore", over="ignore"):
-        a_val = cp.a(t, x, u)
-        aat = np.einsum("jab,jcb->jac", a_val, a_val)
-        quad = 0.5 * np.einsum("jab,jba->j", aat, gamma)
-        lin = np.einsum("jd,jd->j", cp.b(t, x, u), z)
-        return cp.alpha(t, x, u) + cp.beta(t, x, u) * np.asarray(y, dtype=np.float64) + lin + quad
+        alpha, beta, lin, quad = _control_terms(cp, t, x, z, gamma, u)
+        return alpha + beta * np.asarray(y, dtype=np.float64) + lin + quad
 
 
-def _grid_hamiltonians(cp: ControlProblem, t, x, y, z, gamma) -> np.ndarray:
-    rows = [hamiltonian(cp, t, x, y, z, gamma, u) for u in cp.grid()]
-    return np.stack(rows, axis=0)
+def _repeats(row: np.ndarray) -> bool:
+    """True when ``row`` is non-empty and every entry has the first entry's bits."""
+    bits = row.view(np.int64)
+    return bits.size > 0 and bool(np.all(bits == bits[0]))
+
+
+class NodeHamiltonian:
+    """H at every grid control for one batch of ``(t, x, z, gamma)``.
+
+    Only ``beta*y`` depends on ``y``, so the coefficients are evaluated
+    once, at construction, and stacked over the G grid controls; :meth:`f`
+    and :meth:`argmax` then cost a few array operations per ``y``.  Each
+    value is ``((alpha + beta*y) + b'z) + quad``, the operations
+    :func:`hamiltonian` performs, so both agree bit for bit.
+
+    A term is kept as a (G, 1) column while every control's row is one
+    repeated bit pattern (a constant reward or discount rate), and widened
+    to (G, J) at the first row that is not: broadcasting a repeated value
+    gives the same bits and saves a (G, J) array.
+    """
+
+    def __init__(self, cp: ControlProblem, t, x, z, gamma):
+        self.grid = cp.grid()
+        J = len(x)
+        self._terms = [np.empty((len(self.grid), 1)) for _ in range(4)]
+        with np.errstate(invalid="ignore", over="ignore"):
+            for g, u in enumerate(self.grid):
+                for i, term in enumerate(_control_terms(cp, t, x, z, gamma, u)):
+                    row = np.broadcast_to(np.asarray(term, dtype=np.float64), (J,))
+                    if self._terms[i].shape[1] == 1 and not _repeats(row):
+                        self._terms[i] = np.repeat(self._terms[i], J, axis=1)
+                    self._terms[i][g] = row if self._terms[i].shape[1] == J else row[0]
+
+    def _values(self, y) -> np.ndarray:
+        alpha, beta, lin, quad = self._terms
+        with np.errstate(invalid="ignore", over="ignore"):
+            values = beta * np.asarray(y, dtype=np.float64)
+            np.add(alpha, values, out=values)
+            values += lin
+            values += quad
+        return values
+
+    def f(self, y) -> np.ndarray:
+        """``-max_u H(u)`` per path; raises NonFinite when a maximum is not finite."""
+        best = np.max(self._values(y), axis=0)
+        if not np.all(np.isfinite(best)):
+            raise NonFinite("control objective evaluated non-finite")
+        return -best
+
+    def argmax(self, y) -> np.ndarray:
+        """The first grid control attaining the maximum, per path: (J, control_dim)."""
+        return self.grid[np.argmax(self._values(y), axis=0)]
 
 
 def hjb_generator(cp: ControlProblem) -> Callable:
@@ -122,11 +178,7 @@ def hjb_generator(cp: ControlProblem) -> Callable:
     """
 
     def f(t, x, y, z, gamma):
-        values = _grid_hamiltonians(cp, t, x, y, z, gamma)
-        best = np.max(values, axis=0)
-        if not np.all(np.isfinite(best)):
-            raise NonFinite("control objective evaluated non-finite")
-        return -best
+        return NodeHamiltonian(cp, t, x, z, gamma).f(y)
 
     return f
 
@@ -138,18 +190,19 @@ def extract_control(cp: ControlProblem, solution, batch) -> np.ndarray:
     order) maximizing H at the solution's (Y, Z, Gamma) estimates, the
     same rule :func:`hjb_generator` uses, so the extracted control
     attains the generator's value exactly.  For paths already stopped
-    at a node the frozen state estimates are used as-is.
+    at a node the frozen state estimates are used as-is.  The backward
+    sweep records the per-node means of this control itself
+    (``BackwardSolution.control_means``).
     """
     if getattr(solution, "Gamma", None) is None:
         raise MissingGamma("control extraction needs second-order estimates")
     times = batch.grid.times
     X, Y, Z, Gam = batch.X, solution.Y, solution.Z, solution.Gamma
     J, steps = Y.shape
-    grid = cp.grid()
     out = np.empty((J, steps, cp.control_dim))
     for n in range(steps):
-        values = _grid_hamiltonians(cp, float(times[n]), X[:, n], Y[:, n], Z[:, n], Gam[:, n])
-        out[:, n, :] = grid[np.argmax(values, axis=0)]
+        node = NodeHamiltonian(cp, float(times[n]), X[:, n], Z[:, n], Gam[:, n])
+        out[:, n, :] = node.argmax(Y[:, n])
     return out
 
 

@@ -13,6 +13,7 @@ from parabolica.backward import (
     backward_solve_2bsde,
     backward_solve_semilinear,
     phi_transform,
+    screen_driver,
     terminal_gradient,
 )
 from parabolica.errors import MissingGamma, NonFinite, SingularSigma
@@ -310,6 +311,103 @@ class TestFailureModes:
         )
         with np.errstate(over="ignore"), pytest.raises(NonFinite, match=r"step \d+"):
             backward_solve_2bsde(spec, _simulate(spec, 8, 200, 0), BASIS2)
+
+
+class TestScreen:
+    def test_both_orders_probe_eight_times_on_one_state_draw(self):
+        base = model.catalog_get("heat")
+        seen = {"t": [], "sigma": 0, "mu": 0}
+
+        def f(t, x, y, z, gamma):
+            seen["t"].append(float(t))
+            return base.f(t, x, y, z, gamma)
+
+        def counted(name, fn):
+            def wrapper(x):
+                seen[name] += 1
+                return fn(x)
+            return wrapper
+
+        spec = dataclasses.replace(
+            base, f=f, sigma=counted("sigma", base.sigma), mu=counted("mu", base.mu)
+        )
+        probed = {}
+        for gamma_free in (True, False):
+            seen.update(t=[], sigma=0, mu=0)
+            screen_driver(spec, gamma_free=gamma_free)
+            assert seen["sigma"] == 1 and seen["mu"] == 1
+            probed[gamma_free] = seen["t"]
+        assert probed[True] == [t for t in probed[False] for _ in range(2)]
+        assert len(set(probed[False])) == 8
+        assert all(0.0 <= t <= spec.horizon for t in probed[False])
+
+    def test_driver_non_finite_early_in_the_horizon_fails_at_the_screen(self):
+        spec = model.problem_from_dict({
+            "dim": 1, "horizon": 1.0, "mu": ["0"], "sigma": [["0.2*x[0]"]],
+            "f": "-0.5*0.04*x[0]^2*gamma[0][0] + sqrt(t - 0.3)",
+            "g": "x[0]^2", "dg": ["2*x[0]"], "x0": [1.0], "name": "late_root",
+        })
+        batch = _simulate(spec, 16, 2000, 3)
+        with np.errstate(invalid="ignore"), pytest.raises(
+            NonFinite, match=r"transformed driver of 'late_root' is non-finite"
+        ):
+            backward_solve_2bsde(spec, batch, BASIS2)
+
+
+class TestNodeHamiltonians:
+    """The sweep builds each node's control Hamiltonians once."""
+
+    @staticmethod
+    def _domain_control_spec():
+        return model.problem_from_dict({
+            "dim": 1, "horizon": 1.0, "mu": ["0"], "sigma": [["0.3*x[0]"]],
+            "g": "x[0]^2", "dg": ["2*x[0]"], "x0": [1.0],
+            "domain": {"lower": [0.7], "upper": [1.4]},
+            "control": {"control_dim": 1, "lower": [0.2], "upper": [0.4],
+                        "alpha": "0.1*x[0]*u[0]", "beta": "-0.05*u[0]",
+                        "b": ["0.1*u[0]*x[0]"], "a": [["u[0]*x[0]"]]},
+        })
+
+    def test_control_route_is_bitwise_the_generator_route(self):
+        spec = model.catalog_get("hjb_uncertain_vol")
+        batch = _simulate(spec, 16, 2000, 11)
+        with_control = backward_solve_2bsde(spec, batch, BASIS2)
+        through_f = backward_solve_2bsde(dataclasses.replace(spec, control=None), batch, BASIS2)
+        for name in ("Y", "Z", "Gamma"):
+            np.testing.assert_array_equal(getattr(with_control, name), getattr(through_f, name))
+        assert through_f.control_means is None
+
+    @pytest.mark.parametrize("which", ["catalog", "domain"])
+    def test_control_means_are_the_extracted_control_means(self, which):
+        spec = (model.catalog_get("hjb_uncertain_vol") if which == "catalog"
+                else self._domain_control_spec())
+        N = 16
+        batch = _simulate(spec, N, 3000, 4)
+        if which == "domain":
+            assert 0 < np.count_nonzero(batch.stop_index < N) < batch.J
+        sol = backward_solve_2bsde(spec, batch, BASIS2)
+        control = hjb.extract_control(spec.control, sol, batch)
+        assert sol.control_means.shape == (N + 1, spec.control.control_dim)
+        for n in range(N + 1):
+            np.testing.assert_array_equal(sol.control_means[n], control[:, n].mean(axis=0))
+
+    @pytest.mark.parametrize("picard_iters", [1, 3])
+    def test_sweep_evaluates_each_control_once_per_node(self, picard_iters):
+        calls = [0]
+        cp = hjb.uncertain_volatility_control()
+
+        def a(t, x, u):
+            calls[0] += 1
+            return cp.a(t, x, u)
+
+        counted = dataclasses.replace(cp, a=a)
+        spec = hjb.as_problem(counted, model.catalog_get("bsb_uncertain_vol"))
+        N, G = 6, len(cp.grid())
+        batch = _simulate(spec, N, 400, 2)
+        screen_driver(spec, gamma_free=False)
+        screen, calls[0] = calls[0], 0
+        backward_solve_2bsde(spec, batch, BASIS2, picard_iters=picard_iters)
+        assert calls[0] == screen + (N + 1) * G
 
 
 def _correlated_spec(sigma_of_x, x0=(0.2, -0.1)):

@@ -13,7 +13,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from parabolica import cli, hjb, model, paths
+from parabolica import backward, cli, hjb, model, paths
 
 HEAT_LINEAR = {"problem": "heat", "scheme": "linear", "J": 10, "N": 4, "seed": 1}
 
@@ -219,6 +219,33 @@ class TestArtifacts:
         controls = [(tmp_path / out / "controls.csv").read_bytes() for out in runs]
         assert controls[0] == controls[1]
 
+    @staticmethod
+    def _kinked_problem(**extra):
+        # |sin(1000 x)| / 1000 has slope +-1 with a kink every pi/1000.
+        return dict({
+            "dim": 1, "horizon": 1.0, "mu": ["0"], "sigma": [["1"]], "f": "-0.5*gamma[0][0]",
+            "g": "abs(sin(1000*x[0]))/1000", "x0": [0.0],
+        }, **extra)
+
+    def test_kink_fraction_is_reported_when_the_gradient_is_differenced(self, tmp_path):
+        cfg = {"problem": self._kinked_problem(), "scheme": "semilinear",
+               "J": 2000, "N": 4, "seed": 3}
+        assert _run(tmp_path, "solve-semilinear", cfg) == 0
+        spec = model.problem_from_dict(self._kinked_problem())
+        grid = paths.TimeGrid(0.0, spec.horizon, 4)
+        batch = paths.euler_simulate(spec, grid, spec.x0_default, J=2000, seed=3)
+        sol = backward.backward_solve_semilinear(spec, batch, cli.BasisSpec())
+        fraction = sol.diagnostics["terminal_kink_fraction"]
+        assert fraction > 0
+        assert _summary(tmp_path)["terminal_kink_fraction"] == fraction
+
+    def test_kink_fraction_is_absent_with_a_declared_gradient(self, tmp_path):
+        dg = ["cos(1000*x[0])*sin(1000*x[0])/abs(sin(1000*x[0]))"]
+        cfg = {"problem": self._kinked_problem(dg=dg), "scheme": "semilinear",
+               "J": 2000, "N": 4, "seed": 3}
+        assert _run(tmp_path, "solve-semilinear", cfg) == 0
+        assert "terminal_kink_fraction" not in _summary(tmp_path)
+
     def test_simulate_dump_decodes_to_the_batch(self, tmp_path):
         cfg = {"problem": "boundary_heat", "scheme": "simulate", "J": 50, "N": 6, "seed": 2}
         assert _run(tmp_path, "simulate", cfg) == 0
@@ -353,6 +380,20 @@ class TestExitCodes:
         }
         assert _run(tmp_path, "solve-linear", cfg) == 2
         assert "error=NonFinite" in capsys.readouterr().err
+
+    def test_driver_non_finite_early_in_the_horizon_fails_at_the_screen(self, tmp_path, capsys):
+        cfg = {
+            "problem": {
+                "dim": 1, "horizon": 1.0, "mu": ["0"], "sigma": [["0.2*x[0]"]],
+                "f": "-0.5*0.04*x[0]^2*gamma[0][0] + sqrt(t - 0.3)",
+                "g": "x[0]^2", "dg": ["2*x[0]"], "x0": [1.0],
+            },
+            "scheme": "full_2bsde", "J": 2000, "N": 16, "seed": 3,
+        }
+        with np.errstate(invalid="ignore"):
+            assert _run(tmp_path, "solve-2bsde", cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parabolica: exit=2 error=NonFinite detail=transformed driver")
 
     def test_no_partial_artifacts_after_a_numeric_failure(self, tmp_path):
         cfg = {"problem": "discount_bond", "scheme": "semilinear", "J": 10, "N": 4}

@@ -1,12 +1,16 @@
 """The benchmark tracer wraps package functions by name; those names must resolve.
 
 ``perfbench/traced_cli.py`` replaces attributes of the package's modules
-with timed wrappers.  A rename in the package would otherwise surface only
-as a failing ``perfbench/run.py --trace 1`` run.
+with timed wrappers.  A rename in the package, or work moving between
+spans, would otherwise surface only as a failing ``perfbench/run.py
+--trace 1`` run, so one small traced run is made here too.
 """
 
 import dataclasses
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 from parabolica import model
@@ -33,3 +37,17 @@ def test_traced_spec_builders_and_callables_exist():
     assert callable(model.catalog_get) and callable(model.problem_from_dict)
     fields = {f.name for f in dataclasses.fields(model.ProblemSpec)}
     assert set(tracer.SPEC_CALLABLES) <= fields
+
+
+def test_traced_run_writes_one_cli_root_span(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"problem": "hjb_uncertain_vol", "N": 8, "J": 2000, "seed": 1}))
+    spans_path = tmp_path / "spans.json"
+    argv = [sys.executable, str(TRACED_CLI), str(spans_path), "solve-hjb",
+            "--config", str(config), "--out", str(tmp_path / "out"), "--threads", "1"]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    spans = json.loads(spans_path.read_text())
+    assert spans["exit"] == 0
+    roots = [span[0] for span in spans["spans"] if span[3] is None]
+    assert roots == ["cli"]
