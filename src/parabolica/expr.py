@@ -25,18 +25,19 @@ zero yields an infinity, not an error, and NaN/infinity propagate through
 every operator.  Values bound in an :class:`EvalContext` may be scalars
 or numpy arrays; arrays evaluate elementwise with broadcasting, which is
 what the simulation modules rely on to evaluate a coefficient across a
-whole cross-section of paths in one call.
+whole cross-section of paths in one call; :func:`coefficient` compiles
+a problem coefficient's text into such a batched callable.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import ExprSyntaxError, IndexOutOfRange, MissingBinding
+from .errors import ConfigError, ExprSyntaxError, IndexOutOfRange, MissingBinding
 
 __all__ = [
     "Num",
@@ -47,6 +48,7 @@ __all__ = [
     "EvalContext",
     "parse",
     "evaluate",
+    "coefficient",
     "pretty",
 ]
 
@@ -358,6 +360,64 @@ def evaluate(ast: ExprAst, ctx: EvalContext):
         raise MissingBinding(f"context binds 'u' with width {np.asarray(ctx.u).shape[-1]}, expected {ast.k}")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return _eval_node(ast.root, ctx)
+
+
+# --------------------------------------------------------------------------
+# Problem coefficients
+# --------------------------------------------------------------------------
+
+def _names(node: Node) -> set[str]:
+    if isinstance(node, Var):
+        return {node.name}
+    if isinstance(node, Unary):
+        return _names(node.operand)
+    if isinstance(node, Binary):
+        return _names(node.left) | _names(node.right)
+    return set()
+
+
+def coefficient(source, d: int, args: tuple[str, ...], rank: int, what: str, k: int = 0) -> Callable:
+    """Compile one problem coefficient's text into the batched callable ``fn(*args)``.
+
+    ``source`` is one expression (``rank`` 0), a list of ``d`` (rank 1)
+    or a ``d`` x ``d`` table (rank 2), and ``fn`` returns ``(J,)``,
+    ``(J, d)`` or ``(J, d, d)``, J being the length of ``x``.  Any other
+    nesting or width, or a variable outside ``args``, raises ConfigError
+    naming ``what``.
+    """
+    shape = ("one expression", f"a list of d = {d} expressions",
+             f"a d x d = {d} x {d} table of expressions")[rank]
+
+    def leaves(src, depth: int):
+        if depth:
+            if not isinstance(src, (list, tuple)) or len(src) != d:
+                raise ConfigError(f"{what} must be {shape}, got {src!r}")
+            return [leaves(s, depth - 1) for s in src]
+        if isinstance(src, bool) or not isinstance(src, (str, int, float)):
+            raise ConfigError(f"{what} must be {shape}, got {src!r}")
+        ast = parse(str(src), d, k)
+        stray = _names(ast.root) - set(args)
+        if stray:
+            raise ConfigError(f"{what} may reference {', '.join(args)} only, not "
+                              f"{', '.join(sorted(stray))}: {src!r}")
+        return ast
+
+    tree = leaves(source, rank)
+
+    def fn(*values):
+        ctx = EvalContext(**{a: v if a == "t" else np.asarray(v, dtype=np.float64)
+                             for a, v in zip(args, values)})
+        return _stack(tree, rank, ctx, len(ctx.x))
+
+    return fn
+
+
+def _stack(tree, depth: int, ctx: EvalContext, n: int) -> np.ndarray:
+    if depth:
+        return np.stack([_stack(c, depth - 1, ctx, n) for c in tree], axis=-depth)
+    # ``evaluate`` is looked up at call time, so a wrapper installed on the
+    # module sees every call.
+    return np.broadcast_to(np.asarray(evaluate(tree, ctx), dtype=np.float64), (n,))
 
 
 # --------------------------------------------------------------------------

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import expr as _expr
 from .errors import ConfigError, MissingGamma, NonFinite
-from .model import ProblemSpec
+from .model import _REQUIRED, ProblemSpec, _floats, read_key
 
 __all__ = [
     "ControlProblem",
@@ -266,58 +266,27 @@ def as_problem(cp: ControlProblem, base: ProblemSpec, name: Optional[str] = None
     )
 
 
-def _field(src, d: int, k: int, width: Optional[int]):
-    """Compile one expression (or a list/table of them) over (t, x, u)."""
-
-    def compile_one(source: str):
-        ast = _expr.parse(str(source), d, k)
-        def fn(t, x, u, _ast=ast):
-            ctx = _expr.EvalContext(t=t, x=x, u=u)
-            res = np.asarray(_expr.evaluate(_ast, ctx), dtype=np.float64)
-            return np.broadcast_to(res, (len(x),))
-        return fn
-
-    if width is None:
-        one = compile_one(src)
-        return one
-    if np.ndim(src) == 1:
-        fns = [compile_one(s) for s in src]
-        if len(fns) != width:
-            raise ConfigError(f"expected {width} expressions, got {len(fns)}")
-        def vec(t, x, u):
-            return np.stack([fn(t, x, u) for fn in fns], axis=-1)
-        return vec
-    rows = [[compile_one(s) for s in r] for r in src]
-    if len(rows) != width or any(len(r) != width for r in rows):
-        raise ConfigError(f"expected a {width} x {width} expression table")
-    def mat(t, x, u):
-        return np.stack([np.stack([fn(t, x, u) for fn in r], axis=-1) for r in rows], axis=-2)
-    return mat
-
-
 def control_problem_from_dict(obj: dict, dim: int) -> ControlProblem:
     """Build a :class:`ControlProblem` from a configuration dictionary.
 
-    Expected keys: ``control_dim``, ``lower``, ``upper`` (length-k
-    lists), ``alpha``, ``beta`` (expressions over t, x, u), ``b``
-    (list of d expressions), ``a`` (d x d nested list); optional
-    ``resolution``.
+    Keys: ``control_dim``, ``lower``, ``upper`` (length-k lists), ``a``;
+    optional ``alpha``, ``beta``, ``b`` (each 0 by default) and
+    ``resolution``.  docs/expr-grammar.md tables each coefficient's
+    variables and shape; a missing or malformed key, another variable or
+    a wrong nesting or width raises ConfigError.
     """
-    try:
-        k = int(obj["control_dim"])
-        lower = np.asarray(obj["lower"], dtype=np.float64)
-        upper = np.asarray(obj["upper"], dtype=np.float64)
-        a_src = obj["a"]
-    except KeyError as missing:
-        raise ConfigError(f"control definition lacks required key {missing}") from None
+    k = read_key(obj, "control_dim", int, "control")
+    fields = {
+        key: _expr.coefficient(read_key(obj, key, where="control", default=default), dim,
+                               ("t", "x", "u"), rank, f"control {key}", k)
+        for key, rank, default in (("alpha", 0, "0"), ("beta", 0, "0"),
+                                   ("b", 1, ["0"] * dim), ("a", 2, _REQUIRED))
+    }
     return ControlProblem(
         dim=dim,
         control_dim=k,
-        lower=lower,
-        upper=upper,
-        alpha=_field(obj.get("alpha", "0"), dim, k, None),
-        beta=_field(obj.get("beta", "0"), dim, k, None),
-        b=_field(obj.get("b", ["0"] * dim), dim, k, dim),
-        a=_field(a_src, dim, k, dim),
-        resolution=int(obj.get("resolution", 21)),
+        lower=read_key(obj, "lower", _floats, "control"),
+        upper=read_key(obj, "upper", _floats, "control"),
+        resolution=read_key(obj, "resolution", int, "control", default=21),
+        **fields,
     )

@@ -34,6 +34,7 @@ they can only ever refute; a passing report is evidence, not proof.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
@@ -618,80 +619,43 @@ def catalog_get(name: str) -> ProblemSpec:
 # Problems from configuration dictionaries
 # ---------------------------------------------------------------------------
 
-def _uses_names(node, names: set[str]) -> bool:
-    if isinstance(node, _expr.Var):
-        return node.name in names
-    if isinstance(node, _expr.Unary):
-        if node.op == "trace":
-            return "gamma" in names
-        return _uses_names(node.operand, names)
-    if isinstance(node, _expr.Binary):
-        return _uses_names(node.left, names) or _uses_names(node.right, names)
-    return False
+_REQUIRED = object()
+_floats = functools.partial(np.asarray, dtype=np.float64)
 
 
-def _rows(result, n: int) -> np.ndarray:
-    arr = np.asarray(result, dtype=np.float64)
-    return np.broadcast_to(arr, (n,))
-
-
-def _space_field(sources: list[str], d: int, what: str):
-    asts = []
-    for s in sources:
-        ast = _expr.parse(s, d)
-        if _uses_names(ast.root, {"t", "y", "z", "gamma", "u"}):
-            raise ConfigError(f"{what} expressions may reference x only: {s!r}")
-        asts.append(ast)
-
-    def fn(x):
-        n = len(x)
-        cols = [_rows(_expr.evaluate(a, _expr.EvalContext(x=x)), n) for a in asts]
-        return np.stack(cols, axis=-1)
-
-    return fn
-
-
-def _matrix_field(sources: list[list[str]], d: int, what: str):
-    rows = [_space_field(r, d, what) for r in sources]
-
-    def fn(x):
-        return np.stack([r(x) for r in rows], axis=-2)
-
-    return fn
+def read_key(obj, key: str, convert=None, where: str = "problem", default=_REQUIRED):
+    """``convert(obj[key])``, or ``default`` for an absent or null key; ConfigError names ``key``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} definition must be an object, got {obj!r}")
+    if obj.get(key) is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"{where} definition lacks required key {key!r}")
+        return default
+    try:
+        return obj[key] if convert is None else convert(obj[key])
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"{where} key {key!r} is malformed: {exc}") from None
 
 
 def problem_from_dict(obj: dict) -> ProblemSpec:
     """Build a :class:`ProblemSpec` from a plain configuration dictionary.
 
-    Expected keys: ``dim``, ``horizon``, ``mu`` (list of d expressions in
-    x), ``sigma`` (d x d nested list), ``f`` (expression in t, x, y, z,
-    gamma), ``g`` (expression in x); optional ``dg``, ``domain``
-    (``{"lower": [...], "upper": [...]}``), ``linear`` (``{"alpha": ...,
-    "beta": ...}`` in t, x), ``growth`` and ``x0``.  Expression syntax is
-    documented in docs/expr-grammar.md.
+    Keys: ``dim``, ``horizon``, ``mu``, ``sigma``, ``g`` and ``f`` (or a
+    ``control`` block, see :func:`~parabolica.hjb.control_problem_from_dict`);
+    optional ``dg``, ``domain`` (``{"lower": [...], "upper": [...]}``),
+    ``linear`` (``{"alpha": ..., "beta": ...}``), ``growth`` and ``x0``.
+    docs/expr-grammar.md tables each coefficient's variables and shape; a
+    missing or malformed key, another variable or a wrong nesting or width
+    raises ConfigError here, before anything is simulated.
     """
-    try:
-        d = int(obj["dim"])
-        horizon = float(obj["horizon"])
-        mu_src = list(obj["mu"])
-        sigma_src = [list(r) for r in obj["sigma"]]
-        g_src = str(obj["g"])
-    except KeyError as missing:
-        raise ConfigError(f"problem definition lacks required key {missing}") from None
-    if len(mu_src) != d or len(sigma_src) != d or any(len(r) != d for r in sigma_src):
-        raise ConfigError("mu must list d expressions and sigma a d x d table")
+    d = read_key(obj, "dim", int)
+    horizon = read_key(obj, "horizon", float)
+    mu = _expr.coefficient(read_key(obj, "mu"), d, ("x",), 1, "mu")
+    sigma = _expr.coefficient(read_key(obj, "sigma"), d, ("x",), 2, "sigma")
+    g = _expr.coefficient(read_key(obj, "g"), d, ("x",), 0, "g")
 
-    mu = _space_field(mu_src, d, "mu")
-    sigma = _matrix_field(sigma_src, d, "sigma")
-
-    g_ast = _expr.parse(g_src, d)
-    if _uses_names(g_ast.root, {"t", "y", "z", "gamma", "u"}):
-        raise ConfigError("g may reference x only")
-
-    def g(x):
-        return _rows(_expr.evaluate(g_ast, _expr.EvalContext(x=x)), len(x))
-
-    control = obj.get("control")
+    control = read_key(obj, "control", default=None)
+    f = None
     if control is not None:
         # hjb.as_problem below assembles the generator from the control
         # coefficients; an explicit f or linear split would be dropped, so
@@ -699,50 +663,30 @@ def problem_from_dict(obj: dict) -> ProblemSpec:
         for key in ("f", "linear"):
             if obj.get(key) is not None:
                 raise ConfigError(f"give either {key} or a control block, not both")
-        f = None
     elif obj.get("f") is None:
         raise ConfigError("problem definition needs f or a control block")
     else:
-        f_ast = _expr.parse(str(obj["f"]), d)
+        f = _expr.coefficient(obj["f"], d, ("t", "x", "y", "z", "gamma"), 0, "f")
 
-        def f(t, x, y, z, gamma):
-            ctx = _expr.EvalContext(t=t, x=x, y=np.asarray(y, dtype=np.float64), z=z, gamma=gamma)
-            return _rows(_expr.evaluate(f_ast, ctx), len(x))
+    dg = read_key(obj, "dg", default=None)
+    if dg is not None:
+        dg = _expr.coefficient(dg, d, ("x",), 1, "dg")
 
-    dg = None
-    if obj.get("dg") is not None:
-        dg = _space_field(list(obj["dg"]), d, "dg")
+    domain = read_key(obj, "domain", default=None)
+    if domain is not None:
+        domain = Box(read_key(domain, "lower", _floats, "domain"),
+                     read_key(domain, "upper", _floats, "domain"))
 
-    domain = None
-    if obj.get("domain") is not None:
-        dom = obj["domain"]
-        domain = Box(np.asarray(dom["lower"], dtype=np.float64),
-                     np.asarray(dom["upper"], dtype=np.float64))
+    lin = read_key(obj, "linear", default=None)
+    linear_parts = None if lin is None else tuple(
+        _expr.coefficient(read_key(lin, key, where="linear"), d, ("t", "x"), 0, f"linear {key}")
+        for key in ("alpha", "beta")
+    )
 
-    linear_parts = None
-    if obj.get("linear") is not None:
-        lin = obj["linear"]
-        a_ast = _expr.parse(str(lin["alpha"]), d)
-        b_ast = _expr.parse(str(lin["beta"]), d)
-        for ast, label in ((a_ast, "alpha"), (b_ast, "beta")):
-            if _uses_names(ast.root, {"y", "z", "gamma", "u"}):
-                raise ConfigError(f"linear {label} may reference t and x only")
-
-        def alpha(t, x, _ast=a_ast):
-            return _rows(_expr.evaluate(_ast, _expr.EvalContext(t=t, x=x)), len(x))
-
-        def beta(t, x, _ast=b_ast):
-            return _rows(_expr.evaluate(_ast, _expr.EvalContext(t=t, x=x)), len(x))
-
-        linear_parts = (alpha, beta)
-
-    growth = None
-    if obj.get("growth") is not None:
-        growth = GrowthParams(**{k: float(v) for k, v in obj["growth"].items()})
-
-    x0_default = None
-    if obj.get("x0") is not None:
-        x0_default = np.asarray(obj["x0"], dtype=np.float64)
+    growth = read_key(obj, "growth",
+                      lambda raw: GrowthParams(**{k: float(v) for k, v in raw.items()}),
+                      default=None)
+    x0_default = read_key(obj, "x0", _floats, default=None)
 
     spec = ProblemSpec(
         dim=d,

@@ -400,6 +400,29 @@ class TestExitCodes:
         _run(tmp_path, "solve-semilinear", cfg)
         assert not (tmp_path / "out").exists()
 
+    INLINE = {"dim": 1, "horizon": 1.0, "mu": ["0"], "sigma": [["1"]],
+              "f": "-0.5*trace(gamma)", "g": "x[0]^2", "x0": [0.0]}
+    CONTROL = {"control_dim": 1, "lower": [0.1], "upper": [0.2], "a": [["u[0]*x[0]"]]}
+
+    @pytest.mark.parametrize("key, problem", [
+        ("alpha", dict(INLINE, linear={"beta": "0"})),
+        ("lower", dict(INLINE, domain={"upper": [2.0]})),
+        ("growth", dict(INLINE, growth={"q": 1})),
+        ("dim", dict(INLINE, dim="one")),
+        ("mu", dict(INLINE, mu=5)),
+        ("lower", dict(INLINE, f=None, control=dict(CONTROL, lower=["a"]))),
+        ("control_dim", dict(INLINE, f=None, control=dict(CONTROL, control_dim="k"))),
+        ("resolution", dict(INLINE, f=None, control=dict(CONTROL, resolution="x"))),
+    ], ids=["linear-alpha", "domain-lower", "growth-key", "dim", "mu",
+            "control-lower", "control-dim", "control-resolution"])
+    def test_malformed_inline_problem_is_one_config_error_line(self, tmp_path, capsys, key, problem):
+        cfg = {"problem": problem, "scheme": "full_2bsde", "J": 10, "N": 2}
+        assert _run(tmp_path, "solve-2bsde", cfg) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("parabolica: exit=1 error=ConfigError detail=")
+        assert key in err.split("detail=")[1]
+
 
 class TestOverrides:
     def test_seed_flag_overrides_and_is_echoed(self, tmp_path):

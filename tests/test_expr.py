@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parabolica.errors import ExprSyntaxError, IndexOutOfRange, MissingBinding
+from parabolica.errors import ConfigError, ExprSyntaxError, IndexOutOfRange, MissingBinding
 from parabolica.expr import (
     Binary,
     EvalContext,
     Num,
     Unary,
     Var,
+    coefficient,
     evaluate,
     parse,
     pretty,
@@ -136,6 +137,32 @@ class TestEvaluation:
         first = evaluate(ast, ctx)
         second = evaluate(ast, ctx)
         assert first == second  # bit identical
+
+
+class TestCoefficient:
+    def test_arguments_bind_by_position(self):
+        fn = coefficient("t + x[0]*u[0]", 1, ("t", "x", "u"), 0, "control alpha", k=1)
+        np.testing.assert_array_equal(fn(0.5, np.array([[2.0], [3.0]]), np.array([4.0])),
+                                      [8.5, 12.5])
+
+    @pytest.mark.parametrize("source, rank", [
+        (["1", "2"], 0),
+        ("12", 1),
+        (["1"], 1),
+        (["1", "2", "3"], 1),
+        ([["1", "2"], "34"], 2),
+        ([["1", "2"], ["3"]], 2),
+        ([True, "0"], 1),
+        ({"x": "1"}, 0),
+    ])
+    def test_other_nesting_or_width_is_rejected(self, source, rank):
+        with pytest.raises(ConfigError, match="sigma"):
+            coefficient(source, 2, ("x",), rank, "sigma")
+
+    @pytest.mark.parametrize("source", ["t", "y", "z[0]", "gamma[0][1]", "trace(gamma)"])
+    def test_names_outside_the_signature_are_rejected(self, source):
+        with pytest.raises(ConfigError, match="g may reference x only"):
+            coefficient(source, 2, ("x",), 0, "g")
 
 
 # ---------------------------------------------------------------------------

@@ -371,6 +371,34 @@ class TestProblemFromDict:
         with pytest.raises(ConfigError):
             problem_from_dict(obj)
 
+    PLANE = {
+        "dim": 2, "horizon": 1.0, "mu": ["0", "0"], "sigma": [["1", "0"], ["0", "1"]],
+        "f": "-0.5*trace(gamma)", "g": "x[0]*x[1]",
+    }
+
+    @pytest.mark.parametrize("field, source", [
+        ("sigma", ["12", "34"]),
+        ("mu", "00"),
+        ("dg", "10"),
+    ])
+    def test_a_string_where_a_list_belongs_is_rejected(self, field, source):
+        # Each string has d characters, so splitting it would fit the shape.
+        with pytest.raises(ConfigError, match=field):
+            problem_from_dict(dict(self.PLANE, **{field: source}))
+
+    def test_dg_of_the_wrong_width_is_rejected(self):
+        with pytest.raises(ConfigError, match="dg"):
+            problem_from_dict(dict(self.HEAT, dg=["2*x[0]", "1"]))
+
+    @pytest.mark.parametrize("name", ["y", "z[0]", "gamma[0][0]"])
+    @pytest.mark.parametrize("key", ["alpha", "beta", "b", "a"])
+    def test_control_coefficients_may_reference_t_x_and_u_only(self, key, name):
+        control = {"control_dim": 1, "lower": [0.1], "upper": [0.2], "a": [["u[0]*x[0]"]]}
+        control[key] = {"b": [name], "a": [[name]]}.get(key, name)
+        obj = {k: v for k, v in self.HEAT.items() if k not in ("f", "linear")}
+        with pytest.raises(ConfigError, match=f"control {key} may reference t, x, u only"):
+            problem_from_dict(dict(obj, control=control))
+
 
 def test_analytic_residual_needs_closed_form():
     base = catalog_get("heat")

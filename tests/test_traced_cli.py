@@ -39,11 +39,11 @@ def test_traced_spec_builders_and_callables_exist():
     assert set(tracer.SPEC_CALLABLES) <= fields
 
 
-def test_traced_run_writes_one_cli_root_span(tmp_path):
+def _traced_run(tmp_path, subcommand, config_obj):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"problem": "hjb_uncertain_vol", "N": 8, "J": 2000, "seed": 1}))
+    config.write_text(json.dumps(config_obj))
     spans_path = tmp_path / "spans.json"
-    argv = [sys.executable, str(TRACED_CLI), str(spans_path), "solve-hjb",
+    argv = [sys.executable, str(TRACED_CLI), str(spans_path), subcommand,
             "--config", str(config), "--out", str(tmp_path / "out"), "--threads", "1"]
     done = subprocess.run(argv, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
@@ -51,3 +51,23 @@ def test_traced_run_writes_one_cli_root_span(tmp_path):
     assert spans["exit"] == 0
     roots = [span[0] for span in spans["spans"] if span[3] is None]
     assert roots == ["cli"]
+    return [span[0] for span in spans["spans"]]
+
+
+def test_traced_run_writes_one_cli_root_span(tmp_path):
+    _traced_run(tmp_path, "solve-hjb",
+                {"problem": "hjb_uncertain_vol", "N": 8, "J": 2000, "seed": 1})
+
+
+def test_traced_inline_run_spans_every_expression_evaluation(tmp_path):
+    # Compiled coefficients must call expr.evaluate through the module, or
+    # the tracer's wrapper never sees them.
+    problem = {
+        "dim": 2, "horizon": 1.0, "mu": ["0", "0"],
+        "sigma": [["0.2*x[0]", "0"], ["0", "0.2*x[1]"]],
+        "f": "-0.02*x[0]^2*gamma[0][0] - 0.02*x[1]^2*gamma[1][1]",
+        "g": "x[0]^2 + x[1]^2", "x0": [1.0, 1.0],
+    }
+    names = _traced_run(tmp_path, "solve-2bsde",
+                        {"problem": problem, "scheme": "full_2bsde", "N": 4, "J": 500, "seed": 1})
+    assert "expr.evaluate" in names
