@@ -286,30 +286,43 @@ def _fmt(v) -> str:
     return format(float(v), ".17g")
 
 
-def _steps_csv(spec, batch, Y, Z, Gamma) -> bytes:
-    grid = batch.grid
-    d = batch.dim
-    analytic = spec.analytic_v
-    header = ["n", "t", "mean_Y"]
-    if analytic is not None:
-        header.append("rms_Y_err")
-    if Z is not None:
-        header += [f"mean_Z_{k}" for k in range(d)]
-    if Gamma is not None:
-        header += [f"mean_Gamma_{a}{b}" for a in range(d) for b in range(d)]
-    lines = [",".join(header)]
-    for n in range(grid.N + 1):
-        t_n = grid.times[n]
-        row = [str(n), _fmt(t_n), _fmt(Y[:, n].mean())]
-        if analytic is not None:
-            err = Y[:, n] - analytic.value(t_n, batch.X[:, n])
+class _StepRows:
+    """``steps.csv`` built one node at a time.
+
+    Each call ``rows(n, y, z, gamma)`` appends node n's row from that
+    node's (J,) values ``y`` and, when the run estimates them, its (J, d)
+    ``z`` and (J, d, d) ``gamma``; ``with_z`` and ``with_gamma`` fix the
+    header before the first row.
+    """
+
+    def __init__(self, spec, batch, with_z: bool = False, with_gamma: bool = False):
+        self._batch = batch
+        self._analytic = spec.analytic_v
+        d = batch.dim
+        header = ["n", "t", "mean_Y"]
+        if self._analytic is not None:
+            header.append("rms_Y_err")
+        if with_z:
+            header += [f"mean_Z_{k}" for k in range(d)]
+        if with_gamma:
+            header += [f"mean_Gamma_{a}{b}" for a in range(d) for b in range(d)]
+        self._lines = [",".join(header)]
+
+    def __call__(self, n: int, y, z=None, gamma=None) -> None:
+        d = self._batch.dim
+        t_n = self._batch.grid.times[n]
+        row = [str(n), _fmt(t_n), _fmt(y.mean())]
+        if self._analytic is not None:
+            err = y - self._analytic.value(t_n, self._batch.X[:, n])
             row.append(_fmt(np.sqrt(np.mean(err * err))))
-        if Z is not None:
-            row += [_fmt(Z[:, n, k].mean()) for k in range(d)]
-        if Gamma is not None:
-            row += [_fmt(Gamma[:, n, a, b].mean()) for a in range(d) for b in range(d)]
-        lines.append(",".join(row))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+        if z is not None:
+            row += [_fmt(z[:, k].mean()) for k in range(d)]
+        if gamma is not None:
+            row += [_fmt(gamma[:, a, b].mean()) for a in range(d) for b in range(d)]
+        self._lines.append(",".join(row))
+
+    def csv(self) -> bytes:
+        return ("\n".join(self._lines) + "\n").encode("utf-8")
 
 
 def _controls_csv(grid, control_means) -> bytes:
@@ -321,6 +334,25 @@ def _controls_csv(grid, control_means) -> bytes:
         row += [_fmt(v) for v in control_means[n]]
         lines.append(",".join(row))
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _array_bytes(config: RunConfig, spec) -> int:
+    """Bytes of the arrays a run holds at once, from J, N, d and the scheme.
+
+    The path batch (X, dW, stop_index), its encoded copy when ``paths.bin``
+    is written, the backward Y/Z/Gamma histories and, for hjb, the (G, J)
+    node terms of the control grid's G points.  The linear pass streams
+    its remainders, so it adds no (J, N+1) term.
+    """
+    J, N, d = config.J, config.N, spec.dim
+    batch = 8 * (J * (N + 1) * d + J * N * d + J)
+    total = batch * (2 if config.dump_paths or config.scheme == "simulate" else 1)
+    if config.scheme in ("semilinear", "full_2bsde", "hjb"):
+        second = d * d if config.scheme != "semilinear" else 0
+        total += 8 * J * (N + 1) * (1 + d + second)
+    if config.scheme == "hjb":
+        total += 4 * spec.control.resolution ** spec.control.control_dim * J * 8
+    return total
 
 
 def _execute(config: RunConfig):
@@ -358,6 +390,7 @@ def _execute(config: RunConfig):
         raise ConfigError(
             f"problem {spec.name!r} declares no default x0; set x0 in the config"
         )
+    model.require_memory(_array_bytes(config, spec), f"a {config.scheme} run")
     grid = TimeGrid(config.t0, spec.horizon, config.N)
     batch = euler_simulate(spec, grid, x0, config.J, config.seed, config.threads)
     report = {}
@@ -368,16 +401,19 @@ def _execute(config: RunConfig):
     elif config.scheme == "linear":
         coeffs = LinearCoefficients.from_spec(spec)
         est = feynman_kac_estimate(coeffs, batch, config.threads)
-        # Per-node column: realized remainders of the path functional,
+        # Per-node rows from the realized remainders of the path functional,
         # whose cross-sectional means trace the value along the grid.
-        artifacts["steps.csv"] = _steps_csv(
-            spec, batch, pathwise_remainders(coeffs, batch), None, None
-        )
+        rows = _StepRows(spec, batch)
+        pathwise_remainders(coeffs, batch, rows, config.threads)
+        artifacts["steps.csv"] = rows.csv()
     else:  # semilinear, full_2bsde or hjb; Gamma is None for semilinear
         solve = backward_solve_semilinear if config.scheme == "semilinear" else backward_solve_2bsde
         sol = solve(spec, batch, config.basis, config.picard_iters)
         est = sol.root_value
-        artifacts["steps.csv"] = _steps_csv(spec, batch, sol.Y, sol.Z, sol.Gamma)
+        rows = _StepRows(spec, batch, with_z=True, with_gamma=sol.Gamma is not None)
+        for n in range(grid.N + 1):
+            rows(n, sol.Y[:, n], sol.Z[:, n], None if sol.Gamma is None else sol.Gamma[:, n])
+        artifacts["steps.csv"] = rows.csv()
         diagnostics = sol.diagnostics
         if diagnostics["terminal_gradient_fd"]:
             report["terminal_kink_fraction"] = diagnostics["terminal_kink_fraction"]

@@ -383,7 +383,8 @@ def coefficient(source, d: int, args: tuple[str, ...], rank: int, what: str, k: 
     or a ``d`` x ``d`` table (rank 2), and ``fn`` returns ``(J,)``,
     ``(J, d)`` or ``(J, d, d)``, J being the length of ``x``.  Any other
     nesting or width, or a variable outside ``args``, raises ConfigError
-    naming ``what``.
+    naming ``what``; a syntax error keeps its type and gains ``what`` and
+    the offending entry as a prefix.
     """
     shape = ("one expression", f"a list of d = {d} expressions",
              f"a d x d = {d} x {d} table of expressions")[rank]
@@ -395,7 +396,11 @@ def coefficient(source, d: int, args: tuple[str, ...], rank: int, what: str, k: 
             return [leaves(s, depth - 1) for s in src]
         if isinstance(src, bool) or not isinstance(src, (str, int, float)):
             raise ConfigError(f"{what} must be {shape}, got {src!r}")
-        ast = parse(str(src), d, k)
+        try:
+            ast = parse(str(src), d, k)
+        except ExprSyntaxError as exc:
+            exc.args = (f"{what} {str(src)!r}: {exc.args[0]}",)
+            raise
         stray = _names(ast.root) - set(args)
         if stray:
             raise ConfigError(f"{what} may reference {', '.join(args)} only, not "

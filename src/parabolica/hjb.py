@@ -37,7 +37,7 @@ import numpy as np
 
 from . import expr as _expr
 from .errors import ConfigError, MissingGamma, NonFinite
-from .model import _REQUIRED, ProblemSpec, _floats, read_key
+from .model import _REQUIRED, ProblemSpec, _floats, _integer, read_key, require_memory
 
 __all__ = [
     "ControlProblem",
@@ -59,7 +59,8 @@ class ControlProblem:
     ``(J,)``; ``b(t, x, u)`` returns ``(J, d)`` and ``a(t, x, u)``
     ``(J, d, d)``, each evaluated at a single control vector ``u`` of
     length ``control_dim`` and a batch ``x`` of shape ``(J, d)``.
-    ``resolution`` is the per-dimension grid size (endpoints included).
+    ``resolution`` is the per-dimension grid size (endpoints included);
+    a grid larger than physical memory is refused with ConfigError.
     The sign of ``beta`` depends on the problem's horizon and domain, so
     :func:`as_problem` screens it, not this class.
     """
@@ -89,6 +90,10 @@ class ControlProblem:
             raise ConfigError("control bounds require lower <= upper")
         if self.resolution < 1:
             raise ConfigError("grid resolution must be at least 1")
+        # Python ints, so a grid too large to hold is refused, not overflowed.
+        points = int(self.resolution) ** int(self.control_dim)
+        require_memory(points * int(self.control_dim) * 8,
+                       f"a control grid of {self.resolution}^{self.control_dim} points")
 
     def grid(self) -> np.ndarray:
         """Control grid of shape (n_points, control_dim), lexicographic."""
@@ -275,7 +280,7 @@ def control_problem_from_dict(obj: dict, dim: int) -> ControlProblem:
     variables and shape; a missing or malformed key, another variable or
     a wrong nesting or width raises ConfigError.
     """
-    k = read_key(obj, "control_dim", int, "control")
+    k = read_key(obj, "control_dim", _integer, "control")
     fields = {
         key: _expr.coefficient(read_key(obj, key, where="control", default=default), dim,
                                ("t", "x", "u"), rank, f"control {key}", k)
@@ -287,6 +292,6 @@ def control_problem_from_dict(obj: dict, dim: int) -> ControlProblem:
         control_dim=k,
         lower=read_key(obj, "lower", _floats, "control"),
         upper=read_key(obj, "upper", _floats, "control"),
-        resolution=read_key(obj, "resolution", int, "control", default=21),
+        resolution=read_key(obj, "resolution", _integer, "control", default=21),
         **fields,
     )

@@ -7,13 +7,21 @@ the solution has the stochastic representation
 
 with discount factor ``B(t, s) = exp(integral_t^s beta(r, X_r) dr)`` along the
 simulated diffusion.  :func:`feynman_kac_estimate` evaluates the discretized
-functional on a :class:`~parabolica.paths.PathBatch` and averages across paths.
+functional on a :class:`~parabolica.paths.PathBatch` and averages across paths;
+:func:`pathwise_remainders` streams each node's per-path tail of the same
+functional to a caller-supplied observer.
 
 Quadrature convention: both integrals use left-endpoint Riemann sums on the
 batch's time grid, matching the first-order bias of the Euler scheme that
 produced the paths.  The running discount is accumulated additively in log
 space (``B_n = exp(sum_{m<n} beta_m * dt)``), so a constant ``beta`` on a
 dyadic grid discounts with no accumulation error at all.
+
+One node loop advances the accumulators for both functions: it yields the
+(J,) pair ``(A_n, log B_n)`` at each node and never stores a history, so
+neither function holds a (J, N+1) array.  The tails need the path totals
+before the first node, so :func:`pathwise_remainders` forms the totals and
+then replays the loop once.
 
 Paths that leave the problem domain contribute ``B(t, theta) * g(X_theta)``
 and their source integral stops at the exit node; the frozen post-exit states
@@ -24,7 +32,8 @@ Thread blocks split the path axis only.  Per-path values are identical
 whatever the block layout (the coefficient callables are pointwise in the
 path row, true of everything this package constructs), and the final mean is
 numpy's pairwise reduction over one array -- so results are bit-stable across
-``threads`` settings.
+``threads`` settings.  A non-finite functional is reported at the first such
+path of the batch, whatever the block layout.
 """
 
 from __future__ import annotations
@@ -97,98 +106,119 @@ class Estimate:
         return cls(value=float(np.mean(samples)), stderr=stderr, J=J)
 
 
+def _accumulate(coeffs: LinearCoefficients, X: np.ndarray, stop: np.ndarray, grid):
+    """Yield ``(acc, log_B)`` at nodes 0..N for the paths of ``X``.
+
+    ``acc`` is each path's discounted source integral and ``log_B`` its
+    log discount, both accumulated over the steps before the node.  The
+    same two arrays are updated in place between yields, so a consumer
+    reads a node's values before asking for the next.  A path accrues
+    while ``stop > n``; a full slice replaces the mask while every path is
+    alive, and once none is alive both arrays stay frozen.  ``X`` holds
+    at least one path.
+    """
+    times = grid.times
+    dt = grid.dt
+    acc = np.zeros(len(X))
+    log_B = np.zeros(len(X))
+    # Every path is alive before node min(stop) and none from max(stop) on.
+    first, last = int(stop.min()), int(stop.max())
+    for n in range(grid.N):
+        yield acc, log_B
+        if n >= last:
+            continue
+        # A slice rather than a mask gather while every path is alive.
+        rows = slice(None) if n < first else stop > n
+        xn = X[rows, n]
+        a_n = np.asarray(coeffs.alpha(times[n], xn), dtype=np.float64)
+        b_n = np.asarray(coeffs.beta(times[n], xn), dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # exp(log_B) * a_n * dt, evaluated left to right in one buffer.
+            source = np.exp(log_B[rows])
+            source *= a_n
+            source *= dt
+            acc[rows] += source
+            log_B[rows] += b_n * dt
+    yield acc, log_B
+
+
 def _block_functional(
     coeffs: LinearCoefficients, batch: PathBatch, j0: int, j1: int
 ) -> np.ndarray:
     """Per-path discounted functional for paths ``j0:j1`` of the batch."""
     X = batch.X[j0:j1]
-    stop = batch.stop_index[j0:j1]
-    times = batch.grid.times
-    dt = batch.grid.dt
-    N = batch.grid.N
-
-    log_B = np.zeros(j1 - j0)
-    acc = np.zeros(j1 - j0)
-    for n in range(N):
-        alive = stop > n
-        if not np.any(alive):
-            break
-        # A slice rather than a mask gather while every path is alive.
-        rows = slice(None) if alive.all() else alive
-        xn = X[rows, n]
-        a_n = np.asarray(coeffs.alpha(times[n], xn), dtype=np.float64)
-        b_n = np.asarray(coeffs.beta(times[n], xn), dtype=np.float64)
-        with np.errstate(over="ignore", invalid="ignore"):
-            acc[rows] += np.exp(log_B[rows]) * a_n * dt
-            log_B[rows] += b_n * dt
-
-    payout = np.asarray(coeffs.g(X[:, N]), dtype=np.float64)
+    for acc, log_B in _accumulate(coeffs, X, batch.stop_index[j0:j1], batch.grid):
+        pass
+    payout = np.asarray(coeffs.g(X[:, batch.grid.N]), dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = acc + np.exp(log_B) * payout
+        return acc + np.exp(log_B) * payout
 
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        j = j0 + int(np.argmax(bad))
-        raise NonFinite(f"non-finite path functional at path {j}")
+
+def _functional(
+    coeffs: LinearCoefficients, batch: PathBatch, threads: Optional[int]
+) -> np.ndarray:
+    """The per-path functional of the whole batch, computed in path blocks."""
+    J = batch.J
+    k = min(resolve_threads(threads), J)
+    if k <= 1:
+        return _block_functional(coeffs, batch, 0, J)
+    values = np.empty(J)
+    block = -(-J // k)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=k) as pool:
+        futures = {
+            pool.submit(_block_functional, coeffs, batch, j0, min(j0 + block, J)): j0
+            for j0 in range(0, J, block)
+        }
+        for fut in concurrent.futures.as_completed(futures):
+            j0 = futures[fut]
+            values[j0:j0 + block] = fut.result()
     return values
 
 
-def pathwise_remainders(coeffs: LinearCoefficients, batch: PathBatch) -> np.ndarray:
-    """Per-path tails of the discounted functional, shape (J, N+1).
+def _raise_at_first(bad: np.ndarray) -> None:
+    """Raise NonFinite naming the first path flagged in ``bad``, if any."""
+    if np.any(bad):
+        raise NonFinite(f"non-finite path functional at path {int(np.argmax(bad))}")
 
-    Entry (j, n) is the remaining functional of path j from node n on,
-    deflated back to node n: with A_n the accumulated discounted running
-    reward and B_n the discount factor,
+
+def pathwise_remainders(
+    coeffs: LinearCoefficients,
+    batch: PathBatch,
+    observe: Callable[[int, np.ndarray], object],
+    threads: Optional[int] = None,
+) -> None:
+    """Stream the per-path tails of the discounted functional, node by node.
+
+    Calls ``observe(n, R_n)`` for n = 0..N, where ``R_n`` is a fresh
+    contiguous (J,) array holding each path's remaining functional from
+    node n on, deflated back to node n: with A_n the accumulated
+    discounted running reward and B_n the discount factor,
 
         R_n = (A_N + B_N g(X_N) - A_n) / B_n.
 
     The conditional mean of R_n given the node-n state is the solution
-    value there, so column means trace the value along the grid; column 0
-    reproduces the functional of :func:`feynman_kac_estimate` bit for bit.
-    Stopped paths carry frozen discount and reward, so their remainder is
-    constant (equal to the exit payoff) from the exit node onward.
+    value there, so the means of the stream trace the value along the
+    grid; ``R_0`` is the functional of :func:`feynman_kac_estimate` bit
+    for bit.  Stopped paths carry frozen discount and reward, so their
+    remainder is constant (equal to the exit payoff) from the exit node
+    onward.
+
+    The totals ``A_N + B_N g(X_N)`` come first, from the threaded block
+    pass of :func:`feynman_kac_estimate`; one replay of the accumulation
+    then forms each node's remainders, so memory stays O(J) whatever N
+    is.  After the replay, NonFinite names the first path with a
+    non-finite remainder at any node.
     """
-    X = batch.X
-    stop = batch.stop_index
-    times = batch.grid.times
-    dt = batch.grid.dt
-    N = batch.grid.N
-
-    log_B = np.zeros(batch.J)
-    acc = np.zeros(batch.J)
-    acc_hist = np.empty((batch.J, N + 1))
-    log_B_hist = np.empty((batch.J, N + 1))
-    filled = 0
-    for n in range(N):
-        acc_hist[:, n] = acc
-        log_B_hist[:, n] = log_B
-        filled = n + 1
-        alive = stop > n
-        if not np.any(alive):
-            break
-        # A slice rather than a mask gather while every path is alive.
-        rows = slice(None) if alive.all() else alive
-        xn = X[rows, n]
-        a_n = np.asarray(coeffs.alpha(times[n], xn), dtype=np.float64)
-        b_n = np.asarray(coeffs.beta(times[n], xn), dtype=np.float64)
+    totals = _functional(coeffs, batch, threads)
+    bad = np.zeros(batch.J, dtype=bool)
+    for n, (acc, log_B) in enumerate(
+        _accumulate(coeffs, batch.X, batch.stop_index, batch.grid)
+    ):
         with np.errstate(over="ignore", invalid="ignore"):
-            acc[rows] += np.exp(log_B[rows]) * a_n * dt
-            log_B[rows] += b_n * dt
-    # Columns past an early exit (and the terminal column) hold the final
-    # frozen accumulators.
-    acc_hist[:, filled:] = acc[:, None]
-    log_B_hist[:, filled:] = log_B[:, None]
-
-    payout = np.asarray(coeffs.g(X[:, N]), dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        totals = acc + np.exp(log_B) * payout
-        remainders = (totals[:, None] - acc_hist) * np.exp(-log_B_hist)
-
-    bad = ~np.isfinite(remainders)
-    if np.any(bad):
-        j = int(np.argmax(np.any(bad, axis=1)))
-        raise NonFinite(f"non-finite path functional at path {j}")
-    return remainders
+            remainder = (totals - acc) * np.exp(-log_B)
+        bad |= ~np.isfinite(remainder)
+        observe(n, remainder)
+    _raise_at_first(bad)
 
 
 def feynman_kac_estimate(
@@ -202,20 +232,6 @@ def feynman_kac_estimate(
     linear problem declares; this function only sees the stored paths and
     cannot check that, so it is the caller's contract.
     """
-    J = batch.J
-    k = min(resolve_threads(threads), J)
-    values = np.empty(J)
-    if k <= 1:
-        values[:] = _block_functional(coeffs, batch, 0, J)
-    else:
-        block = -(-J // k)
-        spans = [(j0, min(j0 + block, J)) for j0 in range(0, J, block)]
-        with concurrent.futures.ThreadPoolExecutor(max_workers=k) as pool:
-            futures = {
-                pool.submit(_block_functional, coeffs, batch, j0, j1): (j0, j1)
-                for j0, j1 in spans
-            }
-            for fut in concurrent.futures.as_completed(futures):
-                j0, j1 = futures[fut]
-                values[j0:j1] = fut.result()
+    values = _functional(coeffs, batch, threads)
+    _raise_at_first(~np.isfinite(values))
     return Estimate.of(values)

@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -623,6 +625,31 @@ _REQUIRED = object()
 _floats = functools.partial(np.asarray, dtype=np.float64)
 
 
+def _integer(raw) -> int:
+    """``raw`` as an int: an integer, or a float with no fractional part, never a boolean."""
+    if isinstance(raw, bool) or not (
+        isinstance(raw, numbers.Integral) or (isinstance(raw, float) and raw.is_integer())
+    ):
+        raise ValueError(f"expected an integer, got {raw!r}")
+    return int(raw)
+
+
+def require_memory(nbytes: int, what: str) -> None:
+    """Raise ConfigError when ``nbytes`` exceed the machine's physical memory.
+
+    Physical memory is ``os.sysconf`` page size times physical pages; where
+    the platform does not report it, nothing is checked.
+    """
+    try:
+        total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if nbytes > total:
+        raise ConfigError(
+            f"{what} needs {nbytes} bytes, more than the {total} bytes of physical memory"
+        )
+
+
 def read_key(obj, key: str, convert=None, where: str = "problem", default=_REQUIRED):
     """``convert(obj[key])``, or ``default`` for an absent or null key; ConfigError names ``key``."""
     if not isinstance(obj, dict):
@@ -648,7 +675,7 @@ def problem_from_dict(obj: dict) -> ProblemSpec:
     missing or malformed key, another variable or a wrong nesting or width
     raises ConfigError here, before anything is simulated.
     """
-    d = read_key(obj, "dim", int)
+    d = read_key(obj, "dim", _integer)
     horizon = read_key(obj, "horizon", float)
     mu = _expr.coefficient(read_key(obj, "mu"), d, ("x",), 1, "mu")
     sigma = _expr.coefficient(read_key(obj, "sigma"), d, ("x",), 2, "sigma")

@@ -116,6 +116,16 @@ class TestDeterminism:
             blobs[threads] = (tmp_path / out / "steps.csv").read_bytes()
         assert blobs[1] == blobs[2] == blobs[8]
 
+    @pytest.mark.parametrize("problem", ["gbm_linear", "boundary_heat"])
+    def test_thread_count_cannot_change_the_linear_stream(self, tmp_path, problem):
+        cfg = {"problem": problem, "scheme": "linear", "J": 3001, "N": 16, "seed": 6}
+        blobs = {}
+        for threads in (1, 2, 8):
+            out = f"t{threads}"
+            assert _run(tmp_path, "solve-linear", cfg, out=out, threads=threads) == 0
+            blobs[threads] = (tmp_path / out / "steps.csv").read_bytes()
+        assert blobs[1] == blobs[2] == blobs[8]
+
     def test_threads_env_var_is_a_fallback(self, tmp_path, monkeypatch):
         assert _run(tmp_path, "solve-linear", HEAT_LINEAR, out="plain") == 0
         monkeypatch.setenv("PARABOLICA_THREADS", "4")
@@ -422,6 +432,28 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert err.startswith("parabolica: exit=1 error=ConfigError detail=")
         assert key in err.split("detail=")[1]
+
+
+    def test_syntax_error_names_the_coefficient(self, tmp_path, capsys):
+        problem = dict(self.INLINE, sigma=[["x[0]+"]])
+        cfg = {"problem": problem, "scheme": "full_2bsde", "J": 10, "N": 2}
+        assert _run(tmp_path, "solve-2bsde", cfg) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("parabolica: exit=1 error=ExprSyntaxError detail=sigma 'x[0]+': ")
+
+    def test_a_run_larger_than_memory_is_refused_before_simulating(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("euler_simulate must not run")
+
+        monkeypatch.setattr(cli, "euler_simulate", never)
+        cfg = {"problem": "heat", "scheme": "linear", "J": 10_000_000, "N": 100_000}
+        assert _run(tmp_path, "solve-linear", cfg) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        # X and dW of 1e7 paths over 1e5 steps, plus stop_index.
+        assert err.startswith("parabolica: exit=1 error=ConfigError detail=a linear run "
+                              "needs 16000160000000 bytes")
 
 
 class TestOverrides:

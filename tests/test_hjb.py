@@ -238,6 +238,19 @@ class TestFromDict:
         with pytest.raises(ConfigError):
             control_problem_from_dict({"control_dim": 1, "lower": [0.0], "upper": [1.0]}, dim=1)
 
+    def test_a_grid_larger_than_memory_is_refused_before_it_is_built(self, monkeypatch):
+        def never(self):
+            raise AssertionError("the grid must not be built")
+
+        monkeypatch.setattr(ControlProblem, "grid", never)
+        # 21**10 controls of 10 coordinates: about 1.3e15 bytes.
+        with pytest.raises(ConfigError, match="needs 1334390478256080 bytes"):
+            control_problem_from_dict(
+                {"control_dim": 10, "lower": [0.0] * 10, "upper": [1.0] * 10,
+                 "a": [["u[0]"]]},
+                dim=1,
+            )
+
     def test_wrong_b_width_rejected(self):
         with pytest.raises(ConfigError):
             control_problem_from_dict(

@@ -1,5 +1,7 @@
 """Tests for the linear Monte Carlo estimator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -260,12 +262,26 @@ class TestErrors:
             feynman_kac_estimate(coeffs, batch)
 
 
+def _remainders(coeffs, batch, threads=None):
+    """The streamed remainders stacked into a (J, N+1) matrix, node order checked."""
+    columns = []
+
+    def observe(n, column):
+        assert n == len(columns)
+        assert column.shape == (batch.J,) and column.flags.c_contiguous
+        columns.append(column.copy())
+
+    assert pathwise_remainders(coeffs, batch, observe, threads) is None
+    assert len(columns) == batch.grid.N + 1
+    return np.stack(columns, axis=1)
+
+
 class TestPathwiseRemainders:
     def test_column_zero_mean_is_the_estimate(self):
         gbm = model.catalog_get("gbm_linear")
         batch = _simulate(gbm, N=16, J=400, seed=5)
         coeffs = LinearCoefficients.from_spec(gbm)
-        remainders = pathwise_remainders(coeffs, batch)
+        remainders = _remainders(coeffs, batch)
         assert remainders.shape == (400, 17)
         assert np.mean(remainders[:, 0]) == feynman_kac_estimate(coeffs, batch).value
 
@@ -274,14 +290,14 @@ class TestPathwiseRemainders:
         # every column must hold g(X_T) bit for bit.
         heat = model.catalog_get("heat")
         batch = _simulate(heat, N=8, J=200, seed=1)
-        remainders = pathwise_remainders(LinearCoefficients.from_spec(heat), batch)
+        remainders = _remainders(LinearCoefficients.from_spec(heat), batch)
         payoff = heat.g(batch.X[:, -1])
         assert np.array_equal(remainders, np.repeat(payoff[:, None], 9, axis=1))
 
     def test_terminal_column_deflates_back_to_the_payoff(self):
         bond = model.catalog_get("discount_bond")
         batch = _simulate(bond, N=16, J=50, seed=2)
-        remainders = pathwise_remainders(LinearCoefficients.from_spec(bond), batch)
+        remainders = _remainders(LinearCoefficients.from_spec(bond), batch)
         payoff = bond.g(batch.X[:, -1])
         # B_T * g deflated by B_T: equal up to one rounding of exp.
         np.testing.assert_allclose(remainders[:, -1], payoff, rtol=0, atol=1e-12)
@@ -304,7 +320,7 @@ class TestPathwiseRemainders:
         batch = _simulate(spec, N=16, J=300, seed=4)
         stopped = batch.stop_index < 16
         assert np.any(stopped)
-        remainders = pathwise_remainders(LinearCoefficients.from_spec(spec), batch)
+        remainders = _remainders(LinearCoefficients.from_spec(spec), batch)
         for j in np.flatnonzero(stopped)[:20]:
             tail = remainders[j, batch.stop_index[j]:]
             # Frozen accumulators make the tail constant to the bit, and
@@ -322,4 +338,39 @@ class TestPathwiseRemainders:
             g=lambda x: np.ones(len(x)),
         )
         with pytest.raises(NonFinite, match=r"path \d+"):
-            pathwise_remainders(coeffs, batch)
+            _remainders(coeffs, batch)
+
+    def test_non_finite_tail_names_the_first_such_path(self):
+        heat = model.catalog_get("heat")
+        batch = _simulate(heat, N=8, J=6, seed=0)
+        # Path 3 has a finite functional, but its deflator exp(-log B)
+        # overflows from node 2 on (0 * inf); path 5's payoff is NaN, so its
+        # functional is non-finite already at node 0.
+        coeffs = LinearCoefficients(
+            alpha=lambda t, x: np.zeros(len(x)),
+            beta=lambda t, x: np.where(
+                np.arange(len(x)) == 3, -1e308 if t > 0 else 0.0, 0.0
+            ),
+            g=lambda x: np.where(np.arange(len(x)) == 5, np.nan, 1.0),
+        )
+        for threads in (1, 2):
+            with pytest.raises(NonFinite, match=r"at path 3$"):
+                pathwise_remainders(coeffs, batch, lambda n, r: None, threads)
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        # The parent held three (J, N+1) arrays, about 15x more at N = 256
+        # than at N = 16; the stream holds a few (J,) arrays at any N.
+        gbm = model.catalog_get("gbm_linear")
+        coeffs = LinearCoefficients.from_spec(gbm)
+        peaks = {}
+        for N in (16, 256):
+            batch = _simulate(gbm, N=N, J=20_000, seed=7)
+            means = []
+            tracemalloc.start()
+            try:
+                pathwise_remainders(coeffs, batch, lambda n, r: means.append(r.mean()))
+                peaks[N] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(means) == N + 1
+        assert peaks[256] <= 1.5 * peaks[16]

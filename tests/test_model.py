@@ -386,6 +386,21 @@ class TestProblemFromDict:
         with pytest.raises(ConfigError, match=field):
             problem_from_dict(dict(self.PLANE, **{field: source}))
 
+    @pytest.mark.parametrize("key, value", [
+        ("dim", 1.5), ("dim", True), ("dim", "1"),
+        ("control_dim", 1.5), ("control_dim", True),
+        ("resolution", 20.5), ("resolution", False),
+    ])
+    def test_integer_keys_reject_booleans_and_fractions(self, key, value):
+        control = {"control_dim": 1, "lower": [0.1], "upper": [0.2], "a": [["u[0]*x[0]"]]}
+        obj = {k: v for k, v in self.HEAT.items() if k not in ("f", "linear")}
+        if key == "dim":
+            obj["dim"] = value
+        else:
+            control[key] = value
+        with pytest.raises(ConfigError, match=f"key '{key}' is malformed"):
+            problem_from_dict(dict(obj, control=control))
+
     def test_dg_of_the_wrong_width_is_rejected(self):
         with pytest.raises(ConfigError, match="dg"):
             problem_from_dict(dict(self.HEAT, dg=["2*x[0]", "1"]))
