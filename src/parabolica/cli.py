@@ -22,9 +22,10 @@ writes its artifacts into ``--out``:
   config sets ``dump_paths``.
 
 Exit codes: 0 success, 1 validation failure (bad invocation, unreadable
-or schema-invalid config, inconsistent problem definition), 2 numeric
-failure (non-finite values, singular diffusion, failed regression,
-unstable finite-difference grid), 3 verify run with a failing check.
+config, a config key its typed reader in ``_CONFIG`` refuses, inconsistent
+problem definition), 2 numeric failure (non-finite values, singular
+diffusion, failed regression, unstable finite-difference grid), 3 verify
+run with a failing check.
 Every failure prints one machine-parseable line on stderr:
 ``parabolica: exit=<code> error=<ExceptionName> detail=<message>``.
 
@@ -46,13 +47,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import dataclasses
 import json
-import math
 import platform
 import sys
 import time
 from typing import Optional, Union
 
-import jsonschema
 import numpy as np
 
 from . import model, verify
@@ -69,7 +68,7 @@ from .linear_fk import Estimate, LinearCoefficients, feynman_kac_estimate, pathw
 from .paths import TimeGrid, encode_batch, euler_simulate
 from .regress import BasisSpec
 
-__all__ = ["RunConfig", "CONFIG_SCHEMA", "main"]
+__all__ = ["RunConfig", "main"]
 
 _SCHEMES = ("linear", "semilinear", "full_2bsde", "hjb", "verify", "simulate")
 
@@ -87,63 +86,50 @@ _SUBCOMMANDS = {
 # to exit 1.
 _NUMERIC_ERRORS = (NonFinite, SingularSigma, RegressionFailure, CflViolation)
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "problem": {"type": ["string", "object"]},
-        "scheme": {"enum": list(_SCHEMES)},
-        "t0": {"type": "number"},
-        "x0": {
-            "type": "array",
-            "items": {"type": "number"},
-            "minItems": 1,
-            "maxItems": 16,
-        },
-        "N": {"type": "integer", "minimum": 1, "maximum": 100_000},
-        "J": {"type": "integer", "minimum": 1, "maximum": 10_000_000},
-        "seed": {"type": "integer", "minimum": 0, "maximum": 2**63 - 1},
-        "basis": {
-            "type": "object",
-            "properties": {
-                "kind": {"enum": ["polynomial", "piecewise_constant"]},
-                "degree": {"type": "integer", "minimum": 0, "maximum": 10},
-                "bins": {"type": "integer", "minimum": 1, "maximum": 1024},
-                "ridge": {"type": "number", "minimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "picard_iters": {"type": "integer", "minimum": 1, "maximum": 64},
-        "threads": {"type": "integer", "minimum": 1, "maximum": 1024},
-        "dump_paths": {"type": "boolean"},
-        "verify": {
-            "type": "object",
-            "properties": {
-                "x_lo": {"type": "number"},
-                "x_hi": {"type": "number"},
-                "M": {"type": "integer", "minimum": 3, "maximum": 100_001},
-                "window": {
-                    "type": "array",
-                    "items": {"type": "number"},
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
-                "fd_tol": {"type": "number", "exclusiveMinimum": 0},
-                "fd_relative": {"type": "boolean"},
-                "residual_Ns": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 2, "maximum": 100_000},
-                    "minItems": 1,
-                    "maxItems": 16,
-                },
-                "residual_J": {"type": "integer", "minimum": 2, "maximum": 10_000_000},
-                "ratio_min": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "additionalProperties": False,
-        },
-    },
-    "required": ["problem"],
-    "additionalProperties": False,
-}
+
+def _object(readers: dict, where: str):
+    """Reader of an object whose keys all have a reader; returns the values read."""
+    def read(obj) -> dict:
+        model.known_keys(obj, readers, where)
+        return {key: model.read_key(obj, key, readers[key], where) for key in obj}
+    return read
+
+
+_BASIS = _object({
+    "kind": model.choice("polynomial", "piecewise_constant"),
+    "degree": model.integer(0, 10),
+    "bins": model.integer(1, 1024),
+    "ridge": model.number(0.0),
+}, "basis")
+
+_VERIFY = _object({
+    "x_lo": model.number(),
+    "x_hi": model.number(),
+    "M": model.integer(3, 100_001),
+    "window": model.list_of(model.number(), 2, 2),
+    "fd_tol": model.number(0.0, strict=True),
+    "fd_relative": model.flag,
+    "residual_Ns": model.list_of(model.integer(2, 100_000), 1, 16),
+    "residual_J": model.integer(2, 10_000_000),
+    "ratio_min": model.number(0.0, strict=True),
+}, "verify")
+
+_CONFIG = _object({
+    "problem": model.reader(lambda v: isinstance(v, (str, dict)),
+                            "a catalog name or an inline problem object"),
+    "scheme": model.choice(*_SCHEMES),
+    "t0": model.number(),
+    "x0": model.list_of(model.number(), 1, 16),
+    "N": model.integer(1, 100_000),
+    "J": model.integer(1, 10_000_000),
+    "seed": model.integer(0, 2**63 - 1),
+    "basis": _BASIS,
+    "picard_iters": model.integer(1, 64),
+    "threads": model.integer(1, 1024),
+    "dump_paths": model.flag,
+    "verify": _VERIFY,
+}, "config")
+
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
@@ -171,13 +157,9 @@ class RunConfig:
     def from_dict(cls, obj: dict, *, scheme: Optional[str] = None,
                   seed: Optional[int] = None, threads: Optional[int] = None) -> "RunConfig":
         """Build a config from a JSON object, applying CLI overrides."""
-        try:
-            jsonschema.validate(obj, CONFIG_SCHEMA)
-        except jsonschema.exceptions.ValidationError as exc:
-            where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-            raise ConfigError(f"config rejected at {where}: {exc.message}") from None
-
-        declared = obj.get("scheme")
+        got = _CONFIG(obj)
+        problem = model.read_key(got, "problem", where="config")
+        declared = got.get("scheme")
         if scheme is None:
             if declared is None:
                 raise ConfigError("config declares no scheme")
@@ -187,55 +169,32 @@ class RunConfig:
                 f"config declares scheme {declared!r} but the subcommand runs {scheme!r}"
             )
 
-        N = obj.get("N")
-        J = obj.get("J")
+        N = got.get("N")
+        J = got.get("J")
         if scheme != "verify" and (N is None or J is None):
             raise ConfigError("N and J are required for every scheme except verify")
 
-        t0 = float(obj.get("t0", 0.0))
-        if not math.isfinite(t0):
-            raise ConfigError("t0 must be finite")
-
-        x0 = obj.get("x0")
-        if x0 is not None:
-            x0 = tuple(float(v) for v in x0)
-            if not all(math.isfinite(v) for v in x0):
-                raise ConfigError("x0 entries must be finite")
-
-        basis_obj = obj.get("basis") or {}
-        defaults = BasisSpec()
-        basis = BasisSpec(
-            kind=basis_obj.get("kind", defaults.kind),
-            degree=int(basis_obj.get("degree", defaults.degree)),
-            bins=int(basis_obj.get("bins", defaults.bins)),
-            ridge=float(basis_obj.get("ridge", defaults.ridge)),
-        )
-        if not math.isfinite(basis.ridge):
-            raise ConfigError("basis ridge must be finite")
-
-        cfg_threads = obj.get("threads")
-        if threads is None and cfg_threads is not None:
-            threads = int(cfg_threads)
+        threads = got.get("threads") if threads is None else threads
         if threads is not None and threads < 1:
             raise ConfigError("thread count must be at least 1")
 
         return cls(
-            problem=obj["problem"],
+            problem=problem,
             scheme=scheme,
-            N=int(N) if N is not None else None,
-            J=int(J) if J is not None else None,
-            seed=int(seed) if seed is not None else int(obj.get("seed", 0)),
-            t0=t0,
-            x0=x0,
-            basis=basis,
-            picard_iters=int(obj.get("picard_iters", 2)),
+            N=N,
+            J=J,
+            seed=int(seed) if seed is not None else got.get("seed", 0),
+            t0=float(got.get("t0", 0.0)),
+            x0=tuple(float(v) for v in got["x0"]) if "x0" in got else None,
+            basis=BasisSpec(**got.get("basis", {})),
+            picard_iters=got.get("picard_iters", 2),
             threads=threads,
-            dump_paths=bool(obj.get("dump_paths", False)),
-            verify_options=dict(obj.get("verify") or {}),
+            dump_paths=got.get("dump_paths", False),
+            verify_options=got.get("verify", {}),
         )
 
     def echo(self) -> dict:
-        """The resolved config as a schema-valid JSON object.
+        """The resolved config as a JSON object :meth:`from_dict` accepts.
 
         Feeding the echo back through :meth:`from_dict` reproduces this
         config (threads aside), so a run can always be repeated from its
@@ -250,7 +209,7 @@ class RunConfig:
                 "kind": self.basis.kind,
                 "degree": self.basis.degree,
                 "bins": self.basis.bins,
-                "ridge": self.basis.ridge,
+                "ridge": float(self.basis.ridge),
             },
             "picard_iters": self.picard_iters,
         }
@@ -369,12 +328,7 @@ def _execute(config: RunConfig):
     artifacts = {}
 
     if config.scheme == "verify":
-        opts = dict(config.verify_options)
-        if opts.get("window") is not None:
-            opts["window"] = tuple(float(v) for v in opts["window"])
-        if opts.get("residual_Ns") is not None:
-            opts["residual_Ns"] = tuple(int(n) for n in opts["residual_Ns"])
-        report = verify.verify_problem(spec, seed=config.seed, **opts)
+        report = verify.verify_problem(spec, seed=config.seed, **config.verify_options)
         checks = report["checks"]
         code = 0 if all(c["pass"] for c in checks) else 3
         return code, None, None, {"checks": checks}, artifacts

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import expr as _expr
 from .errors import ConfigError, MissingGamma, NonFinite
-from .model import _REQUIRED, ProblemSpec, _floats, _integer, read_key, require_memory
+from .model import _REQUIRED, ProblemSpec, _floats, _integer, known_keys, read_key, require_memory
 
 __all__ = [
     "ControlProblem",
@@ -277,9 +277,11 @@ def control_problem_from_dict(obj: dict, dim: int) -> ControlProblem:
     Keys: ``control_dim``, ``lower``, ``upper`` (length-k lists), ``a``;
     optional ``alpha``, ``beta``, ``b`` (each 0 by default) and
     ``resolution``.  docs/expr-grammar.md tables each coefficient's
-    variables and shape; a missing or malformed key, another variable or
-    a wrong nesting or width raises ConfigError.
+    variables and shape; a missing, unknown or malformed key, another
+    variable or a wrong nesting or width raises ConfigError.
     """
+    known_keys(obj, ("control_dim", "lower", "upper", "a", "alpha", "beta", "b", "resolution"),
+               "control")
     k = read_key(obj, "control_dim", _integer, "control")
     fields = {
         key: _expr.coefficient(read_key(obj, key, where="control", default=default), dim,

@@ -34,7 +34,6 @@ they can only ever refute; a passing report is evidence, not proof.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import os
@@ -622,7 +621,6 @@ def catalog_get(name: str) -> ProblemSpec:
 # ---------------------------------------------------------------------------
 
 _REQUIRED = object()
-_floats = functools.partial(np.asarray, dtype=np.float64)
 
 
 def _integer(raw) -> int:
@@ -632,6 +630,52 @@ def _integer(raw) -> int:
     ):
         raise ValueError(f"expected an integer, got {raw!r}")
     return int(raw)
+
+
+def reader(accepts, expected: str, convert=lambda raw: raw):
+    """Reader of ``convert(raw)``, raising ValueError unless ``accepts(raw)``."""
+    def read(raw):
+        if not accepts(raw):
+            raise ValueError(f"expected {expected}, got {raw!r}")
+        return convert(raw)
+    return read
+
+
+def integer(low: int, high: int):
+    """Reader of an integer (see ``_integer``) in [low, high]."""
+    return reader(lambda v: low <= _integer(v) <= high, f"an integer in [{low}, {high}]", _integer)
+
+
+def number(low: float = -math.inf, high: float = math.inf, *, strict: bool = False):
+    """Reader of a finite number in [low, high] ((low, high] if ``strict``), kept as given."""
+    return reader(lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+                  and math.isfinite(v) and (low < v if strict else low <= v) and v <= high,
+                  f"a finite number in {'(' if strict else '['}{low}, {high}]")
+
+
+def list_of(item, shortest: int = 1, longest: float = math.inf):
+    """Reader of a list of ``shortest`` to ``longest`` entries, each read by ``item``."""
+    return reader(lambda v: isinstance(v, (list, tuple)) and shortest <= len(v) <= longest,
+                  f"a list of {shortest} to {longest} entries", lambda v: [item(x) for x in v])
+
+
+def choice(*options):
+    """Reader of one of ``options``."""
+    return reader(lambda v: v in options, f"one of {', '.join(map(repr, options))}")
+
+
+flag = reader(lambda v: isinstance(v, bool), "true or false")
+_finite = number()
+_floats = list_of(_finite)
+
+
+def known_keys(obj, keys, where: str) -> None:
+    """Raise ConfigError unless ``obj`` is an object whose keys are all in ``keys``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} definition must be an object, got {obj!r}")
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"{where} has unknown key {key!r}; known: {', '.join(keys)}")
 
 
 def require_memory(nbytes: int, what: str) -> None:
@@ -656,12 +700,16 @@ def read_key(obj, key: str, convert=None, where: str = "problem", default=_REQUI
         raise ConfigError(f"{where} definition must be an object, got {obj!r}")
     if obj.get(key) is None:
         if default is _REQUIRED:
-            raise ConfigError(f"{where} definition lacks required key {key!r}")
+            raise ConfigError(f"{where} key {key!r} is {'null' if key in obj else 'required'}")
         return default
     try:
         return obj[key] if convert is None else convert(obj[key])
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ConfigError(f"{where} key {key!r} is malformed: {exc}") from None
+
+
+_PROBLEM_KEYS = ("dim", "horizon", "mu", "sigma", "f", "g", "dg", "control", "domain",
+                 "linear", "growth", "x0", "name")
 
 
 def problem_from_dict(obj: dict) -> ProblemSpec:
@@ -672,11 +720,12 @@ def problem_from_dict(obj: dict) -> ProblemSpec:
     optional ``dg``, ``domain`` (``{"lower": [...], "upper": [...]}``),
     ``linear`` (``{"alpha": ..., "beta": ...}``), ``growth`` and ``x0``.
     docs/expr-grammar.md tables each coefficient's variables and shape; a
-    missing or malformed key, another variable or a wrong nesting or width
-    raises ConfigError here, before anything is simulated.
+    missing, unknown or malformed key, another variable or a wrong nesting
+    or width raises ConfigError here, before anything is simulated.
     """
+    known_keys(obj, _PROBLEM_KEYS, "problem")
     d = read_key(obj, "dim", _integer)
-    horizon = read_key(obj, "horizon", float)
+    horizon = float(read_key(obj, "horizon", _finite))
     mu = _expr.coefficient(read_key(obj, "mu"), d, ("x",), 1, "mu")
     sigma = _expr.coefficient(read_key(obj, "sigma"), d, ("x",), 2, "sigma")
     g = _expr.coefficient(read_key(obj, "g"), d, ("x",), 0, "g")
@@ -701,17 +750,20 @@ def problem_from_dict(obj: dict) -> ProblemSpec:
 
     domain = read_key(obj, "domain", default=None)
     if domain is not None:
+        known_keys(domain, ("lower", "upper"), "domain")
         domain = Box(read_key(domain, "lower", _floats, "domain"),
                      read_key(domain, "upper", _floats, "domain"))
 
     lin = read_key(obj, "linear", default=None)
+    if lin is not None:
+        known_keys(lin, ("alpha", "beta"), "linear")
     linear_parts = None if lin is None else tuple(
         _expr.coefficient(read_key(lin, key, where="linear"), d, ("t", "x"), 0, f"linear {key}")
         for key in ("alpha", "beta")
     )
 
     growth = read_key(obj, "growth",
-                      lambda raw: GrowthParams(**{k: float(v) for k, v in raw.items()}),
+                      lambda raw: GrowthParams(**{k: _finite(v) for k, v in raw.items()}),
                       default=None)
     x0_default = read_key(obj, "x0", _floats, default=None)
 

@@ -31,7 +31,7 @@ from .errors import (
     MissingAnalyticV,
     NonFinite,
 )
-from .model import ProblemSpec
+from .model import ProblemSpec, require_memory
 from .paths import PathBatch, TimeGrid, euler_simulate
 
 __all__ = [
@@ -352,12 +352,18 @@ def verify_problem(
     with one entry for the finite-difference comparison (1-D problems), one
     for the first residual's step-halving ratio, and one for the terminal
     identity (the largest ``terminal_gap`` over the residual runs, if any).
+    A window holding no finite-difference node, or a finite-difference
+    surface and residual batch larger than physical memory, raises
+    ConfigError before anything is computed.
     """
     if spec.analytic_v is None:
         raise MissingAnalyticV(
             f"problem {spec.name!r} has no analytic solution to verify against"
         )
     checks = []
+    # The largest residual batch: X, dW and stop_index.
+    nbytes = max((8 * (residual_J * (2 * N + 1) * spec.dim + residual_J) for N in residual_Ns),
+                 default=0)
 
     if spec.dim == 1:
         x0 = float(spec.x0_default[0])
@@ -367,8 +373,17 @@ def verify_problem(
             quarter = (hi - lo) / 4.0
             window = (lo + quarter, hi - quarter)
         grid = FdGrid.for_problem(spec, lo, hi, M)
+        in_window = (grid.xs >= window[0]) & (grid.xs <= window[1])
+        if not in_window.any():
+            raise ConfigError(
+                f"verify window {list(window)} holds no finite-difference node in [{lo}, {hi}]"
+            )
+        # The surface and its truth stack, both (N_fd + 1, M).
+        nbytes += 2 * 8 * (grid.N_fd + 1) * grid.M
+    require_memory(nbytes, "a verify run")
+
+    if spec.dim == 1:
         surface = fd_solve_1d(spec, grid)
-        in_window = (surface.xs >= window[0]) & (surface.xs <= window[1])
         truth = np.stack(
             [spec.analytic_v.value(t, surface.xs[:, None]) for t in surface.times]
         )

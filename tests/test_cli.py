@@ -9,11 +9,11 @@ import json
 import subprocess
 import sys
 
-import jsonschema
 import numpy as np
 import pytest
 
-from parabolica import backward, cli, hjb, model, paths
+from parabolica import backward, cli, hjb, model, paths, verify
+from parabolica.errors import ConfigError
 
 HEAT_LINEAR = {"problem": "heat", "scheme": "linear", "J": 10, "N": 4, "seed": 1}
 
@@ -89,6 +89,110 @@ class TestConfigValidation:
         capsys.readouterr()
 
 
+NAN, INF = float("nan"), float("inf")
+ACCEPT, REJECT = "accept", "reject"
+# A non-finite number: JSON Schema's "number" type admits it, the
+# finite-number reader refuses it.
+NOW_REJECTED = "now-rejected"
+
+
+def _cases(obj, key, *values_and_outcomes):
+    return [(obj, key, value, outcome) for value, outcome in values_and_outcomes]
+
+
+# (object, key, value, outcome): values at and just past each bound, a
+# wrong type and the non-finite numbers, for every run-config key.
+CONFIG_KEY_CASES = [
+    *_cases("config", "problem", ("heat", ACCEPT), ({}, ACCEPT), (5, REJECT), (None, REJECT)),
+    *_cases("config", "scheme", ("linear", ACCEPT), ("Linear", REJECT), (1, REJECT)),
+    *_cases("config", "t0", (-0.5, ACCEPT), (0, ACCEPT), ("0", REJECT), (True, REJECT),
+            (NAN, REJECT), (INF, REJECT)),
+    *_cases("config", "x0", ([0.0], ACCEPT), ([0.5] * 16, ACCEPT), ([], REJECT),
+            ([0.5] * 17, REJECT), (0.0, REJECT), (["0"], REJECT), ([False], REJECT),
+            ([NAN], REJECT), ([-INF], REJECT)),
+    *_cases("config", "N", (1, ACCEPT), (100_000, ACCEPT), (4.0, ACCEPT), (0, REJECT),
+            (100_001, REJECT), (4.5, REJECT), ("4", REJECT), (True, REJECT), (NAN, REJECT),
+            (INF, REJECT)),
+    *_cases("config", "J", (1, ACCEPT), (10_000_000, ACCEPT), (0, REJECT),
+            (10_000_001, REJECT), (None, REJECT)),
+    *_cases("config", "seed", (0, ACCEPT), (2**63 - 1, ACCEPT), (-1, REJECT), (2**63, REJECT),
+            (1.5, REJECT)),
+    *_cases("config", "picard_iters", (1, ACCEPT), (64, ACCEPT), (0, REJECT), (65, REJECT)),
+    *_cases("config", "threads", (1, ACCEPT), (1024, ACCEPT), (0, REJECT), (1025, REJECT)),
+    *_cases("config", "dump_paths", (True, ACCEPT), (False, ACCEPT), (1, REJECT),
+            ("true", REJECT)),
+    *_cases("config", "basis", ({}, ACCEPT), (5, REJECT), ([], REJECT)),
+    *_cases("config", "verify", ({}, ACCEPT), ("all", REJECT)),
+    *_cases("config", "typo", (1, REJECT)),
+    *_cases("basis", "kind", ("polynomial", ACCEPT), ("piecewise_constant", ACCEPT),
+            ("spline", REJECT), (None, REJECT)),
+    *_cases("basis", "degree", (0, ACCEPT), (10, ACCEPT), (-1, REJECT), (11, REJECT),
+            (2.5, REJECT)),
+    *_cases("basis", "bins", (1, ACCEPT), (1024, ACCEPT), (0, REJECT), (1025, REJECT)),
+    *_cases("basis", "ridge", (0, ACCEPT), (1e-6, ACCEPT), (-1e-12, REJECT), ("0", REJECT),
+            (NAN, REJECT), (INF, REJECT)),
+    *_cases("basis", "typo", (1, REJECT)),
+    *_cases("verify", "x_lo", (-7, ACCEPT), (0.5, ACCEPT), ("a", REJECT), (NAN, NOW_REJECTED),
+            (-INF, NOW_REJECTED)),
+    *_cases("verify", "x_hi", (7, ACCEPT), (True, REJECT), (NAN, NOW_REJECTED),
+            (INF, NOW_REJECTED)),
+    *_cases("verify", "M", (3, ACCEPT), (100_001, ACCEPT), (2, REJECT), (100_002, REJECT),
+            (3.5, REJECT)),
+    *_cases("verify", "window", ([-1, 1], ACCEPT), ([0.5, 0.5], ACCEPT), ([1], REJECT),
+            ([1, 2, 3], REJECT), (["a", 1], REJECT), ([NAN, 1], NOW_REJECTED),
+            ([-INF, INF], NOW_REJECTED)),
+    *_cases("verify", "fd_tol", (1e-12, ACCEPT), (1, ACCEPT), (0, REJECT), (-1, REJECT),
+            ("1", REJECT), (NAN, NOW_REJECTED), (INF, NOW_REJECTED)),
+    *_cases("verify", "fd_relative", (True, ACCEPT), (1, REJECT)),
+    *_cases("verify", "residual_Ns", ([2], ACCEPT), ([100_000], ACCEPT), ([2] * 16, ACCEPT),
+            ([], REJECT), ([2] * 17, REJECT), ([1], REJECT), ([100_001], REJECT),
+            ([2.5], REJECT), (2, REJECT)),
+    *_cases("verify", "residual_J", (2, ACCEPT), (10_000_000, ACCEPT), (1, REJECT),
+            (10_000_001, REJECT)),
+    *_cases("verify", "ratio_min", (1e-12, ACCEPT), (0, REJECT), (NAN, NOW_REJECTED),
+            (INF, NOW_REJECTED)),
+    *_cases("verify", "typo", (1, REJECT)),
+]
+
+
+def _case_id(case):
+    obj, key, value, outcome = case
+    text = json.dumps(value)
+    if len(text) > 20:
+        text = f"list{len(value)}"
+    return f"{obj}.{key}={text}-{outcome}"
+
+
+def _case_config(obj, key, value):
+    """A valid config with ``value`` at ``key`` of ``obj``, and the subcommand to run it."""
+    if obj == "verify":
+        return {"problem": "heat", "verify": {key: value}}, "verify"
+    cfg = {"problem": "heat", "N": 4, "J": 10}
+    if obj == "basis":
+        cfg["basis"] = {key: value}
+    else:
+        cfg[key] = value
+    return cfg, "solve-linear"
+
+
+class TestConfigKeyBoundaries:
+    @pytest.mark.parametrize("case", CONFIG_KEY_CASES, ids=_case_id)
+    def test_each_key_accepts_its_range_and_rejects_the_rest(self, tmp_path, capsys, case):
+        obj, key, value, outcome = case
+        cfg, command = _case_config(obj, key, value)
+        if outcome == ACCEPT:
+            scheme = cli._SUBCOMMANDS[command]
+            config = cli.RunConfig.from_dict(json.loads(json.dumps(cfg)), scheme=scheme)
+            assert cli.RunConfig.from_dict(config.echo()).echo() == config.echo()
+            return
+        assert _run(tmp_path, command, cfg) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("parabolica: exit=1 error=ConfigError detail=")
+        detail = err.split("detail=", 1)[1]
+        assert f"'{key}'" in detail or detail.startswith(f"{key} definition")
+
+
 class TestDeterminism:
     def test_rerun_is_byte_identical_minus_environment(self, tmp_path):
         assert _run(tmp_path, "solve-linear", HEAT_LINEAR, out="a") == 0
@@ -137,7 +241,7 @@ class TestDeterminism:
     def test_config_echo_round_trips(self, tmp_path):
         assert _run(tmp_path, "solve-linear", HEAT_LINEAR, out="first") == 0
         echo = _summary(tmp_path, "first")["config"]
-        jsonschema.validate(echo, cli.CONFIG_SCHEMA)
+        assert cli.RunConfig.from_dict(echo).echo() == echo
         assert _run(tmp_path, "solve-linear", echo, out="second") == 0
         assert (tmp_path / "first" / "steps.csv").read_bytes() == (
             tmp_path / "second" / "steps.csv"
@@ -340,6 +444,39 @@ class TestVerifySubcommand:
         assert _run(tmp_path, "verify", cfg) == 1
         assert "error=MissingAnalyticV" in capsys.readouterr().err
 
+    def test_a_window_without_a_grid_node_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("fd_solve_1d must not run")
+
+        monkeypatch.setattr(verify, "fd_solve_1d", never)
+        cfg = {"problem": "heat", "scheme": "verify", "verify": {"window": [100, 200]}}
+        assert _run(tmp_path, "verify", cfg) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("parabolica: exit=1 error=ConfigError detail=verify window [100, 200]")
+        with pytest.raises(ConfigError, match="holds no finite-difference node"):
+            verify.verify_problem(model.catalog_get("heat"), window=(NAN, 1.0))
+
+    def test_a_verify_run_larger_than_memory_is_refused_before_computing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("a verify run this large must not compute anything")
+
+        monkeypatch.setattr(verify, "fd_solve_1d", never)
+        monkeypatch.setattr(verify, "euler_simulate", never)
+        cfg = {"problem": "heat", "scheme": "verify", "verify": {"M": 100_001}}
+        assert _run(tmp_path, "verify", cfg) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        grid = verify.FdGrid.for_problem(model.catalog_get("heat"), -6.0, 6.0, 100_001)
+        assert grid.N_fd == 86_805_557
+        # The (N_fd + 1, M) surface and its truth stack, and the largest
+        # residual batch: X and dW of 10^4 paths over 128 steps, plus stop_index.
+        nbytes = 2 * 8 * (grid.N_fd + 1) * 100_001 + 8 * (10_000 * (129 + 128) + 10_000)
+        assert err.startswith("parabolica: exit=1 error=ConfigError "
+                              f"detail=a verify run needs {nbytes} bytes")
+
 
 class TestExitCodes:
     def test_gamma_dependent_driver_is_a_validation_failure(self, tmp_path, capsys):
@@ -423,8 +560,23 @@ class TestExitCodes:
         ("lower", dict(INLINE, f=None, control=dict(CONTROL, lower=["a"]))),
         ("control_dim", dict(INLINE, f=None, control=dict(CONTROL, control_dim="k"))),
         ("resolution", dict(INLINE, f=None, control=dict(CONTROL, resolution="x"))),
+        # Unknown keys.
+        ("domian", dict(INLINE, domian={"lower": [-1.0], "upper": [2.0]})),
+        ("resoluton", dict(INLINE, f=None, control=dict(CONTROL, resoluton=3))),
+        ("lowr", dict(INLINE, domain={"lowr": [-1.0], "lower": [-1.0], "upper": [2.0]})),
+        ("gamma", dict(INLINE, linear={"alpha": "0", "beta": "0", "gamma": "0"})),
+        # Numbers that are not finite JSON numbers.
+        ("horizon", dict(INLINE, horizon="1")),
+        ("horizon", dict(INLINE, horizon=True)),
+        ("lower", dict(INLINE, domain={"lower": ["-1"], "upper": [2.0]})),
+        ("growth", dict(INLINE, growth={"p2": NAN})),
+        ("x0", dict(INLINE, x0=[INF])),
+        ("upper", dict(INLINE, f=None, control=dict(CONTROL, upper=[True]))),
     ], ids=["linear-alpha", "domain-lower", "growth-key", "dim", "mu",
-            "control-lower", "control-dim", "control-resolution"])
+            "control-lower", "control-dim", "control-resolution",
+            "unknown-problem-key", "unknown-control-key", "unknown-domain-key",
+            "unknown-linear-key", "horizon-string", "horizon-boolean", "domain-string",
+            "growth-nan", "x0-infinity", "control-boolean"])
     def test_malformed_inline_problem_is_one_config_error_line(self, tmp_path, capsys, key, problem):
         cfg = {"problem": problem, "scheme": "full_2bsde", "J": 10, "N": 2}
         assert _run(tmp_path, "solve-2bsde", cfg) == 1
@@ -506,15 +658,19 @@ class TestModuleEntryPoint:
         assert sub == inproc
 
     def test_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats costs about a second and tens of MB on every start.
+        # scipy.stats costs about a second and tens of MB on every start;
+        # jsonschema (with attrs, referencing and rpds) tens of ms.
         proc = subprocess.run(
             [
                 sys.executable,
                 "-c",
-                "import sys, parabolica.cli; sys.exit('scipy.stats' in sys.modules)",
+                "import sys, parabolica.cli; "
+                "sys.exit(', '.join(m for m in sys.argv[1:] if m in sys.modules) or None)",
+                "scipy.stats",
+                "jsonschema",
             ],
             capture_output=True,
             text=True,
             timeout=120,
         )
-        assert proc.returncode == 0, proc.stderr or "scipy.stats was imported"
+        assert proc.returncode == 0, f"imported: {proc.stderr}"
