@@ -54,6 +54,13 @@ coefficients once, each Picard sweep takes ``-max`` over them, and after
 ``Y`` is set the same object gives the node's mean maximizing control
 (``BackwardSolution.control_means``), so no second pass re-evaluates them.
 
+The sweep streams.  It holds node n's ``(Y, Z, Gamma)`` columns and the
+node n-1 columns it builds from them, and hands each finished node to an
+``observe(n, y, z, gamma)`` callback, n = N first and 0 last.  Without
+one, a history observer keeps every node and the solution carries the
+(J, N+1, ...) arrays; the CLI passes its ``steps.csv`` row builder
+instead, so its backward state is O(J d^2) whatever N is.
+
 Terminal columns are pinned analytically: ``Y_T = g(X_T)``,
 ``Z_T = Dg(X_T)`` (declared gradient, else central differences with kink
 flagging), and ``Gamma_T`` from differentiating the terminal data once more.
@@ -91,15 +98,17 @@ class BackwardSolution:
     """Output of a backward solve.
 
     ``Y`` is (J, N+1), ``Z`` is (J, N+1, d); ``Gamma`` is (J, N+1, d, d) for
-    the fully non-linear scheme and None otherwise.  ``fits`` holds one dict
+    the fully non-linear scheme and None otherwise.  All three are None
+    when the solve was given an ``observe`` callback, which saw each
+    node's columns instead of a kept history.  ``fits`` holds one dict
     per time step with the regression diagnostics that produced that node.
     ``control_means`` is (N+1, control_dim) when the problem carries a
     control and Gamma is estimated: row ``n`` is the mean over paths of
     :func:`hjb.extract_control` at node ``n``.  It is None otherwise.
     """
 
-    Y: np.ndarray
-    Z: np.ndarray
+    Y: Optional[np.ndarray]
+    Z: Optional[np.ndarray]
     Gamma: Optional[np.ndarray]
     root_value: Estimate
     fits: tuple
@@ -305,14 +314,38 @@ def picard_y(Ey: np.ndarray, correction: Callable, dt: float, iters: int):
     return y, last
 
 
+class _History:
+    """The default observer: every node's columns, kept as (J, N+1, ...) histories."""
+
+    def __init__(self, J: int, N: int, d: int, with_gamma: bool):
+        self.Y = np.empty((J, N + 1))
+        self.Z = np.empty((J, N + 1, d))
+        self.Gamma = np.empty((J, N + 1, d, d)) if with_gamma else None
+
+    def __call__(self, n: int, y, z, gamma) -> None:
+        self.Y[:, n] = y
+        self.Z[:, n] = z
+        if gamma is not None:
+            self.Gamma[:, n] = gamma
+
+
 def _sweep(
     spec: ProblemSpec,
     batch: PathBatch,
     basis: regress.BasisSpec,
     picard_iters: int,
     with_gamma: bool,
+    observe: Optional[Callable] = None,
 ) -> BackwardSolution:
-    """Run the backward recursion over the batch.
+    """Run the backward recursion over the batch, streaming each node.
+
+    Only node n's columns and the node n-1 columns built from them are
+    held; ``observe(n, y, z, gamma)`` sees each node once, n = N first,
+    with C-contiguous (J,) ``y``, (J, d) ``z`` and (J, d, d) ``gamma``
+    (None when ``with_gamma`` is False), which it must not modify.
+    Without ``observe`` a :class:`_History` keeps every column and the
+    solution carries it as ``Y``, ``Z`` and ``Gamma``; with one, those
+    fields are None.
 
     When ``with_gamma`` is False no second-order column is maintained and
     ``phi`` is evaluated at a zero Hessian.  When it is True and the problem
@@ -329,29 +362,29 @@ def _sweep(
     times = grid.times
     X, dW, stop = batch.X, batch.dW, batch.stop_index
     p = regress.basis_size(basis, d)
+    history = _History(J, N, d, with_gamma) if observe is None else None
+    observe = history if observe is None else observe
 
-    Y = np.empty((J, N + 1))
-    Z = np.zeros((J, N + 1, d))
-    Y[:, N] = np.asarray(spec.g(X[:, N]), dtype=np.float64)
-    if not np.all(np.isfinite(Y[:, N])):
-        j = int(np.argmax(~np.isfinite(Y[:, N])))
+    # Node N's columns; each step replaces them with node n-1's.
+    y_n = np.empty(J)
+    y_n[:] = spec.g(X[:, N])
+    if not np.all(np.isfinite(y_n)):
+        j = int(np.argmax(~np.isfinite(y_n)))
         raise NonFinite(f"non-finite terminal value at path {j}")
     grad_T, kinked, used_fd = terminal_gradient(spec, X[:, N])
-    Z[:, N] = grad_T
-    Gamma = None
-    if with_gamma:
-        Gamma = np.zeros((J, N + 1, d, d))
-        Gamma[:, N] = terminal_hessian(spec, X[:, N])
+    z_n = np.ascontiguousarray(grad_T)
+    g_n = terminal_hessian(spec, X[:, N]) if with_gamma else None
+    observe(N, y_n, z_n, g_n)
 
     cp = spec.control if with_gamma else None
     control_means = None
     if cp is not None:
         control_means = np.empty((N + 1, cp.control_dim))
-        terminal = hjb.NodeHamiltonian(cp, float(times[N]), X[:, N], Z[:, N], Gamma[:, N])
-        control_means[N] = _column_means(terminal.argmax(Y[:, N]))
+        terminal = hjb.NodeHamiltonian(cp, float(times[N]), X[:, N], z_n, g_n)
+        control_means[N] = _column_means(terminal.argmax(y_n))
         del terminal
 
-    pathwise = Y[:, N].copy()
+    pathwise = y_n.copy()
     fits = []
     for n in range(N, 0, -1):
         k = n - 1
@@ -377,26 +410,24 @@ def _sweep(
 
         fit_g = None
         if with_gamma:
-            target_g = Z[fit_rows, n][:, :, None] * dW[fit_rows, k][:, None, :]
+            target_g = z_n[fit_rows][:, :, None] * dW[fit_rows, k][:, None, :]
             fit_g, Eg = expect(target_g.reshape(-1, d * d))
             G = Eg.reshape(n_alive, d, d) / dt
             # Gamma = E[Z dW'] sigma^{-1} / dt, symmetrized.
             G = G / sig_diag[:, None, :] if sig_inv is None else G @ sig_inv
             gamma = 0.5 * (G + np.transpose(G, (0, 2, 1)))
-            Gamma[rows, k] = gamma
         else:
             gamma = np.zeros((n_alive, d, d))  # phi is evaluated at a zero Hessian
 
-        fit_z, Ez = expect(dW[fit_rows, k] * Y[fit_rows, n][:, None])
+        fit_z, Ez = expect(dW[fit_rows, k] * y_n[fit_rows][:, None])
         Ez = Ez.reshape(n_alive, d) / dt
         # Z = sigma'^{-1} E[dW Y] / dt.
         if sig_inv is None:
             z = Ez / sig_diag
         else:
             z = np.einsum("jba,jb->ja", sig_inv, Ez)
-        Z[rows, k] = z
 
-        fit_y, Ey = expect(Y[fit_rows, n])
+        fit_y, Ey = expect(y_n[fit_rows])
         # Only f moves between Picard sweeps; the rest of phi is fixed per step.
         mu_z, half_trace = _ito_terms(mu, sig, z, gamma)
         node = None if cp is None else hjb.NodeHamiltonian(cp, t_prev, x, z, gamma)
@@ -406,9 +437,6 @@ def _sweep(
             return (np.asarray(f_val, dtype=np.float64) + mu_z) + half_trace
 
         y, phi_last = picard_y(Ey, correction, dt, picard_iters)
-        if n_alive < J:
-            Y[:, k] = Y[:, n]
-        Y[rows, k] = y
         if phi_last is not None:
             pathwise[rows] -= phi_last * dt
 
@@ -416,17 +444,34 @@ def _sweep(
                 and np.all(np.isfinite(gamma))):
             raise NonFinite(f"non-finite backward value at step {k}")
 
+        # Node k's columns: stopped paths keep node n's y and carry zero
+        # z and gamma rows.
+        if n_alive == J:
+            y_k, z_k, g_k = y, z, (gamma if with_gamma else None)
+        else:
+            y_k = y_n.copy()
+            y_k[rows] = y
+            z_k = np.zeros((J, d))
+            z_k[rows] = z
+            g_k = None
+            if with_gamma:
+                g_k = np.zeros((J, d, d))
+                g_k[rows] = gamma
+
         if node is not None:
             u = np.empty((J, cp.control_dim))
             u[rows] = node.argmax(y)
             if n_alive < J:
-                # Stopped paths are read at their frozen Y and zero Z/Gamma,
+                # Stopped paths are read at their frozen y and zero z/gamma,
                 # as extract_control reads the histories.
                 done = ~alive
-                frozen = hjb.NodeHamiltonian(cp, t_prev, X[done, k], Z[done, k], Gamma[done, k])
-                u[done] = frozen.argmax(Y[done, k])
+                frozen = hjb.NodeHamiltonian(cp, t_prev, X[done, k], z_k[done], g_k[done])
+                u[done] = frozen.argmax(y_k[done])
             control_means[k] = _column_means(u)
             node = None  # release this node's (G, J) terms before the next is built
+
+        observe(k, y_k, z_k, g_k)
+        y_n, z_n, g_n = y_k, z_k, g_k
 
         fits.append(
             {
@@ -441,10 +486,10 @@ def _sweep(
 
     fits.reverse()
     return BackwardSolution(
-        Y=Y,
-        Z=Z,
-        Gamma=Gamma,
-        root_value=Estimate(float(np.mean(Y[:, 0])), Estimate.of(pathwise).stderr, J),
+        Y=None if history is None else history.Y,
+        Z=None if history is None else history.Z,
+        Gamma=None if history is None else history.Gamma,
+        root_value=Estimate(float(np.mean(y_n)), Estimate.of(pathwise).stderr, J),
         fits=tuple(fits),
         diagnostics={
             "terminal_gradient_fd": used_fd,
@@ -460,8 +505,13 @@ def backward_solve_semilinear(
     batch: PathBatch,
     basis: regress.BasisSpec,
     picard_iters: int = 2,
+    observe: Optional[Callable] = None,
 ) -> BackwardSolution:
     """Solve a gamma-free problem backward along a simulated batch.
+
+    ``observe(n, y, z, None)``, when given, sees each node's columns as
+    the sweep builds them (n = N down to 0) and the solution's ``Y`` and
+    ``Z`` are None; otherwise they hold the full histories.
 
     Raises GammaDependence when the transformed driver still depends on its
     Hessian argument and NonFinite when it is non-finite where probed;
@@ -469,7 +519,7 @@ def backward_solve_semilinear(
     updates.
     """
     screen_driver(spec, gamma_free=True)
-    return _sweep(spec, batch, basis, picard_iters, with_gamma=False)
+    return _sweep(spec, batch, basis, picard_iters, with_gamma=False, observe=observe)
 
 
 def backward_solve_2bsde(
@@ -477,15 +527,19 @@ def backward_solve_2bsde(
     batch: PathBatch,
     basis: regress.BasisSpec,
     picard_iters: int = 2,
+    observe: Optional[Callable] = None,
 ) -> BackwardSolution:
     """Solve a fully non-linear problem backward along a simulated batch.
 
     The returned solution carries the full ``Gamma`` block, symmetric at
-    every node by construction.  Raises NonFinite when the transformed
-    driver is non-finite where probed, SingularSigma (with the offending
-    path and step) when the diffusion matrix cannot be inverted along the
-    paths, and propagates RegressionFailure/NonFinite from the per-step
-    estimates.
+    every node by construction.  ``observe(n, y, z, gamma)``, when given,
+    sees each node's columns as the sweep builds them (n = N down to 0)
+    instead, and the solution's ``Y``, ``Z`` and ``Gamma`` are None.
+
+    Raises NonFinite when the transformed driver is non-finite where
+    probed, SingularSigma (with the offending path and step) when the
+    diffusion matrix cannot be inverted along the paths, and propagates
+    RegressionFailure/NonFinite from the per-step estimates.
     """
     screen_driver(spec, gamma_free=False)
-    return _sweep(spec, batch, basis, picard_iters, with_gamma=True)
+    return _sweep(spec, batch, basis, picard_iters, with_gamma=True, observe=observe)

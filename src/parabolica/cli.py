@@ -22,10 +22,10 @@ writes its artifacts into ``--out``:
   config sets ``dump_paths``.
 
 Exit codes: 0 success, 1 validation failure (bad invocation, unreadable
-config, a config key its typed reader in ``_CONFIG`` refuses, inconsistent
-problem definition), 2 numeric failure (non-finite values, singular
-diffusion, failed regression, unstable finite-difference grid), 3 verify
-run with a failing check.
+config, a config key or ``--seed``/``--threads`` value its typed reader
+in ``_CONFIG_KEYS`` refuses, inconsistent problem definition), 2 numeric
+failure (non-finite values, singular diffusion, failed regression,
+unstable finite-difference grid), 3 verify run with a failing check.
 Every failure prints one machine-parseable line on stderr:
 ``parabolica: exit=<code> error=<ExceptionName> detail=<message>``.
 
@@ -114,7 +114,7 @@ _VERIFY = _object({
     "ratio_min": model.number(0.0, strict=True),
 }, "verify")
 
-_CONFIG = _object({
+_CONFIG_KEYS = {
     "problem": model.reader(lambda v: isinstance(v, (str, dict)),
                             "a catalog name or an inline problem object"),
     "scheme": model.choice(*_SCHEMES),
@@ -128,7 +128,8 @@ _CONFIG = _object({
     "threads": model.integer(1, 1024),
     "dump_paths": model.flag,
     "verify": _VERIFY,
-}, "config")
+}
+_CONFIG = _object(_CONFIG_KEYS, "config")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -158,6 +159,10 @@ class RunConfig:
                   seed: Optional[int] = None, threads: Optional[int] = None) -> "RunConfig":
         """Build a config from a JSON object, applying CLI overrides."""
         got = _CONFIG(obj)
+        # The --seed and --threads flags pass the readers of the keys they replace.
+        for key, flag in (("seed", seed), ("threads", threads)):
+            if flag is not None:
+                got[key] = model.read_key({key: flag}, key, _CONFIG_KEYS[key], "config")
         problem = model.read_key(got, "problem", where="config")
         declared = got.get("scheme")
         if scheme is None:
@@ -174,21 +179,17 @@ class RunConfig:
         if scheme != "verify" and (N is None or J is None):
             raise ConfigError("N and J are required for every scheme except verify")
 
-        threads = got.get("threads") if threads is None else threads
-        if threads is not None and threads < 1:
-            raise ConfigError("thread count must be at least 1")
-
         return cls(
             problem=problem,
             scheme=scheme,
             N=N,
             J=J,
-            seed=int(seed) if seed is not None else got.get("seed", 0),
+            seed=got.get("seed", 0),
             t0=float(got.get("t0", 0.0)),
             x0=tuple(float(v) for v in got["x0"]) if "x0" in got else None,
             basis=BasisSpec(**got.get("basis", {})),
             picard_iters=got.get("picard_iters", 2),
-            threads=threads,
+            threads=got.get("threads"),
             dump_paths=got.get("dump_paths", False),
             verify_options=got.get("verify", {}),
         )
@@ -248,10 +249,12 @@ def _fmt(v) -> str:
 class _StepRows:
     """``steps.csv`` built one node at a time.
 
-    Each call ``rows(n, y, z, gamma)`` appends node n's row from that
+    Each call ``rows(n, y, z, gamma)`` forms node n's row from that
     node's (J,) values ``y`` and, when the run estimates them, its (J, d)
     ``z`` and (J, d, d) ``gamma``; ``with_z`` and ``with_gamma`` fix the
-    header before the first row.
+    header before the first row.  Rows are kept by node and written in
+    node order, so the linear stream (nodes 0..N) and the backward sweep
+    (N..0) both feed it.
     """
 
     def __init__(self, spec, batch, with_z: bool = False, with_gamma: bool = False):
@@ -265,7 +268,8 @@ class _StepRows:
             header += [f"mean_Z_{k}" for k in range(d)]
         if with_gamma:
             header += [f"mean_Gamma_{a}{b}" for a in range(d) for b in range(d)]
-        self._lines = [",".join(header)]
+        self._header = ",".join(header)
+        self._rows = {}
 
     def __call__(self, n: int, y, z=None, gamma=None) -> None:
         d = self._batch.dim
@@ -278,10 +282,11 @@ class _StepRows:
             row += [_fmt(z[:, k].mean()) for k in range(d)]
         if gamma is not None:
             row += [_fmt(gamma[:, a, b].mean()) for a in range(d) for b in range(d)]
-        self._lines.append(",".join(row))
+        self._rows[n] = ",".join(row)
 
     def csv(self) -> bytes:
-        return ("\n".join(self._lines) + "\n").encode("utf-8")
+        lines = [self._header] + [self._rows[n] for n in sorted(self._rows)]
+        return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _controls_csv(grid, control_means) -> bytes:
@@ -299,16 +304,17 @@ def _array_bytes(config: RunConfig, spec) -> int:
     """Bytes of the arrays a run holds at once, from J, N, d and the scheme.
 
     The path batch (X, dW, stop_index), its encoded copy when ``paths.bin``
-    is written, the backward Y/Z/Gamma histories and, for hjb, the (G, J)
-    node terms of the control grid's G points.  The linear pass streams
-    its remainders, so it adds no (J, N+1) term.
+    is written, the two (Y, Z, Gamma) node columns the backward sweep
+    holds at once and, for hjb, the (G, J) node terms of the control
+    grid's G points.  Both the linear pass and the backward sweep stream
+    their nodes, so neither adds a (J, N+1) term.
     """
     J, N, d = config.J, config.N, spec.dim
     batch = 8 * (J * (N + 1) * d + J * N * d + J)
     total = batch * (2 if config.dump_paths or config.scheme == "simulate" else 1)
     if config.scheme in ("semilinear", "full_2bsde", "hjb"):
         second = d * d if config.scheme != "semilinear" else 0
-        total += 8 * J * (N + 1) * (1 + d + second)
+        total += 2 * 8 * J * (1 + d + second)
     if config.scheme == "hjb":
         total += 4 * spec.control.resolution ** spec.control.control_dim * J * 8
     return total
@@ -361,12 +367,12 @@ def _execute(config: RunConfig):
         pathwise_remainders(coeffs, batch, rows, config.threads)
         artifacts["steps.csv"] = rows.csv()
     else:  # semilinear, full_2bsde or hjb; Gamma is None for semilinear
-        solve = backward_solve_semilinear if config.scheme == "semilinear" else backward_solve_2bsde
-        sol = solve(spec, batch, config.basis, config.picard_iters)
+        semilinear = config.scheme == "semilinear"
+        solve = backward_solve_semilinear if semilinear else backward_solve_2bsde
+        # The sweep streams each node's columns into the rows; no history is kept.
+        rows = _StepRows(spec, batch, with_z=True, with_gamma=not semilinear)
+        sol = solve(spec, batch, config.basis, config.picard_iters, observe=rows)
         est = sol.root_value
-        rows = _StepRows(spec, batch, with_z=True, with_gamma=sol.Gamma is not None)
-        for n in range(grid.N + 1):
-            rows(n, sol.Y[:, n], sol.Z[:, n], None if sol.Gamma is None else sol.Gamma[:, n])
         artifacts["steps.csv"] = rows.csv()
         diagnostics = sol.diagnostics
         if diagnostics["terminal_gradient_fd"]:

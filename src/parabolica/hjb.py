@@ -197,10 +197,12 @@ def extract_control(cp: ControlProblem, solution, batch) -> np.ndarray:
     attains the generator's value exactly.  For paths already stopped
     at a node the frozen state estimates are used as-is.  The backward
     sweep records the per-node means of this control itself
-    (``BackwardSolution.control_means``).
+    (``BackwardSolution.control_means``), also when it was given an
+    observer and so kept no histories to extract from.
     """
     if getattr(solution, "Gamma", None) is None:
-        raise MissingGamma("control extraction needs second-order estimates")
+        raise MissingGamma("control extraction needs the Gamma history of a 2BSDE solve "
+                           "made without an observer")
     times = batch.grid.times
     X, Y, Z, Gam = batch.X, solution.Y, solution.Z, solution.Gamma
     J, steps = Y.shape

@@ -249,7 +249,9 @@ def fit(states, targets, basis: BasisSpec) -> RegressionFit:
             raise RegressionFailure("design was built for another basis")
     else:
         dsg = design(states, basis)
-    y = np.asarray(targets, dtype=np.float64)
+    # Contiguous, so q'y takes one matmul kernel whatever the target's
+    # layout: a strided column fits to the bits of its contiguous copy.
+    y = np.ascontiguousarray(targets, dtype=np.float64)
     squeeze = y.ndim == 1
     if squeeze:
         y = y[:, None]

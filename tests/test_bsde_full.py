@@ -2,8 +2,8 @@
 
 import dataclasses
 import math
-
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,8 +287,10 @@ class TestControlExtraction:
         spec = model.catalog_get("heat")
         batch = _simulate(spec, 4, 500, 0)
         semi = backward_solve_semilinear(spec, batch, BASIS2)
-        with pytest.raises(MissingGamma):
-            hjb.extract_control(hjb.uncertain_volatility_control(), semi, batch)
+        observed = backward_solve_2bsde(spec, batch, BASIS2, observe=lambda *node: None)
+        for sol in (semi, observed):
+            with pytest.raises(MissingGamma):
+                hjb.extract_control(hjb.uncertain_volatility_control(), sol, batch)
 
 
 class TestFailureModes:
@@ -544,3 +546,91 @@ class TestStoppedPaths:
             assert not sol.Z[j, s:12].any() and not sol.Gamma[j, s:12].any()
         assert np.isfinite(sol.Y).all() and np.isfinite(sol.Z).all()
         assert [f["alive"] for f in sol.fits] == [int((stop > k).sum()) for k in range(12)]
+
+
+class _Columns:
+    """Observer that keeps copies of the columns it is shown, by node."""
+
+    def __init__(self):
+        self.nodes, self.y, self.z, self.gamma = [], {}, {}, {}
+
+    def __call__(self, n, y, z, gamma):
+        self.nodes.append(n)
+        self.y[n], self.z[n] = y.copy(), z.copy()
+        self.gamma[n] = None if gamma is None else gamma.copy()
+
+    def stacked(self, columns):
+        return np.stack([columns[n] for n in sorted(columns)], axis=1)
+
+
+class TestStream:
+    """The sweep hands each node's columns to an observer and keeps none."""
+
+    @pytest.mark.parametrize("solve", [backward_solve_2bsde, backward_solve_semilinear])
+    def test_observer_sees_every_node_once_from_the_terminal_one(self, solve):
+        spec = _correlated_spec(_constant_sigma)  # its driver is Gamma-free after the transform
+        N, J = 5, 300
+        seen = []
+
+        def observe(n, y, z, gamma):
+            seen.append(n)
+            assert y.shape == (J,) and z.shape == (J, 2)
+            assert y.flags.c_contiguous and z.flags.c_contiguous
+            if solve is backward_solve_semilinear:
+                assert gamma is None
+            else:
+                assert gamma.shape == (J, 2, 2) and gamma.flags.c_contiguous
+
+        sol = solve(spec, _simulate(spec, N, J, 3), BASIS2, observe=observe)
+        assert seen == list(range(N, -1, -1))
+        assert sol.Y is None and sol.Z is None and sol.Gamma is None
+
+    @pytest.mark.parametrize("case", ["hjb_uncertain_vol", "domain_control", "boundary_heat"])
+    def test_history_is_the_observed_columns(self, case):
+        if case == "domain_control":
+            # Most paths leave the narrow box within a few steps, so late
+            # nodes fit on every path (fewer alive than basis functions) or
+            # have none alive.
+            spec = dataclasses.replace(TestNodeHamiltonians._domain_control_spec(),
+                                       domain=model.Box(np.array([0.9]), np.array([1.1])))
+            N, J, solve = 12, 60, backward_solve_2bsde
+        elif case == "boundary_heat":
+            spec, N, J, solve = model.catalog_get(case), 16, 4000, backward_solve_semilinear
+        else:
+            spec, N, J, solve = model.catalog_get(case), 16, 3000, backward_solve_2bsde
+        batch = _simulate(spec, N, J, 8)
+        kept = solve(spec, batch, BASIS2)
+        columns = _Columns()
+        streamed = solve(spec, batch, BASIS2, observe=columns)
+        if case == "domain_control":
+            alive = [f["alive"] for f in kept.fits]
+            p = regress.basis_size(BASIS2, 1)
+            assert any(0 < a < p for a in alive) and 0 in alive  # fallback fits, none alive
+        if case == "boundary_heat":
+            assert 0 < np.count_nonzero(batch.stop_index < N) < J
+
+        assert sorted(columns.nodes) == list(range(N + 1))
+        np.testing.assert_array_equal(kept.Y, columns.stacked(columns.y))
+        np.testing.assert_array_equal(kept.Z, columns.stacked(columns.z))
+        if solve is backward_solve_2bsde:
+            np.testing.assert_array_equal(kept.Gamma, columns.stacked(columns.gamma))
+            np.testing.assert_array_equal(kept.control_means, streamed.control_means)
+        else:
+            assert kept.Gamma is None and set(columns.gamma.values()) == {None}
+        assert kept.root_value == streamed.root_value
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        spec = model.catalog_get("heat")
+        peaks = {}
+        for N in (16, 128):
+            batch = _simulate(spec, N, 20_000, 7)
+            means = []
+            tracemalloc.start()
+            try:
+                backward_solve_2bsde(spec, batch, BASIS2,
+                                     observe=lambda n, y, z, gamma: means.append(y.mean()))
+                peaks[N] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(means) == N + 1
+        assert peaks[128] <= 1.5 * peaks[16]

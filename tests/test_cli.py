@@ -230,6 +230,22 @@ class TestDeterminism:
             blobs[threads] = (tmp_path / out / "steps.csv").read_bytes()
         assert blobs[1] == blobs[2] == blobs[8]
 
+    @pytest.mark.parametrize("command, problem", [("solve-2bsde", "bsb_uncertain_vol"),
+                                                  ("solve-hjb", "hjb_uncertain_vol")])
+    def test_thread_count_cannot_change_the_backward_stream(self, tmp_path, command, problem):
+        cfg = {"problem": problem, "J": 3001, "N": 16, "seed": 6}
+        blobs = {}
+        for threads in (1, 2, 8):
+            out = f"t{threads}"
+            assert _run(tmp_path, command, cfg, out=out, threads=threads) == 0
+            summary = _summary(tmp_path, out)
+            summary.pop("environment")
+            blobs[threads] = [summary] + [(tmp_path / out / name).read_bytes()
+                                          for name in ("steps.csv", "controls.csv")
+                                          if (tmp_path / out / name).exists()]
+        assert len(blobs[1]) == (3 if command == "solve-hjb" else 2)
+        assert blobs[1] == blobs[2] == blobs[8]
+
     def test_threads_env_var_is_a_fallback(self, tmp_path, monkeypatch):
         assert _run(tmp_path, "solve-linear", HEAT_LINEAR, out="plain") == 0
         monkeypatch.setenv("PARABOLICA_THREADS", "4")
@@ -608,6 +624,21 @@ class TestExitCodes:
                               "needs 16000160000000 bytes")
 
 
+class TestMemoryEstimate:
+    def test_a_backward_estimate_grows_with_the_grid_by_the_batch_only(self):
+        spec = model.catalog_get("bsb_uncertain_vol")
+        J, d = 1000, spec.dim
+
+        def estimate(N):
+            cfg = {"problem": "bsb_uncertain_vol", "scheme": "full_2bsde", "J": J, "N": N}
+            return cli._array_bytes(cli.RunConfig.from_dict(cfg), spec)
+
+        # One more step adds a row of X and one of dW, and nothing else.
+        assert estimate(65) - estimate(64) == 8 * (J * d + J * d)
+        batch = 8 * (J * 65 * d + J * 64 * d + J)
+        assert estimate(64) == batch + 2 * 8 * J * (1 + d + d * d)
+
+
 class TestOverrides:
     def test_seed_flag_overrides_and_is_echoed(self, tmp_path):
         assert _run(tmp_path, "solve-linear", HEAT_LINEAR, out="s1") == 0
@@ -616,6 +647,22 @@ class TestOverrides:
         assert s1["config"]["seed"] == 1
         assert s7["config"]["seed"] == 7
         assert s1["value"] != s7["value"]
+
+    @pytest.mark.parametrize("flag, value, key", [("seed", -1, "seed"),
+                                                  ("threads", 1025, "threads"),
+                                                  ("threads", 0, "threads")])
+    def test_flags_pass_the_readers_of_their_keys(self, tmp_path, capsys, monkeypatch,
+                                                  flag, value, key):
+        def never(*args, **kwargs):
+            raise AssertionError("no thread pool may start")
+
+        monkeypatch.setattr(paths, "ThreadPoolExecutor", never)
+        monkeypatch.setattr(cli, "euler_simulate", never)
+        assert _run(tmp_path, "solve-linear", HEAT_LINEAR, **{flag: value}) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"parabolica: exit=1 error=ConfigError detail=config key '{key}' ")
+        assert not (tmp_path / "out").exists()
 
     def test_seed_defaults_to_zero(self, tmp_path):
         cfg = {"problem": "heat", "scheme": "linear", "J": 10, "N": 4}

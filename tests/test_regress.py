@@ -131,6 +131,21 @@ class TestInvariants:
                                        atol=1e-12)
         assert predict(reg, x).shape == (60, 3)
 
+    def test_a_strided_column_fits_to_the_bits_of_its_copy(self):
+        # A column of a (J, N+1) history is strided; the fit must not see it.
+        rng = np.random.default_rng(11)
+        J = 20_000
+        x = rng.normal(size=(J, 1))
+        history = rng.normal(size=(J, 65)) + x
+        column = history[:, 7]
+        assert not column.flags.c_contiguous
+        dsg = design(x, BasisSpec(degree=2))
+        strided = fit(dsg, column, BasisSpec(degree=2))
+        copied = fit(dsg, column.copy(), BasisSpec(degree=2))
+        assert strided.coefficients.shape == (3,)
+        np.testing.assert_array_equal(strided.coefficients, copied.coefficients)
+        assert strided.residual_rms == copied.residual_rms
+
     def test_condition_estimate_sane(self):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(100, 1))
