@@ -99,6 +99,15 @@ class ExprAst:
     k: int = 0
 
 
+# Bounds that keep parsing and every walk of the tree (evaluation, the
+# printer, and the nodes' equality, hash and repr, at up to three frames a
+# level) well inside Python's recursion limit: operands nested in
+# brackets, calls, unary minus or exponents (each level costs the parser up
+# to six frames), and levels of the finished tree, which left-associative
+# chains such as long sums deepen without nesting.
+_MAX_NESTING = 100
+_MAX_DEPTH = 200
+
 _UNARY_FUNCS = ("sin", "cos", "exp", "log", "sqrt", "abs")
 _BINARY_FUNCS = ("min", "max")
 _SCALAR_VARS = ("t", "y")
@@ -144,6 +153,7 @@ class _Parser:
         self.i = 0
         self.d = d
         self.k = k
+        self.nesting = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -178,11 +188,17 @@ class _Parser:
 
     # unary := '-' unary | power
     def parse_unary(self) -> Node:
-        kind, text, _ = self.peek()
+        kind, text, pos = self.peek()
+        if self.nesting == _MAX_NESTING:
+            raise ExprSyntaxError(f"operands nest more than {_MAX_NESTING} levels deep", pos)
+        self.nesting += 1
         if kind == "op" and text == "-":
             self.advance()
-            return Unary("neg", self.parse_unary())
-        return self.parse_power()
+            node = Unary("neg", self.parse_unary())
+        else:
+            node = self.parse_power()
+        self.nesting -= 1
+        return node
 
     # power := atom ('^' unary)?      (right associative, binds above unary minus)
     def parse_power(self) -> Node:
@@ -257,8 +273,9 @@ def parse(source: str, d: int, k: int = 0) -> ExprAst:
 
     ``d`` is the state dimension (bounds ``x``, ``z`` and both gamma
     indices) and ``k`` the control dimension (bounds ``u``).  Raises
-    :class:`ExprSyntaxError` with the character position on bad syntax,
-    :class:`IndexOutOfRange` on an index past the declared dimension.
+    :class:`ExprSyntaxError` with the character position on bad syntax or
+    past the nesting and depth bounds, :class:`IndexOutOfRange` on an
+    index past the declared dimension.
     """
     if d < 1:
         raise ExprSyntaxError("state dimension must be at least 1", 0)
@@ -267,7 +284,22 @@ def parse(source: str, d: int, k: int = 0) -> ExprAst:
     kind, text, pos = p.peek()
     if kind != "end":
         raise ExprSyntaxError(f"unexpected trailing input {text!r}", pos)
+    if _depth(root) > _MAX_DEPTH:
+        raise ExprSyntaxError(f"the expression tree is more than {_MAX_DEPTH} levels deep", 0)
     return ExprAst(root, d, k)
+
+
+def _depth(root: Node) -> int:
+    """Levels of the tree under ``root``, counted without recursion."""
+    deepest, todo = 0, [(root, 1)]
+    while todo:
+        node, level = todo.pop()
+        deepest = max(deepest, level)
+        if isinstance(node, Unary):
+            todo.append((node.operand, level + 1))
+        elif isinstance(node, Binary):
+            todo += [(node.left, level + 1), (node.right, level + 1)]
+    return deepest
 
 
 # --------------------------------------------------------------------------
@@ -396,10 +428,12 @@ def coefficient(source, d: int, args: tuple[str, ...], rank: int, what: str, k: 
             return [leaves(s, depth - 1) for s in src]
         if isinstance(src, bool) or not isinstance(src, (str, int, float)):
             raise ConfigError(f"{what} must be {shape}, got {src!r}")
+        text = str(src)
         try:
-            ast = parse(str(src), d, k)
+            ast = parse(text, d, k)
         except ExprSyntaxError as exc:
-            exc.args = (f"{what} {str(src)!r}: {exc.args[0]}",)
+            shown = text if len(text) <= 80 else text[:77] + "..."
+            exc.args = (f"{what} {shown!r}: {exc.args[0]}",)
             raise
         stray = _names(ast.root) - set(args)
         if stray:
@@ -451,6 +485,8 @@ def pretty(ast: ExprAst) -> str:
     """Render the tree to text that re-parses to the identical tree.
 
     Output is fully parenthesised, so ``parse(pretty(parse(s)))`` equals
-    ``parse(s)`` for every accepted source ``s``.
+    ``parse(s)`` for every accepted source ``s`` whose tree is at most 50
+    levels deep; a deeper tree can print more nested brackets than
+    :func:`parse` accepts.
     """
     return _render(ast.root)

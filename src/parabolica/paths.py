@@ -7,6 +7,15 @@ splitmix64-style finalizer, mapping the state to a uniform in (0,1),
 and applying the inverse normal CDF.  Because nothing is sequential,
 the output is bit-identical however the work is chunked or threaded,
 and path block [0, J') of a larger batch equals the smaller batch.
+Threads split the path axis; each hashes its paths in sub-blocks of
+``_SUB_BLOCK`` draws, so its transient memory stays a few MB.
+
+Every consumer reads the batch one node at a time, so ``X`` and ``dW``
+are stored node-major, as (N+1, J, d) and (N, J, d) arrays, and exposed
+as their (J, N+1, d) and (J, N, d) transposed views: ``X[:, n]`` and
+``dW[:, n]`` are contiguous (J, d) blocks.  A batch read back by
+:func:`load_batch` is a path-major view of the file instead; it holds
+the same values and is only slower to walk.
 
 States evolve by the explicit Euler step
 ``X_{n+1} = X_n + mu(X_n) dt + sigma(X_n) dW_n``.  When the problem has
@@ -50,6 +59,10 @@ _FOLD_SEED = _U(0x9E3779B185EBCA87)
 _FOLD_PATH = _U(0xC2B2AE3D27D4EB4F)
 _FOLD_STEP = _U(0x165667B19E3779F9)
 _FOLD_COMP = _U(0xD6E8FEB86659FD93)
+# Draws hashed per sub-block: its uint64 state and hashing temporaries
+# (512 KB each) stay in a core's L2 cache, and they are all the transient
+# memory a thread needs.  No bit depends on this size.
+_SUB_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -80,8 +93,8 @@ class TimeGrid:
 class PathBatch:
     grid: TimeGrid
     J: int
-    dW: np.ndarray          # (J, N, d)
-    X: np.ndarray           # (J, N+1, d)
+    dW: np.ndarray          # (J, N, d) view of node-major (N, J, d) storage
+    X: np.ndarray           # (J, N+1, d) view of node-major (N+1, J, d) storage
     stop_index: np.ndarray  # (J,) first node outside the domain, N if none
     domain: Optional[Box] = None
 
@@ -91,8 +104,8 @@ class PathBatch:
 
 
 def _finalize(h: np.ndarray) -> np.ndarray:
-    # splitmix64 output mixing; uint64 array arithmetic wraps mod 2^64.
-    h = h.copy()
+    """splitmix64 output mixing of ``h`` in place; mutates and returns ``h``."""
+    # uint64 array arithmetic wraps mod 2^64.
     h ^= h >> _U(30)
     h *= _MIX1
     h ^= h >> _U(27)
@@ -101,27 +114,31 @@ def _finalize(h: np.ndarray) -> np.ndarray:
     return h
 
 
-def _normal_block(seed: int, j0: int, count: int, N: int, d: int, scale: float) -> np.ndarray:
-    """N(0, scale^2) draws for paths [j0, j0+count), all steps/components."""
+def _normal_block(out: np.ndarray, seed: int, j0: int, scale: float) -> None:
+    """Fill ``out`` (N, count, d) with the N(0, scale^2) draws of paths [j0, j0+count)."""
+    N, count, d = out.shape
     with np.errstate(over="ignore"):
         h_seed = _finalize(np.array([seed % 2**64], dtype=np.uint64) * _FOLD_SEED)
         j = (np.arange(j0, j0 + count, dtype=np.uint64) + _U(1)) * _FOLD_PATH
-        h = _finalize(h_seed[0] ^ j)[:, None, None]
+        h = _finalize(j ^ h_seed[0])
         n = (np.arange(N, dtype=np.uint64) + _U(1)) * _FOLD_STEP
-        h = _finalize(h ^ n[None, :, None])
+        h = _finalize(n[:, None, None] ^ h[None, :, None])
         i = (np.arange(d, dtype=np.uint64) + _U(1)) * _FOLD_COMP
-        h = _finalize(h ^ i[None, None, :])
+        h = _finalize(h ^ i)
     # top 53 bits -> uniform strictly inside (0, 1), so ndtri stays finite
-    u = ((h >> _U(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u) * scale
+    h >>= _U(11)
+    np.add(h, 0.5, out=out)
+    out *= 2.0**-53
+    ndtri(out, out=out)
+    out *= scale
 
 
-def _fill_block(out: np.ndarray, seed: int, j0: int, j1: int, N: int, d: int, scale: float):
-    # bound transient memory: ~2^22 hashed entries per sub-block
-    step = max(1, (1 << 22) // max(1, N * d))
+def _fill_block(store: np.ndarray, seed: int, j0: int, j1: int, scale: float):
+    """Draw paths [j0, j1) of the node-major ``store`` (N, J, d), one sub-block at a time."""
+    N, _, d = store.shape
+    step = max(1, _SUB_BLOCK // (N * d))
     for a in range(j0, j1, step):
-        b = min(a + step, j1)
-        out[a:b] = _normal_block(seed, a, b - a, N, d, scale)
+        _normal_block(store[:, a:min(a + step, j1)], seed, a, scale)
 
 
 def resolve_threads(threads: Optional[int] = None) -> int:
@@ -139,6 +156,7 @@ def brownian_increments(
 ) -> np.ndarray:
     """Brownian increments of shape (J, N, d) with variance grid.dt.
 
+    The result is the transposed view of a node-major (N, J, d) array.
     Deterministic in (grid, J, d, seed): thread count and chunking do
     not change a single bit, and the first J' paths coincide with a
     J'-path call.
@@ -147,21 +165,21 @@ def brownian_increments(
         raise ConfigError("J and d must be at least 1")
     threads = resolve_threads(threads)
     N = grid.N
-    out = np.empty((J, N, d))
+    store = np.empty((N, J, d))
     scale = float(np.sqrt(grid.dt))
     if threads == 1 or J < 2 * threads:
-        _fill_block(out, seed, 0, J, N, d, scale)
-        return out
+        _fill_block(store, seed, 0, J, scale)
+        return store.transpose(1, 0, 2)
     bounds = np.linspace(0, J, threads + 1).astype(int)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [
-            pool.submit(_fill_block, out, seed, int(a), int(b), N, d, scale)
+            pool.submit(_fill_block, store, seed, int(a), int(b), scale)
             for a, b in zip(bounds[:-1], bounds[1:])
             if b > a
         ]
         for fut in futures:
             fut.result()
-    return out
+    return store.transpose(1, 0, 2)
 
 
 def euler_simulate(
@@ -187,7 +205,7 @@ def euler_simulate(
         raise NonFinite("x0 must be finite")
     d, N, dt = spec.dim, grid.N, grid.dt
     dW = brownian_increments(grid, J, d, seed, threads)
-    X = np.empty((J, N + 1, d))
+    X = np.empty((N + 1, J, d)).transpose(1, 0, 2)
     X[:, 0] = x0
     stop = np.full(J, N, dtype=np.int64)
     domain = spec.domain
@@ -244,8 +262,11 @@ def encode_batch(batch: PathBatch) -> bytes:
 
     times (N+1,), X (J, N+1, d), dW (J, N, d), stop_index (J,), in that
     order.  Raw records rather than an archive because zip headers embed
-    timestamps, which would break byte-identical reruns.  The domain is not
-    serialized; a reloaded batch keeps stop_index but reports no domain.
+    timestamps, which would break byte-identical reruns.  Each record is
+    written C-ordered: at d = 1 the node-major X and dW views are
+    F-contiguous, and ``np.save`` would otherwise write a Fortran-order
+    record that :func:`load_batch` refuses.  The domain is not serialized;
+    a reloaded batch keeps stop_index but reports no domain.
     """
     buf = io.BytesIO()
     for arr in (batch.grid.times, batch.X, batch.dW, batch.stop_index):

@@ -610,6 +610,29 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert err.startswith("parabolica: exit=1 error=ExprSyntaxError detail=sigma 'x[0]+': ")
 
+    NEST_99 = "(" * 99 + "x[0]" + ")" * 99
+
+    @pytest.mark.parametrize("g", ["+".join(["x[0]"] * 200), NEST_99,
+                                   "+".join(["x[0]"] * 199) + "-" + NEST_99],
+                             ids=["sum-of-200", "99-brackets", "both"])
+    def test_an_expression_at_the_depth_bounds_runs(self, tmp_path, g):
+        cfg = {"problem": dict(self.INLINE, g=g), "scheme": "full_2bsde", "J": 10, "N": 2}
+        assert _run(tmp_path, "solve-2bsde", cfg) == 0
+
+    @pytest.mark.parametrize("g, detail", [
+        ("+".join(["x[0]"] * 1000), "the expression tree is more than 200 levels deep"),
+        ("(" * 300 + "x[0]" + ")" * 300, "operands nest more than 100 levels deep"),
+    ], ids=["sum-of-1000", "300-brackets"])
+    def test_an_expression_past_the_depth_bounds_is_one_syntax_error_line(
+            self, tmp_path, capsys, g, detail):
+        cfg = {"problem": dict(self.INLINE, g=g), "scheme": "full_2bsde", "J": 10, "N": 2}
+        assert _run(tmp_path, "solve-2bsde", cfg) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.count("parabolica: exit=1") == 1
+        assert err.startswith(f"parabolica: exit=1 error=ExprSyntaxError detail=g '{g[:77]}...': ")
+        assert detail in err
+
     def test_a_run_larger_than_memory_is_refused_before_simulating(self, tmp_path, capsys, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("euler_simulate must not run")

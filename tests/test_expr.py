@@ -89,6 +89,36 @@ class TestParsing:
         with pytest.raises(ExprSyntaxError):
             parse("min(1)", d=1)
 
+    NESTS = {
+        "brackets": (lambda k: "(" * k + "1" + ")" * k, 100),
+        "minus": (lambda k: "-" * k + "1", 100),
+        "exponents": (lambda k: "1^" * k + "1", 200),
+        "calls": (lambda k: "sin(" * k + "1" + ")" * k, 400),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(NESTS))
+    def test_operands_nest_at_most_100_levels(self, kind):
+        # The whole expression is the first level, so 99 wrappings parse.
+        nest, position = self.NESTS[kind]
+        assert np.isfinite(evaluate(parse(nest(99), d=1), EvalContext()))
+        with pytest.raises(ExprSyntaxError, match="nest more than 100 levels") as info:
+            parse(nest(100), d=1)
+        assert info.value.position == position
+
+    def test_the_tree_is_at_most_200_levels_deep(self):
+        source = "+".join(["x[0]"] * 200)
+        ast = parse(source, d=1)
+        assert ev(source, x=np.array([0.5])) == 100.0
+        # Every walk of the deepest tree stays inside the recursion limit.
+        assert ast == parse(source, d=1)
+        hash(ast.root)
+        assert repr(ast).count("Binary") == 199
+        assert pretty(ast).count("(") == 199
+        with pytest.raises(ExprSyntaxError, match="more than 200 levels deep"):
+            parse("+".join(["x[0]"] * 201), d=1)
+        with pytest.raises(ExprSyntaxError, match="more than 200 levels deep"):
+            parse("*".join(["(1+1)"] * 200), d=1)
+
 
 class TestEvaluation:
     def test_discount_factor(self):
@@ -294,6 +324,21 @@ def test_pretty_print_round_trips(root):
     assert reparsed.root == ast.root
     # And idempotent through a second cycle on parser-produced trees.
     assert parse(pretty(reparsed), d=3, k=0).root == reparsed.root
+
+
+@pytest.mark.parametrize("wrap", [lambda n: Unary("neg", n), lambda n: Binary("^", Var("y"), n)],
+                         ids=["minus", "exponent"])
+def test_round_trip_holds_for_trees_50_levels_deep(wrap):
+    # The printed form brackets every level, and these two spend two of
+    # the parser's 100 nesting levels per tree level.
+    from parabolica.expr import ExprAst
+
+    node = Var("t")
+    for _ in range(49):
+        node = wrap(node)
+    assert parse(pretty(ExprAst(node, d=1)), d=1).root == node
+    with pytest.raises(ExprSyntaxError, match="nest more than 100 levels"):
+        parse(pretty(ExprAst(wrap(node), d=1)), d=1)
 
 
 def test_round_trip_on_source_strings():

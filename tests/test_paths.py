@@ -1,10 +1,13 @@
 """Tests for increment generation, Euler simulation, and exit handling."""
 
+import hashlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from parabolica import paths
 from parabolica.errors import (
     ConfigError,
     DimensionMismatch,
@@ -105,6 +108,31 @@ class TestIncrements:
     def test_shape_validation(self):
         with pytest.raises(ConfigError):
             brownian_increments(TimeGrid(0.0, 1.0, 2), 0, 1, seed=0)
+
+    @pytest.mark.parametrize("sub_block", [1, 7, 1 << 22])
+    def test_sub_block_size_does_not_change_bits(self, monkeypatch, sub_block):
+        # At N = 3 a sub-block of 7 draws holds two paths at d = 1 and one
+        # at d = 3; 1 hashes path by path and 2^22 the whole batch at once.
+        grid = TimeGrid(0.0, 1.0, 3)
+        want = {d: brownian_increments(grid, 41, d, seed=21, threads=1) for d in (1, 3)}
+        monkeypatch.setattr(paths, "_SUB_BLOCK", sub_block)
+        for d in (1, 3):
+            for threads in (1, 3):
+                got = brownian_increments(grid, 41, d, seed=21, threads=threads)
+                np.testing.assert_array_equal(got, want[d])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_transient_memory_is_a_few_mb(self, threads):
+        # Hashing the 1.28e6 draws in one block would take about 30 MB of
+        # uint64 temporaries on top of the 10 MB output.
+        grid = TimeGrid(0.0, 1.0, 64)
+        tracemalloc.start()
+        try:
+            out = brownian_increments(grid, 20_000, 1, seed=3, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 4 * 2**20
 
 
 class TestEuler:
@@ -211,10 +239,56 @@ class TestStopping:
         assert 0.0 < stats["mean_stop_time"] < 1.0
 
 
+def layout_spec(d):
+    vol = np.array([[0.3, 0.1], [0.0, 0.2]])[:d, :d]
+    return ProblemSpec(
+        dim=d,
+        horizon=1.0,
+        mu=lambda x: np.full_like(x, 0.1),
+        sigma=lambda x: np.broadcast_to(vol, (len(x), d, d)),
+        f=lambda t, x, y, z, gamma: np.zeros(len(x)),
+        g=lambda x: x[:, 0],
+        domain=Box([-0.5] * d, [0.5] * d),
+    )
+
+
+class TestLayout:
+    # SHA-256 of encode_batch(layout batch) when X and dW were still stored
+    # path-major: the node-major storage must not move a byte of the dump.
+    DUMP_SHA256 = {
+        1: "212c92bee05d10bb54512b9731961c25b406ab8208f5aec0ad74b204c71cfe02",
+        2: "045c22eb4bfb486f5eac904a30d6ac21cd24818bce6472e388d229f17a52d44f",
+    }
+
+    @staticmethod
+    def _batch(d, threads=None):
+        return euler_simulate(layout_spec(d), TimeGrid(0.0, 1.0, 8), np.zeros(d), 257,
+                              seed=11, threads=threads)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_node_columns_are_contiguous(self, d):
+        batch = self._batch(d)
+        assert batch.X.shape == (257, 9, d) and batch.dW.shape == (257, 8, d)
+        for n in range(9):
+            assert batch.X[:, n].flags.c_contiguous
+        for n in range(8):
+            assert batch.dW[:, n].flags.c_contiguous
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_dump_bytes_are_pinned(self, d, threads):
+        batch = self._batch(d, threads)
+        assert 0 < np.mean(batch.stop_index < 8) < 1
+        assert hashlib.sha256(encode_batch(batch)).hexdigest() == self.DUMP_SHA256[d]
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         spec = catalog_get("boundary_heat")
         batch = euler_simulate(spec, TimeGrid(0.25, 1.0, 6), [0.5], 17, seed=99)
+        # At d = 1 the node-major X is F-contiguous, which np.save would
+        # record in Fortran order unless encode_batch writes it C-ordered.
+        assert batch.X.flags.f_contiguous and not batch.X.flags.c_contiguous
         fname = tmp_path / "batch.bin"
         fname.write_bytes(encode_batch(batch))
         loaded = load_batch(str(fname))
@@ -240,9 +314,11 @@ class TestSerialization:
 
     @staticmethod
     def _records(*arrays) -> bytes:
+        # C-ordered, as encode_batch writes them, so each case is refused
+        # for the defect it names and not for a Fortran-order header.
         buf = io.BytesIO()
         for arr in arrays:
-            np.save(buf, arr, allow_pickle=False)
+            np.save(buf, np.ascontiguousarray(arr), allow_pickle=False)
         return buf.getvalue()
 
     def test_rejects_records_that_do_not_fit_together(self, tmp_path):
@@ -268,7 +344,7 @@ class TestSerialization:
         stop = np.full(5, stop_value, dtype=np.int64)
         fname = tmp_path / "batch.bin"
         fname.write_bytes(self._records(batch.grid.times, batch.X, batch.dW, stop))
-        with pytest.raises(ConfigError, match="stop_index"):
+        with pytest.raises(ConfigError, match="a stop_index lies outside"):
             load_batch(str(fname))
 
     @pytest.mark.parametrize("shape", [(10**12,), (-1,), (-2, -4)])
