@@ -85,7 +85,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import hjb, regress
-from .errors import GammaDependence, NonFinite, SingularSigma
+from .errors import ConfigError, GammaDependence, NonFinite, SingularSigma
 from .linear_fk import Estimate
 from .model import ProblemSpec, as_points
 from .paths import PathBatch
@@ -141,15 +141,21 @@ def phi_transform(spec: ProblemSpec) -> Callable:
 
 
 def screen_driver(spec: ProblemSpec, gamma_free: bool) -> None:
-    """Reject a driver the backward sweep cannot run, before any path work.
+    """Reject a driver the backward sweep cannot run or the theory does not cover.
 
     Evaluates ``phi`` at eight random times in ``[0, T]``, each with a
-    random symmetric Hessian argument, on one draw of random states, so
+    random symmetric Hessian argument, on one draw of 16 random states, so
     ``sigma`` and ``mu`` run once.  A non-finite value raises NonFinite
     naming the driver and the time.  With ``gamma_free`` (the semi-linear
     solver) each time takes a second Hessian argument; a spread beyond
     1e-10 means the problem is genuinely second-order and raises
-    GammaDependence.
+    GammaDependence.  Otherwise (the 2BSDE order) each time evaluates
+    ``f`` once on the states stacked twice, at ``Gamma`` and at
+    ``Gamma + P`` with ``P`` a random positive semidefinite matrix: the
+    solution theory needs ``f`` non-increasing in its Hessian argument,
+    so a rise beyond ``1e-9 * (1 + max|f|)`` raises ConfigError naming
+    the driver, the time and the margin.  The probes are samples, so the
+    screen can only refute; Lipschitz dependence on ``y`` is not probed.
     """
     name = spec.name or "<anonymous>"
     samples, d = 16, spec.dim
@@ -162,16 +168,25 @@ def screen_driver(spec: ProblemSpec, gamma_free: bool) -> None:
     z = rng.standard_normal((samples, d))
     mu = np.asarray(spec.mu(x), dtype=np.float64)
     sig = np.asarray(spec.sigma(x), dtype=np.float64)
+    if not gamma_free:
+        x, y, z, mu, sig = (np.concatenate([a, a]) for a in (x, y, z, mu, sig))
 
-    def phi(t):
+    def symmetric():
         gamma = rng.standard_normal((samples, d, d))
-        gamma = 0.5 * (gamma + np.transpose(gamma, (0, 2, 1)))
+        return 0.5 * (gamma + np.transpose(gamma, (0, 2, 1)))
+
+    def phi(t, gamma):
         f_val = np.asarray(spec.f(t, x, y, z, gamma), dtype=np.float64)
         mu_z, half_trace = _ito_terms(mu, sig, z, gamma)
-        return (f_val + mu_z) + half_trace
+        return f_val, (f_val + mu_z) + half_trace
 
     for t in times:
-        values = [phi(t) for _ in range(2 if gamma_free else 1)]
+        if gamma_free:
+            values = [phi(t, symmetric())[1] for _ in range(2)]
+        else:
+            gamma = symmetric()
+            m = rng.standard_normal((samples, d, d))
+            f_val, values = phi(t, np.concatenate([gamma, gamma + m @ np.transpose(m, (0, 2, 1))]))
         if not np.all(np.isfinite(values)):
             raise NonFinite(
                 f"transformed driver of {name!r} is non-finite at sampled points (t={t:.6g})"
@@ -183,6 +198,14 @@ def screen_driver(spec: ProblemSpec, gamma_free: bool) -> None:
                     f"generator of {name!r} keeps second-order dependence "
                     f"after the transform (spread {gap:.2e}); "
                     "use the fully non-linear solver"
+                )
+        else:
+            at, above = f_val[:samples], f_val[samples:]
+            margin = float(np.min(at - above))
+            if margin < -1e-9 * (1.0 + float(np.max(np.abs(at)))):
+                raise ConfigError(
+                    f"driver of {name!r} increases in gamma at t={t:.3g} (margin {margin:.3g}); "
+                    "f must be non-increasing in its Hessian argument"
                 )
 
 
@@ -537,7 +560,8 @@ def backward_solve_2bsde(
     instead, and the solution's ``Y``, ``Z`` and ``Gamma`` are None.
 
     Raises NonFinite when the transformed driver is non-finite where
-    probed, SingularSigma (with the offending path and step) when the
+    probed, ConfigError when ``f`` increases in its Hessian argument
+    where probed, SingularSigma (with the offending path and step) when the
     diffusion matrix cannot be inverted along the paths, and propagates
     RegressionFailure/NonFinite from the per-step estimates.
     """

@@ -75,10 +75,6 @@ class MissingAnalyticV(ParabolicaError):
     """An operation requires a closed-form solution the problem lacks."""
 
 
-class DomainIsWholeSpace(ParabolicaError):
-    """Exit-time statistics were requested for an unstopped simulation."""
-
-
 class CflViolation(ParabolicaError):
     """An explicit finite-difference grid violates its stability bound."""
 

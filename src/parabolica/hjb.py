@@ -179,7 +179,7 @@ def hjb_generator(cp: ControlProblem) -> Callable:
 
     The returned callable follows the batched generator convention of
     :class:`~parabolica.model.ProblemSpec` and can be fed to any of the
-    backward solvers or to ``model.validate_assumptions``.
+    backward solvers.
     """
 
     def f(t, x, y, z, gamma):
@@ -253,17 +253,23 @@ def uncertain_volatility_control(
 def as_problem(cp: ControlProblem, base: ProblemSpec, name: Optional[str] = None) -> ProblemSpec:
     """``base`` with the generator assembled from ``cp``, which it carries as ``control``.
 
-    The discount rate must be nonpositive for the value function to be
-    well-posed; it is spot-checked at 8 times in [0, T], 64 states of the
-    problem's domain ([-5, 5]^d on the whole space) and every grid control.
+    The discount rate must be finite and nonpositive for the value
+    function to be well-posed; it is spot-checked at 8 times in [0, T],
+    64 states of the problem's domain ([-5, 5]^d on the whole space) and
+    every grid control, and a NaN or infinity there is refused as a
+    positive value is.
     """
     rng = np.random.default_rng(0)
     lo, hi = (base.domain.lower, base.domain.upper) if base.domain is not None else (-5.0, 5.0)
     xs = rng.uniform(lo, hi, size=(64, base.dim))
     ts = rng.uniform(0.0, base.horizon, size=8)
-    worst = max(float(np.max(cp.beta(float(t), xs, u))) for t in ts for u in cp.grid())
-    if worst > 1e-10:
-        raise ConfigError(f"beta must be <= 0; sampled value {worst:.3g}")
+    for t in ts:
+        for u in cp.grid():
+            beta = np.asarray(cp.beta(float(t), xs, u), dtype=np.float64)
+            bad = ~np.isfinite(beta) | (beta > 1e-10)
+            if np.any(bad):
+                raise ConfigError(f"beta must be <= 0 and finite; sampled value "
+                                  f"{beta[bad][0]:.3g} at t={t:.3g}")
     return dataclasses.replace(
         base,
         f=hjb_generator(cp),

@@ -1,4 +1,4 @@
-"""Problem specifications, the built-in problem catalog, and admissibility checks.
+"""Problem specifications, the built-in problem catalog, and inline problem readers.
 
 A :class:`ProblemSpec` packages the coefficients of a terminal-value
 problem
@@ -22,14 +22,6 @@ from (set only by ``hjb.as_problem``), which control extraction reads.
 ``analytic_v`` (when present) exposes the closed-form solution and its
 derivatives in the same batched convention and is what verification
 routines compare against.
-
-``validate_assumptions`` samples the coefficient functions and checks
-the structural conditions the solvers rely on: polynomial growth of the
-coefficients, generator and terminal condition; invertibility of the
-diffusion matrix; and monotone (parabolic) dependence of the generator
-on the Hessian argument - f may not increase when the Hessian argument
-grows in the positive-semidefinite order.  The checks are sampled, so
-they can only ever refute; a passing report is evidence, not proof.
 """
 
 from __future__ import annotations
@@ -47,8 +39,6 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     MissingAnalyticV,
-    NonFinite,
-    SingularSigma,
     UnknownProblem,
 )
 
@@ -57,12 +47,8 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Box",
-    "GrowthParams",
     "AnalyticSolution",
     "ProblemSpec",
-    "CheckResult",
-    "ValidationReport",
-    "validate_assumptions",
     "analytic_residual",
     "catalog_get",
     "catalog_names",
@@ -109,44 +95,6 @@ class Box:
         return np.all((x > self.lower) & (x < self.upper), axis=-1)
 
 
-@dataclass(frozen=True)
-class GrowthParams:
-    """Declared growth/regularity constants of a problem.
-
-    p1 bounds the coefficients (``|mu| + |sigma| <= L (1 + |x|^p1)``,
-    with p1 in [0, 1]); p2 the generator in state, gradient and Hessian
-    arguments with constant F (the generator is at most linear in y); p3
-    the terminal condition with constant G; p4 the solution derivatives
-    with constant m; p5 the Hessian's space-time Lipschitz growth.  The
-    aggregate exponent ``p`` is what accuracy statements scale with.
-    """
-
-    p1: float = 0.0
-    p2: float = 1.0
-    p3: float = 2.0
-    p4: float = 2.0
-    p5: float = 1.0
-    m: float = 3.0
-    L: float = 1.0
-    F: float = 1.0
-    G: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.p1 <= 1.0):
-            raise ConfigError("p1 must lie in [0, 1]")
-        for name in ("p2", "p3", "p4", "p5"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
-        for name in ("m", "L", "F", "G"):
-            if not (getattr(self, name) > 0):
-                raise ConfigError(f"{name} must be positive")
-
-    @property
-    def p(self) -> float:
-        """Aggregate growth exponent max(p2, p3, p2*p4, p4 + 2*p1)."""
-        return max(self.p2, self.p3, self.p2 * self.p4, self.p4 + 2.0 * self.p1)
-
-
 @dataclass(frozen=True, eq=False)
 class AnalyticSolution:
     """Closed-form solution surface with derivatives, batched like the spec."""
@@ -168,7 +116,6 @@ class ProblemSpec:
     dg: Optional[Callable] = None
     analytic_v: Optional[AnalyticSolution] = None
     domain: Optional[Box] = None          # None means the whole space
-    growth: Optional[GrowthParams] = None
     linear_parts: Optional[tuple[Callable, Callable]] = None  # (alpha, beta), each (t, x) -> (J,)
     control: Optional[ControlProblem] = None  # the control problem f was assembled from
     name: Optional[str] = None
@@ -188,152 +135,6 @@ class ProblemSpec:
         if x0.shape[0] != self.dim:
             raise DimensionMismatch("x0_default has the wrong length")
         object.__setattr__(self, "x0_default", x0)
-
-
-# ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    metric: float
-    threshold: Optional[float]
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __getitem__(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
-def _require_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NonFinite(f"{name} evaluated non-finite at a sampled point")
-
-
-def validate_assumptions(
-    spec: ProblemSpec,
-    params: Optional[GrowthParams] = None,
-    samples: int = 1000,
-    seed: int = 0,
-    box: Optional[tuple[float, float]] = None,
-    cond_cap: float = 1e8,
-) -> ValidationReport:
-    """Sample-test the structural assumptions of ``spec``.
-
-    Points are drawn uniformly from ``box`` (default ``[-5, 5]^d``, or
-    the problem's own domain when it has one); the report records the
-    empirical constant of each bound next to its declared threshold.
-    The Hessian-monotonicity check draws a random positive-semidefinite
-    perturbation per sample and requires the generator not to increase.
-    Deterministic for a fixed seed.
-    """
-    if params is None:
-        params = spec.growth if spec.growth is not None else GrowthParams()
-    d = spec.dim
-    rng = np.random.default_rng(seed)
-
-    if spec.domain is not None and box is None:
-        lo, hi = spec.domain.lower, spec.domain.upper
-    else:
-        half = 5.0 if box is None else float(box[1])
-        low = -5.0 if box is None else float(box[0])
-        lo, hi = np.full(d, low), np.full(d, half)
-    scale = max(1.0, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
-
-    X = rng.uniform(lo, hi, size=(samples, d))
-    Ts = rng.uniform(0.0, spec.horizon, size=samples)
-    Y = rng.uniform(-scale, scale, size=samples)
-    Z = rng.uniform(-scale, scale, size=(samples, d))
-    raw = rng.uniform(-scale, scale, size=(samples, d, d))
-    Gam = 0.5 * (raw + np.transpose(raw, (0, 2, 1)))
-    M = rng.standard_normal(size=(samples, d, d))
-    Beta = np.einsum("nab,ncb->nac", M, M)
-
-    mu_vals = spec.mu(X)
-    sig_vals = spec.sigma(X)
-    g_vals = spec.g(X)
-    _require_finite("mu", mu_vals)
-    _require_finite("sigma", sig_vals)
-    _require_finite("g", g_vals)
-
-    # Generator values; f is evaluated per sampled time (one batched call
-    # per distinct t would be ideal, but per-sample t keeps the sampling
-    # honest, so group evaluation by chunks of equal t is not attempted).
-    f_vals = np.empty(samples)
-    f_pert = np.empty(samples)
-    for i in range(samples):
-        xi = X[i : i + 1]
-        f_vals[i] = spec.f(float(Ts[i]), xi, Y[i : i + 1], Z[i : i + 1], Gam[i : i + 1])[0]
-        f_pert[i] = spec.f(float(Ts[i]), xi, Y[i : i + 1], Z[i : i + 1], (Gam[i] + Beta[i])[None])[0]
-    _require_finite("f", f_vals)
-    _require_finite("f", f_pert)
-
-    checks = []
-    checks.append(CheckResult("finite_coefficients", True, 0.0, None,
-                              "mu, sigma, f, g finite at all sampled points"))
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        conds = np.linalg.cond(sig_vals)
-    if not np.all(np.isfinite(conds)):
-        raise SingularSigma("sigma is exactly singular at a sampled point")
-    max_cond = float(np.max(conds))
-    checks.append(CheckResult("sigma_invertible", max_cond <= cond_cap, max_cond, cond_cap,
-                              "max condition number of sigma over samples"))
-
-    tol = 1e-9 * (1.0 + float(np.max(np.abs(f_vals))))
-    margins = f_vals - f_pert
-    min_margin = float(np.min(margins))
-    checks.append(CheckResult("monotone_in_gamma", min_margin >= -tol, min_margin, -tol,
-                              "min of f(gamma) - f(gamma + psd) over samples"))
-
-    xnorm = np.linalg.norm(X, axis=1)
-    munorm = np.linalg.norm(mu_vals, axis=1)
-    signorm = np.linalg.norm(sig_vals, ord=2, axis=(1, 2))
-    coeff_ratio = float(np.max((munorm + signorm) / (1.0 + xnorm ** params.p1)))
-    checks.append(CheckResult("growth_coefficients", coeff_ratio <= params.L * (1 + 1e-12),
-                              coeff_ratio, params.L,
-                              "max (|mu|+|sigma|) / (1+|x|^p1); threshold L"))
-
-    znorm = np.linalg.norm(Z, axis=1)
-    gamnorm = np.linalg.norm(Gam, ord=2, axis=(1, 2))
-    denom = 1.0 + xnorm ** params.p2 + np.abs(Y) + znorm ** params.p2 + gamnorm ** params.p2
-    f_ratio = float(np.max(np.abs(f_vals) / denom))
-    checks.append(CheckResult("growth_generator", f_ratio <= params.F * (1 + 1e-12),
-                              f_ratio, params.F,
-                              "max |f| / (1+|x|^p2+|y|+|z|^p2+|gamma|^p2); threshold F"))
-
-    g_ratio = float(np.max(np.abs(g_vals) / (1.0 + xnorm ** params.p3)))
-    checks.append(CheckResult("growth_terminal", g_ratio <= params.G * (1 + 1e-12),
-                              g_ratio, params.G,
-                              "max |g| / (1+|x|^p3); threshold G"))
-
-    # Empirical y-Lipschitz constant of the generator (reported, no
-    # declared bound: the schemes only need it finite on compacts).
-    Y2 = rng.uniform(-scale, scale, size=samples)
-    lip = 0.0
-    for i in range(samples):
-        dy = Y[i] - Y2[i]
-        if abs(dy) < 1e-12:
-            continue
-        fi = spec.f(float(Ts[i]), X[i : i + 1], Y2[i : i + 1], Z[i : i + 1], Gam[i : i + 1])[0]
-        lip = max(lip, abs((f_vals[i] - fi) / dy))
-    checks.append(CheckResult("lipschitz_in_y", math.isfinite(lip), lip, None,
-                              "empirical |f(y1)-f(y2)|/|y1-y2| over samples"))
-
-    return ValidationReport(tuple(checks))
 
 
 def analytic_residual(spec: ProblemSpec, t: float, x: np.ndarray) -> np.ndarray:
@@ -386,7 +187,6 @@ def _heat() -> ProblemSpec:
         g=lambda x: x[:, 0] ** 2,
         dg=lambda x: 2.0 * x,
         analytic_v=analytic(),
-        growth=GrowthParams(p1=0.0, p2=1.0, p3=2.0, p4=2.0, p5=1.0, m=3.0, L=1.0, F=0.5, G=1.0),
         linear_parts=(_const_rows(0.0), _const_rows(0.0)),
         name="heat",
         x0_default=np.array([0.0]),
@@ -422,7 +222,6 @@ def _discount_bond() -> ProblemSpec:
         g=lambda x: np.ones(len(x)),
         dg=lambda x: np.zeros_like(x),
         analytic_v=analytic(),
-        growth=GrowthParams(p1=0.0, p2=0.0, p3=0.0, p4=0.0, p5=0.0, m=1.0, L=1.0, F=0.1, G=1.0),
         linear_parts=(_const_rows(0.0), _const_rows(-r)),
         name="discount_bond",
         x0_default=np.array([1.0]),
@@ -462,7 +261,6 @@ def _gbm_linear() -> ProblemSpec:
         g=lambda x: x[:, 0] ** 2,
         dg=lambda x: 2.0 * x,
         analytic_v=analytic(),
-        growth=GrowthParams(p1=1.0, p2=4.0, p3=2.0, p4=2.0, p5=1.0, m=3.0, L=0.25, F=0.5, G=1.0),
         linear_parts=(_const_rows(0.0), _const_rows(-r)),
         name="gbm_linear",
         x0_default=np.array([1.0]),
@@ -497,7 +295,6 @@ def _semilinear_exp() -> ProblemSpec:
         g=lambda x: np.ones(len(x)),
         dg=lambda x: np.zeros_like(x),
         analytic_v=analytic(),
-        growth=GrowthParams(p1=0.0, p2=1.0, p3=0.0, p4=0.0, p5=0.0, m=3.0, L=1.0, F=1.0, G=1.0),
         name="semilinear_exp",
         x0_default=np.array([0.0]),
     )
@@ -537,7 +334,6 @@ def _bsb_uncertain_vol() -> ProblemSpec:
         g=lambda x: x[:, 0] ** 2,
         dg=lambda x: 2.0 * x,
         analytic_v=analytic(),
-        growth=GrowthParams(p1=1.0, p2=4.0, p3=2.0, p4=2.0, p5=1.0, m=3.0, L=0.15, F=0.5, G=1.0),
         name="bsb_uncertain_vol",
         x0_default=np.array([1.0]),
     )
@@ -580,7 +376,6 @@ def _boundary_heat() -> ProblemSpec:
         dg=lambda x: np.ones_like(x),
         analytic_v=analytic(),
         domain=Box(np.array([-1.0]), np.array([2.0])),
-        growth=GrowthParams(p1=0.0, p2=1.0, p3=1.0, p4=0.0, p5=0.0, m=2.0, L=1.0, F=0.5, G=1.0),
         linear_parts=(_const_rows(0.0), _const_rows(0.0)),
         name="boundary_heat",
         x0_default=np.array([0.5]),
@@ -709,7 +504,7 @@ def read_key(obj, key: str, convert=None, where: str = "problem", default=_REQUI
 
 
 _PROBLEM_KEYS = ("dim", "horizon", "mu", "sigma", "f", "g", "dg", "control", "domain",
-                 "linear", "growth", "x0", "name")
+                 "linear", "x0", "name")
 
 
 def problem_from_dict(obj: dict) -> ProblemSpec:
@@ -718,7 +513,7 @@ def problem_from_dict(obj: dict) -> ProblemSpec:
     Keys: ``dim``, ``horizon``, ``mu``, ``sigma``, ``g`` and ``f`` (or a
     ``control`` block, see :func:`~parabolica.hjb.control_problem_from_dict`);
     optional ``dg``, ``domain`` (``{"lower": [...], "upper": [...]}``),
-    ``linear`` (``{"alpha": ..., "beta": ...}``), ``growth`` and ``x0``.
+    ``linear`` (``{"alpha": ..., "beta": ...}``) and ``x0``.
     docs/expr-grammar.md tables each coefficient's variables and shape; a
     missing, unknown or malformed key, another variable or a wrong nesting
     or width raises ConfigError here, before anything is simulated.
@@ -762,9 +557,6 @@ def problem_from_dict(obj: dict) -> ProblemSpec:
         for key in ("alpha", "beta")
     )
 
-    growth = read_key(obj, "growth",
-                      lambda raw: GrowthParams(**{k: _finite(v) for k, v in raw.items()}),
-                      default=None)
     x0_default = read_key(obj, "x0", _floats, default=None)
 
     spec = ProblemSpec(
@@ -776,7 +568,6 @@ def problem_from_dict(obj: dict) -> ProblemSpec:
         g=g,
         dg=dg,
         domain=domain,
-        growth=growth,
         linear_parts=linear_parts,
         name=str(obj.get("name")) if obj.get("name") else None,
         x0_default=x0_default,

@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ConfigError, DimensionMismatch, DomainIsWholeSpace, NonFinite
+from .errors import ConfigError, DimensionMismatch, NonFinite
 from .model import Box, ProblemSpec
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "PathBatch",
     "brownian_increments",
     "euler_simulate",
-    "exit_time_stats",
     "encode_batch",
     "load_batch",
 ]
@@ -238,23 +237,6 @@ def euler_simulate(
             alive &= inside
 
     return PathBatch(grid=grid, J=J, dW=dW, X=X, stop_index=stop, domain=domain)
-
-
-def exit_time_stats(batch: PathBatch) -> dict:
-    """Fraction of paths stopped before the horizon and their mean stop time.
-
-    mean_stop_time is NaN when no path stopped.
-    """
-    if batch.domain is None:
-        raise DomainIsWholeSpace("exit statistics need a box-domain batch")
-    N = batch.grid.N
-    stopped = batch.stop_index < N
-    fraction = float(np.mean(stopped))
-    if stopped.any():
-        mean_stop = float(np.mean(batch.grid.t0 + batch.stop_index[stopped] * batch.grid.dt))
-    else:
-        mean_stop = float("nan")
-    return {"fraction_stopped": fraction, "mean_stop_time": mean_stop}
 
 
 def encode_batch(batch: PathBatch) -> bytes:

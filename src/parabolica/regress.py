@@ -9,9 +9,7 @@ on a per-dimension binning of the empirical bounding box.
 
 States are standardized (per-dimension shift/scale) before the
 polynomial design matrix is built, which keeps it well conditioned far
-from the origin; coefficients live in standardized coordinates and
-:func:`monomial_coefficients` maps them back when the raw-space
-polynomial is wanted.
+from the origin; coefficients live in standardized coordinates.
 
 :func:`design` builds the basis matrix of one set of states and factors
 it once by a thin QR; rank and condition come from the singular values
@@ -48,7 +46,6 @@ __all__ = [
     "fit",
     "predict",
     "basis_size",
-    "monomial_coefficients",
 ]
 
 _RANK_RETRY_RIDGE = 1e-8
@@ -316,34 +313,3 @@ def predict(reg: RegressionFit, states) -> np.ndarray:
     phi = _design(reg.basis, x, x_mean=reg.x_mean, x_scale=reg.x_scale,
                   box_min=reg.box_min, box_max=reg.box_max)
     return phi @ reg.coefficients
-
-
-def monomial_coefficients(reg: RegressionFit) -> np.ndarray:
-    """Polynomial coefficients in raw coordinates, graded-lex order.
-
-    Expands each standardized basis function prod_i ((x_i - m_i)/s_i)^e_i
-    into monomials and accumulates, so ``sum_idx c[idx] * x^idx`` equals
-    ``predict`` exactly up to rounding.  Vector fits return (p, k).
-    """
-    if reg.basis.kind != "polynomial":
-        raise RegressionFailure("only polynomial fits have monomial coefficients")
-    q, d = reg.basis.degree, reg.dim
-    idx_list = multi_indices(d, q)
-    pos = {idx: i for i, idx in enumerate(idx_list)}
-    coef = np.atleast_2d(reg.coefficients.T).T  # (p, k) view
-    out = np.zeros_like(coef)
-    for source, idx in enumerate(idx_list):
-        # expand ((x_i - m)/s)^e per dimension, then take the product
-        per_dim = []
-        for i, e in enumerate(idx):
-            m, s = reg.x_mean[i], reg.x_scale[i]
-            expansion = [
-                math.comb(e, j) * (-m) ** (e - j) / s**e for j in range(e + 1)
-            ]
-            per_dim.append(expansion)
-        for combo in itertools.product(*(range(len(c)) for c in per_dim)):
-            weight = 1.0
-            for i, j in enumerate(combo):
-                weight *= per_dim[i][j]
-            out[pos[tuple(combo)]] += weight * coef[source]
-    return out[:, 0] if reg.coefficients.ndim == 1 else out

@@ -13,7 +13,8 @@ import time
 import numpy as np
 
 from parabolica import hjb, model, paths
-from parabolica.backward import backward_solve_2bsde, backward_solve_semilinear
+from parabolica.backward import backward_solve_2bsde, backward_solve_semilinear, screen_driver
+from parabolica.errors import ConfigError
 from parabolica.linear_fk import LinearCoefficients, feynman_kac_estimate
 from parabolica.regress import BasisSpec, fit, multi_indices, predict
 from parabolica.verify import FdGrid, estimate_rate, fd_solve_1d, twobsde_residuals
@@ -306,11 +307,15 @@ def test_criterion_8_property_suites(acceptance):
         monotone = monotone and gap.min() >= -1e-10
     results.append(("fd_comparison_principle", monotone))
 
-    # Assumption validator: passes on the catalog, fails on a flipped sign.
-    catalog_ok = all(
-        model.validate_assumptions(model.catalog_get(name), samples=400, seed=0).passed
-        for name in model.catalog_names()
-    )
+    # Driver screen: passes on the catalog, refuses a flipped sign.
+    def refusal(spec):
+        try:
+            screen_driver(spec, gamma_free=False)
+        except ConfigError as exc:
+            return str(exc)
+        return None
+
+    catalog_ok = all(refusal(model.catalog_get(name)) is None for name in model.catalog_names())
     flipped = dataclasses.replace(
         heat,
         f=lambda t, x, y, z, gamma: +0.5 * np.trace(gamma, axis1=-2, axis2=-1),
@@ -318,9 +323,7 @@ def test_criterion_8_property_suites(acceptance):
         analytic_v=None,
         name="heat_flipped",
     )
-    flip_report = model.validate_assumptions(flipped, samples=200, seed=1)
-    validator_ok = catalog_ok and not flip_report.passed
-    results.append(("assumption_validator", validator_ok))
+    results.append(("driver_screen", catalog_ok and "heat_flipped" in (refusal(flipped) or "")))
 
     failed = [name for name, passed in results if not passed]
     acceptance(

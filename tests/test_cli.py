@@ -501,6 +501,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("parabolica: exit=1 error=GammaDependence detail=")
 
+    def test_driver_increasing_in_gamma_is_one_config_error_line(self, tmp_path, capsys):
+        problem = dict(self.INLINE, f="0.5*gamma[0][0]", name="heat_flipped")
+        cfg = {"problem": problem, "scheme": "full_2bsde", "J": 10, "N": 2}
+        assert _run(tmp_path, "solve-2bsde", cfg) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("parabolica: exit=1 error=ConfigError detail=driver of "
+                              "'heat_flipped' increases in gamma at t=")
+        assert "(margin -" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_beta_not_finite_at_a_sampled_state_is_one_config_error_line(self, tmp_path, capsys):
+        control = dict(self.CONTROL, beta="log(x[0])")
+        problem = dict(self.INLINE, f=None, x0=[1.0], control=control)
+        cfg = {"problem": problem, "scheme": "hjb", "J": 10, "N": 2}
+        assert _run(tmp_path, "solve-hjb", cfg) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("parabolica: exit=1 error=ConfigError detail=")
+        assert "beta" in err.split("detail=")[1]
+
     def test_hjb_without_a_control_problem_exits_1(self, tmp_path, capsys):
         cfg = {"problem": "heat", "scheme": "hjb", "J": 10, "N": 4}
         assert _run(tmp_path, "solve-hjb", cfg) == 1

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from parabolica.backward import screen_driver
 from parabolica.errors import ConfigError, MissingGamma
 from parabolica.hjb import (
     ControlProblem,
@@ -15,7 +16,7 @@ from parabolica.hjb import (
     hjb_generator,
     uncertain_volatility_control,
 )
-from parabolica.model import catalog_get, problem_from_dict, validate_assumptions
+from parabolica.model import catalog_get, problem_from_dict
 
 
 def constant_matrix_problem(lo=0.1, hi=0.2, resolution=21):
@@ -127,8 +128,24 @@ class TestGenerator:
         assert np.all(f5 < f3)  # 0.125 beats both of {0.1, 0.15} here
 
     def test_assembled_generator_is_degenerate_elliptic(self):
-        report = validate_assumptions(catalog_get("hjb_uncertain_vol"), samples=500, seed=9)
-        assert report["monotone_in_gamma"].passed
+        screen_driver(catalog_get("hjb_uncertain_vol"), gamma_free=False)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_constant_diffusion_controls_pass_the_screen(self, seed):
+        # a a' is positive semidefinite for every a, so -max_u H can only
+        # fall as gamma grows in the semidefinite order.
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(2, 2))
+        b = rng.normal(size=2)
+        spec = problem_from_dict({
+            "dim": 2, "horizon": 1.0, "mu": ["0", "0"], "sigma": [["1", "0"], ["0", "1"]],
+            "g": "x[0]^2 + x[1]", "x0": [0.5, -0.5],
+            "control": {"control_dim": 1, "lower": [0.5], "upper": [1.5], "resolution": 5,
+                        "alpha": f"{rng.normal():.6f}*u[0]", "beta": "-0.1*u[0]",
+                        "b": [f"{v:.6f}*u[0]" for v in b],
+                        "a": [[f"{v:.6f}*u[0]" for v in row] for row in a]},
+        })
+        screen_driver(spec, gamma_free=False)
 
     def test_nonfinite_objective_raises(self):
         from parabolica.errors import NonFinite
@@ -276,6 +293,12 @@ class TestDiscountScreen:
         obj = self._problem("8 - x[0]", domain={"lower": [10.0], "upper": [20.0]},
                             x0=[15.0])
         assert problem_from_dict(obj).control is not None
+
+    @pytest.mark.parametrize("beta", ["log(x[0])", "-exp(1000)"],
+                             ids=["nan", "minus-infinity"])
+    def test_beta_not_finite_at_a_sampled_state_is_rejected(self, beta):
+        with pytest.raises(ConfigError, match="beta must be <= 0 and finite"):
+            problem_from_dict(self._problem(beta))
 
     def test_beta_positive_late_in_the_horizon_is_rejected(self):
         # t - 1.5 is positive only for t in (1.5, 2].

@@ -1,25 +1,25 @@
-"""Tests for problem specifications, the catalog, and assumption checks."""
+"""Tests for problem specifications, the catalog, and the driver screen."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from parabolica.backward import screen_driver
 from parabolica.errors import (
     ConfigError,
     MissingAnalyticV,
     NonFinite,
-    SingularSigma,
     UnknownProblem,
 )
 from parabolica.model import (
     Box,
-    GrowthParams,
     ProblemSpec,
     analytic_residual,
     as_points,
     catalog_get,
     catalog_names,
     problem_from_dict,
-    validate_assumptions,
 )
 
 ALL_NAMES = ("heat", "discount_bond", "gbm_linear", "semilinear_exp",
@@ -148,44 +148,54 @@ class TestCatalog:
         assert outside.tolist() == [False, False, False]
 
 
-class TestValidator:
-    @pytest.mark.parametrize("name", ALL_NAMES)
-    def test_catalog_passes(self, name):
-        spec = catalog_get(name)
-        report = validate_assumptions(spec, samples=400, seed=0)
-        failed = [c.name for c in report.checks if not c.passed]
-        assert report.passed, f"failed checks: {failed}"
+class TestDriverScreen:
+    """The 2BSDE screen refuses a driver that increases in its Hessian argument."""
 
-    def test_deterministic(self):
-        spec = catalog_get("gbm_linear")
-        r1 = validate_assumptions(spec, samples=300, seed=42)
-        r2 = validate_assumptions(spec, samples=300, seed=42)
-        assert r1 == r2
-
-    def test_sign_flipped_heat_fails_monotonicity(self):
+    @staticmethod
+    def _flipped_heat():
         base = catalog_get("heat")
-        flipped = ProblemSpec(
+        return ProblemSpec(
             dim=1,
             horizon=1.0,
             mu=base.mu,
             sigma=base.sigma,
             f=lambda t, x, y, z, gamma: +0.5 * np.trace(gamma, axis1=-2, axis2=-1),
             g=base.g,
+            name="heat_flipped",
         )
-        report = validate_assumptions(flipped, samples=200, seed=1)
-        assert not report.passed
-        check = report["monotone_in_gamma"]
-        assert not check.passed
-        assert check.metric < 0
 
-    def test_monotonicity_margin_nonnegative_for_heat(self):
-        report = validate_assumptions(catalog_get("heat"), samples=200, seed=2)
-        assert report["monotone_in_gamma"].metric >= -1e-12
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_catalog_passes(self, name):
+        screen_driver(catalog_get(name), gamma_free=False)
 
-    def test_uncertain_vol_monotonicity_many_samples(self):
-        spec = catalog_get("bsb_uncertain_vol")
-        report = validate_assumptions(spec, samples=10**4, seed=3)
-        assert report["monotone_in_gamma"].passed
+    def test_twobsde_bs_d4_inline_problem_passes(self):
+        d, vol = 4, 0.2
+        spec = problem_from_dict({
+            "dim": d, "horizon": 1.0, "mu": ["0"] * d,
+            "sigma": [[f"{vol}*x[{i}]" if i == j else "0" for j in range(d)] for i in range(d)],
+            "f": " + ".join(f"-0.5*0.04*x[{i}]^2*gamma[{i}][{i}]" for i in range(d)),
+            "g": " + ".join(f"x[{i}]^2" for i in range(d)),
+            "x0": [1.0] * d,
+        })
+        screen_driver(spec, gamma_free=False)
+
+    def test_sign_flipped_heat_is_refused(self):
+        refusal = r"driver of 'heat_flipped' increases in gamma at t=\S+ \(margin -"
+        with pytest.raises(ConfigError, match=refusal):
+            screen_driver(self._flipped_heat(), gamma_free=False)
+
+    @pytest.mark.parametrize("slope, refused", [(1e-13, False), (1e-6, True)])
+    def test_a_rise_is_measured_against_a_relative_tolerance(self, slope, refused):
+        spec = dataclasses.replace(
+            catalog_get("heat"),
+            f=lambda t, x, y, z, gamma: slope * np.trace(gamma, axis1=-2, axis2=-1),
+            name="nearly_flat",
+        )
+        if refused:
+            with pytest.raises(ConfigError, match="nearly_flat"):
+                screen_driver(spec, gamma_free=False)
+        else:
+            screen_driver(spec, gamma_free=False)
 
     def test_nonfinite_mu_raises(self):
         base = catalog_get("heat")
@@ -194,52 +204,8 @@ class TestValidator:
             mu=lambda x: x * np.inf,
             sigma=base.sigma, f=base.f, g=base.g,
         )
-        with pytest.raises(NonFinite):
-            validate_assumptions(bad, samples=50, seed=0)
-
-    def test_singular_sigma_raises(self):
-        base = catalog_get("heat")
-        bad = ProblemSpec(
-            dim=1, horizon=1.0,
-            mu=base.mu,
-            sigma=lambda x: np.zeros((len(x), 1, 1)),
-            f=base.f, g=base.g,
-        )
-        with pytest.raises(SingularSigma):
-            validate_assumptions(bad, samples=50, seed=0)
-
-    def test_condition_cap_flags_near_singular(self):
-        base = catalog_get("heat")
-        skewed = ProblemSpec(
-            dim=2, horizon=1.0,
-            mu=lambda x: np.zeros_like(x),
-            sigma=lambda x: np.broadcast_to(np.diag([1.0, 1e-12]), (len(x), 2, 2)),
-            f=lambda t, x, y, z, gamma: -0.5 * np.trace(gamma, axis1=-2, axis2=-1),
-            g=lambda x: np.sum(x**2, axis=1),
-        )
-        report = validate_assumptions(skewed, samples=50, seed=0)
-        assert not report["sigma_invertible"].passed
-        assert not report.passed
-        assert base.dim == 1  # the 1-d template stays untouched
-
-    def test_reported_lipschitz_for_linear_generator(self):
-        # f = 0.05*y has y-slope exactly 0.05 at every point.
-        report = validate_assumptions(catalog_get("discount_bond"), samples=300, seed=4)
-        assert report["lipschitz_in_y"].metric == pytest.approx(0.05, rel=1e-9)
-
-
-class TestGrowthParams:
-    def test_aggregate_exponent(self):
-        g = GrowthParams(p1=1.0, p2=4.0, p3=2.0, p4=2.0)
-        assert g.p == max(4.0, 2.0, 8.0, 4.0)
-
-    def test_p1_range_enforced(self):
-        with pytest.raises(ConfigError):
-            GrowthParams(p1=1.5)
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ConfigError):
-            GrowthParams(p2=-0.5)
+        with np.errstate(invalid="ignore"), pytest.raises(NonFinite):
+            screen_driver(bad, gamma_free=False)
 
 
 class TestBox:

@@ -11,7 +11,6 @@ from parabolica import paths
 from parabolica.errors import (
     ConfigError,
     DimensionMismatch,
-    DomainIsWholeSpace,
     NonFinite,
 )
 from parabolica.model import Box, ProblemSpec, catalog_get
@@ -21,7 +20,6 @@ from parabolica.paths import (
     brownian_increments,
     encode_batch,
     euler_simulate,
-    exit_time_stats,
     load_batch,
 )
 
@@ -208,35 +206,32 @@ class TestStopping:
     def test_start_outside_stops_immediately(self):
         spec = drifting_spec(domain=Box(np.array([-1.0]), np.array([1.0])))
         batch = euler_simulate(spec, TimeGrid(0.25, 1.0, 4), [1.5], 8, seed=0)
-        stats = exit_time_stats(batch)
-        assert stats["fraction_stopped"] == 1.0
-        assert stats["mean_stop_time"] == 0.25
+        assert np.all(batch.stop_index == 0)
+        assert np.all(batch.grid.times[batch.stop_index] == 0.25)
         assert np.all(batch.X == 1.5)
 
     def test_huge_box_never_stops(self):
         spec = drifting_spec(domain=Box(np.array([-1e9]), np.array([1e9])))
         batch = euler_simulate(spec, TimeGrid(0.0, 1.0, 16), [0.0], 50, seed=1)
-        stats = exit_time_stats(batch)
-        assert stats["fraction_stopped"] == 0.0
-        assert np.isnan(stats["mean_stop_time"])
+        assert np.all(batch.stop_index == 16)
 
     def test_exit_fraction_matches_reference(self):
         spec = drifting_spec(domain=Box(np.array([-1.0]), np.array([1.0])))
         batch = euler_simulate(spec, TimeGrid(0.0, 1.0, 256), [0.0], 100_000, seed=7)
-        stats = exit_time_stats(batch)
-        assert stats["fraction_stopped"] == pytest.approx(EXIT_FRACTION_REF, abs=0.02)
+        fraction = np.mean(batch.stop_index < 256)
+        assert fraction == pytest.approx(EXIT_FRACTION_REF, abs=0.02)
 
-    def test_whole_space_has_no_exit_stats(self):
+    def test_whole_space_never_stops(self):
         batch = euler_simulate(catalog_get("heat"), TimeGrid(0.0, 1.0, 4), [0.0], 10, seed=0)
-        with pytest.raises(DomainIsWholeSpace):
-            exit_time_stats(batch)
+        assert batch.domain is None
+        assert np.all(batch.stop_index == 4)
 
     def test_boundary_heat_catalog_stops_some_paths(self):
         spec = catalog_get("boundary_heat")
         batch = euler_simulate(spec, TimeGrid(0.0, 1.0, 128), spec.x0_default, 2000, seed=3)
-        stats = exit_time_stats(batch)
-        assert 0.0 < stats["fraction_stopped"] < 1.0
-        assert 0.0 < stats["mean_stop_time"] < 1.0
+        stopped = batch.stop_index < 128
+        assert 0.0 < np.mean(stopped) < 1.0
+        assert 0.0 < np.mean(batch.grid.times[batch.stop_index[stopped]]) < 1.0
 
 
 def layout_spec(d):

@@ -11,7 +11,6 @@ from parabolica.regress import (
     basis_size,
     design,
     fit,
-    monomial_coefficients,
     multi_indices,
     predict,
 )
@@ -43,13 +42,13 @@ class TestPolynomialFit:
         query = rng.normal(size=(15, 2)) * 10
         np.testing.assert_allclose(predict(reg, query), 3.25, atol=1e-12)
 
-    def test_exact_line_recovers_raw_coefficients(self):
+    def test_exact_line_is_reproduced_at_fresh_points(self):
         rng = np.random.default_rng(1)
         x = rng.uniform(-2, 5, size=50)
         y = 2 + 3 * x
         reg = fit(x, y, BasisSpec(degree=1))
-        raw = monomial_coefficients(reg)
-        np.testing.assert_allclose(raw, [2.0, 3.0], atol=1e-10)
+        fresh = rng.uniform(-10, 10, size=(20, 1))
+        np.testing.assert_allclose(predict(reg, fresh), 2 + 3 * fresh[:, 0], atol=1e-10)
 
     def test_matches_normal_equation_oracle(self):
         rng = np.random.default_rng(2)
@@ -72,17 +71,6 @@ class TestPolynomialFit:
         reg = fit(x, x**2, BasisSpec(degree=2))
         assert predict(reg, np.array([[0.5]]))[0] == pytest.approx(0.25, abs=1e-9)
 
-    def test_monomial_expansion_agrees_with_predict_2d(self):
-        rng = np.random.default_rng(4)
-        x = rng.uniform(1, 3, size=(80, 2))  # off-center: real standardization
-        y = rng.normal(size=80)
-        reg = fit(x, y, BasisSpec(degree=3))
-        raw = monomial_coefficients(reg)
-        manual = np.zeros(len(x))
-        for c, idx in zip(raw, multi_indices(2, 3)):
-            manual += c * x[:, 0] ** idx[0] * x[:, 1] ** idx[1]
-        np.testing.assert_allclose(manual, predict(reg, x), atol=1e-9)
-
 
 class TestInvariants:
     def test_mean_preserved_without_ridge(self):
@@ -100,8 +88,8 @@ class TestInvariants:
         y = 4.0 + 3.0 * x[:, 0]
         reg = fit(x, y, BasisSpec(degree=1, ridge=100.0))
         assert predict(reg, x).mean() == pytest.approx(y.mean(), abs=1e-9)
-        raw = monomial_coefficients(reg)
-        assert abs(raw[1]) < 3.0  # slope shrunk
+        slope = np.diff(predict(reg, np.array([[0.0], [1.0]])))[0]
+        assert abs(slope) < 3.0  # slope shrunk
 
     def test_idempotent_refit(self):
         rng = np.random.default_rng(7)
