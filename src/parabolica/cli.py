@@ -31,8 +31,9 @@ Every failure prints one machine-parseable line on stderr:
 
 Reruns of one config are reproducible to the byte (``environment``
 aside) regardless of ``--threads``; the flag only changes how work is
-chunked.  Thread count resolves as ``--threads``, then the config's
-``threads``, then ``PARABOLICA_THREADS``, then 1.
+chunked.  Only this module resolves the worker count: ``--threads``,
+then the config's ``threads``, then ``PARABOLICA_THREADS``, then 1, each
+through the ``threads`` reader; library calls take an int, default 1.
 """
 
 # Pin BLAS pools before numpy loads: the numeric modules own their
@@ -130,6 +131,7 @@ _CONFIG_KEYS = {
     "verify": _VERIFY,
 }
 _CONFIG = _object(_CONFIG_KEYS, "config")
+_THREADS_VAR = "PARABOLICA_THREADS"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -137,8 +139,8 @@ class RunConfig:
     """A validated run request.
 
     ``N`` and ``J`` are None only for verify runs, which pick their own
-    grids.  ``threads`` is deliberately excluded from the config echo:
-    it cannot change any numeric output, only wall time.
+    grids.  ``threads``, the resolved worker count, is deliberately
+    excluded from the config echo: it changes only wall time.
     """
 
     problem: Union[str, dict]
@@ -150,7 +152,7 @@ class RunConfig:
     x0: Optional[tuple]
     basis: BasisSpec
     picard_iters: int
-    threads: Optional[int]
+    threads: int
     dump_paths: bool
     verify_options: dict
 
@@ -163,6 +165,10 @@ class RunConfig:
         for key, flag in (("seed", seed), ("threads", threads)):
             if flag is not None:
                 got[key] = model.read_key({key: flag}, key, _CONFIG_KEYS[key], "config")
+        env = os.environ.get(_THREADS_VAR, "").strip()
+        if "threads" not in got and env:  # a non-digit string is refused by the reader
+            got["threads"] = model.read_key({_THREADS_VAR: int(env) if env.isdecimal() else env},
+                                            _THREADS_VAR, _CONFIG_KEYS["threads"], "environment")
         problem = model.read_key(got, "problem", where="config")
         declared = got.get("scheme")
         if scheme is None:
@@ -189,7 +195,7 @@ class RunConfig:
             x0=tuple(float(v) for v in got["x0"]) if "x0" in got else None,
             basis=BasisSpec(**got.get("basis", {})),
             picard_iters=got.get("picard_iters", 2),
-            threads=got.get("threads"),
+            threads=got.get("threads", 1),
             dump_paths=got.get("dump_paths", False),
             verify_options=got.get("verify", {}),
         )
@@ -334,7 +340,8 @@ def _execute(config: RunConfig):
     artifacts = {}
 
     if config.scheme == "verify":
-        report = verify.verify_problem(spec, seed=config.seed, **config.verify_options)
+        report = verify.verify_problem(spec, seed=config.seed, threads=config.threads,
+                                       **config.verify_options)
         checks = report["checks"]
         code = 0 if all(c["pass"] for c in checks) else 3
         return code, None, None, {"checks": checks}, artifacts
@@ -344,12 +351,10 @@ def _execute(config: RunConfig):
             "hjb runs need a control problem: use a control catalog entry "
             "or an inline problem with a control block"
         )
+    if config.scheme == "linear":  # refused before a simulation it would waste
+        coeffs = LinearCoefficients.from_spec(spec)
 
     x0 = config.x0 if config.x0 is not None else spec.x0_default
-    if x0 is None:
-        raise ConfigError(
-            f"problem {spec.name!r} declares no default x0; set x0 in the config"
-        )
     model.require_memory(_array_bytes(config, spec), f"a {config.scheme} run")
     grid = TimeGrid(config.t0, spec.horizon, config.N)
     batch = euler_simulate(spec, grid, x0, config.J, config.seed, config.threads)
@@ -359,7 +364,6 @@ def _execute(config: RunConfig):
         est = Estimate.of(np.asarray(spec.g(batch.X[:, -1]), dtype=np.float64))
         artifacts["paths.bin"] = encode_batch(batch)
     elif config.scheme == "linear":
-        coeffs = LinearCoefficients.from_spec(spec)
         est = feynman_kac_estimate(coeffs, batch, config.threads)
         # Per-node rows from the realized remainders of the path functional,
         # whose cross-sectional means trace the value along the grid.
@@ -427,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=None,
-            help="worker threads (default: config, then PARABOLICA_THREADS, then 1)",
+            help="worker threads, 1 to 1024 (default: the config's threads, "
+            "then PARABOLICA_THREADS, then 1)",
         )
         p.add_argument("--out", default=".", help="directory for output artifacts")
     return parser

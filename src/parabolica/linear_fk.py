@@ -28,7 +28,8 @@ and their source integral stops at the exit node; the frozen post-exit states
 stored by the simulator make the terminal payout come out right without any
 special casing here.
 
-Thread blocks split the path axis only.  Per-path values are identical
+Threads split the path axis only, through
+:func:`~parabolica.paths.for_path_blocks`.  Per-path values are identical
 whatever the block layout (the coefficient callables are pointwise in the
 path row, true of everything this package constructs), and the final mean is
 numpy's pairwise reduction over one array -- so results are bit-stable across
@@ -38,15 +39,14 @@ path of the batch, whatever the block layout.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, NonFinite
 from .model import ProblemSpec
-from .paths import PathBatch, resolve_threads
+from .paths import PathBatch, for_path_blocks
 
 __all__ = [
     "LinearCoefficients",
@@ -154,24 +154,14 @@ def _block_functional(
         return acc + np.exp(log_B) * payout
 
 
-def _functional(
-    coeffs: LinearCoefficients, batch: PathBatch, threads: Optional[int]
-) -> np.ndarray:
+def _functional(coeffs: LinearCoefficients, batch: PathBatch, threads: int) -> np.ndarray:
     """The per-path functional of the whole batch, computed in path blocks."""
-    J = batch.J
-    k = min(resolve_threads(threads), J)
-    if k <= 1:
-        return _block_functional(coeffs, batch, 0, J)
-    values = np.empty(J)
-    block = -(-J // k)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=k) as pool:
-        futures = {
-            pool.submit(_block_functional, coeffs, batch, j0, min(j0 + block, J)): j0
-            for j0 in range(0, J, block)
-        }
-        for fut in concurrent.futures.as_completed(futures):
-            j0 = futures[fut]
-            values[j0:j0 + block] = fut.result()
+    values = np.empty(batch.J)
+
+    def block(j0: int, j1: int) -> None:
+        values[j0:j1] = _block_functional(coeffs, batch, j0, j1)
+
+    for_path_blocks(batch.J, threads, block)
     return values
 
 
@@ -185,7 +175,7 @@ def pathwise_remainders(
     coeffs: LinearCoefficients,
     batch: PathBatch,
     observe: Callable[[int, np.ndarray], object],
-    threads: Optional[int] = None,
+    threads: int = 1,
 ) -> None:
     """Stream the per-path tails of the discounted functional, node by node.
 
@@ -203,7 +193,7 @@ def pathwise_remainders(
     remainder is constant (equal to the exit payoff) from the exit node
     onward.
 
-    The totals ``A_N + B_N g(X_N)`` come first, from the threaded block
+    The totals ``A_N + B_N g(X_N)`` come first, from the path-block
     pass of :func:`feynman_kac_estimate`; one replay of the accumulation
     then forms each node's remainders, so memory stays O(J) whatever N
     is.  After the replay, NonFinite names the first path with a
@@ -224,7 +214,7 @@ def pathwise_remainders(
 def feynman_kac_estimate(
     coeffs: LinearCoefficients,
     batch: PathBatch,
-    threads: Optional[int] = None,
+    threads: int = 1,
 ) -> Estimate:
     """Average the discounted path functional over a simulated batch.
 

@@ -7,8 +7,9 @@ splitmix64-style finalizer, mapping the state to a uniform in (0,1),
 and applying the inverse normal CDF.  Because nothing is sequential,
 the output is bit-identical however the work is chunked or threaded,
 and path block [0, J') of a larger batch equals the smaller batch.
-Threads split the path axis; each hashes its paths in sub-blocks of
-``_SUB_BLOCK`` draws, so its transient memory stays a few MB.
+Threads split the path axis through :func:`for_path_blocks`; each block
+hashes its paths in sub-blocks of ``_SUB_BLOCK`` draws, so its transient
+memory stays a few MB.
 
 Every consumer reads the batch one node at a time, so ``X`` and ``dW``
 are stored node-major, as (N+1, J, d) and (N, J, d) arrays, and exposed
@@ -31,10 +32,9 @@ from __future__ import annotations
 
 import io
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import ndtri
@@ -45,6 +45,7 @@ from .model import Box, ProblemSpec
 __all__ = [
     "TimeGrid",
     "PathBatch",
+    "for_path_blocks",
     "brownian_increments",
     "euler_simulate",
     "encode_batch",
@@ -140,19 +141,28 @@ def _fill_block(store: np.ndarray, seed: int, j0: int, j1: int, scale: float):
         _normal_block(store[:, a:min(a + step, j1)], seed, a, scale)
 
 
-def resolve_threads(threads: Optional[int] = None) -> int:
-    """--threads flag value, PARABOLICA_THREADS fallback, default 1."""
-    if threads is None:
-        env = os.environ.get("PARABOLICA_THREADS", "")
-        threads = int(env) if env.strip() else 1
+def for_path_blocks(J: int, threads: int, work: Callable[[int, int], object]) -> None:
+    """Call ``work(j0, j1)`` once per block of a split of the paths [0, J).
+
+    The blocks are the ``min(threads, J)`` contiguous ranges between the
+    points of ``np.linspace(0, J, k + 1)``.  A single block runs on the
+    calling thread; several each run on a pool worker, none on the caller,
+    and an exception raised in a block reaches the caller.
+    """
     if threads < 1:
         raise ConfigError("thread count must be at least 1")
-    return threads
+    k = min(threads, J)
+    if k == 1:
+        work(0, J)
+        return
+    bounds = np.linspace(0, J, k + 1).astype(int)
+    with ThreadPoolExecutor(max_workers=k) as pool:
+        futures = [pool.submit(work, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+        for fut in futures:
+            fut.result()
 
 
-def brownian_increments(
-    grid: TimeGrid, J: int, d: int, seed: int, threads: Optional[int] = None
-) -> np.ndarray:
+def brownian_increments(grid: TimeGrid, J: int, d: int, seed: int, threads: int = 1) -> np.ndarray:
     """Brownian increments of shape (J, N, d) with variance grid.dt.
 
     The result is the transposed view of a node-major (N, J, d) array.
@@ -162,22 +172,9 @@ def brownian_increments(
     """
     if J < 1 or d < 1:
         raise ConfigError("J and d must be at least 1")
-    threads = resolve_threads(threads)
-    N = grid.N
-    store = np.empty((N, J, d))
+    store = np.empty((grid.N, J, d))
     scale = float(np.sqrt(grid.dt))
-    if threads == 1 or J < 2 * threads:
-        _fill_block(store, seed, 0, J, scale)
-        return store.transpose(1, 0, 2)
-    bounds = np.linspace(0, J, threads + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(_fill_block, store, seed, int(a), int(b), scale)
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if b > a
-        ]
-        for fut in futures:
-            fut.result()
+    for_path_blocks(J, threads, lambda j0, j1: _fill_block(store, seed, j0, j1, scale))
     return store.transpose(1, 0, 2)
 
 
@@ -187,7 +184,7 @@ def euler_simulate(
     x0,
     J: int,
     seed: int,
-    threads: Optional[int] = None,
+    threads: int = 1,
 ) -> PathBatch:
     """Simulate J forward paths from x0 on the grid.
 

@@ -15,7 +15,6 @@ gradient field is constant in time and space report A = 0 without
 cancellation noise.
 """
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -345,6 +344,7 @@ def verify_problem(
     residual_J: int = 10_000,
     ratio_min: float = 1.8,
     seed: int = 0,
+    threads: int = 1,
 ) -> dict:
     """Cross-check a problem with an analytic solution against the oracles.
 
@@ -352,6 +352,8 @@ def verify_problem(
     with one entry for the finite-difference comparison (1-D problems), one
     for the first residual's step-halving ratio, and one for the terminal
     identity (the largest ``terminal_gap`` over the residual runs, if any).
+    ``threads`` splits each residual batch's simulation, which no bit of the
+    report depends on.
     A window holding no finite-difference node, or a finite-difference
     surface and residual batch larger than physical memory, raises
     ConfigError before anything is computed.
@@ -398,7 +400,8 @@ def verify_problem(
     aggregates, terminal_gaps = {}, []
     for N in residual_Ns:
         batch = euler_simulate(
-            spec, TimeGrid(0.0, spec.horizon, int(N)), spec.x0_default, J=residual_J, seed=seed
+            spec, TimeGrid(0.0, spec.horizon, int(N)), spec.x0_default, J=residual_J, seed=seed,
+            threads=threads,
         )
         residuals = twobsde_residuals(spec, batch)
         aggregates[int(N)] = residuals["r1_aggregate"]

@@ -22,7 +22,7 @@ from parabolica.verify import FdGrid, estimate_rate, fd_solve_1d, twobsde_residu
 BASIS2 = BasisSpec(kind="polynomial", degree=2)
 
 
-def _simulate(spec, N, J, seed, threads=None):
+def _simulate(spec, N, J, seed, threads=1):
     grid = paths.TimeGrid(0.0, spec.horizon, N)
     return paths.euler_simulate(spec, grid, spec.x0_default, J=J, seed=seed, threads=threads)
 

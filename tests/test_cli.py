@@ -433,6 +433,19 @@ class TestVerifySubcommand:
         assert set(checks) == {"fd_oracle", "residual_rate", "terminal_identity"}
         assert all(c["pass"] for c in checks.values())
 
+    def test_verify_simulates_with_the_resolved_thread_count(self, tmp_path, monkeypatch):
+        seen = []
+        simulate = verify.euler_simulate
+
+        def record(*args, **kwargs):
+            seen.append(kwargs.get("threads"))
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "euler_simulate", record)
+        cfg = {"problem": "heat", "scheme": "verify", "verify": self.SMALL}
+        assert _run(tmp_path, "verify", cfg, threads=2) == 0
+        assert seen == [2, 2]
+
     def test_failing_check_exits_3_but_writes_the_report(self, tmp_path):
         cfg = {
             "problem": "heat",
@@ -495,6 +508,20 @@ class TestVerifySubcommand:
 
 
 class TestExitCodes:
+    def test_solve_linear_refuses_a_non_linear_problem_before_simulating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("a problem solve-linear refuses must not be simulated")
+
+        monkeypatch.setattr(cli, "euler_simulate", never)
+        cfg = {"problem": "bsb_uncertain_vol", "J": 10, "N": 4}
+        assert _run(tmp_path, "solve-linear", cfg) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("parabolica: exit=1 error=ConfigError detail=problem "
+                              "'bsb_uncertain_vol' declares no linear coefficients")
+
     def test_gamma_dependent_driver_is_a_validation_failure(self, tmp_path, capsys):
         cfg = {"problem": "discount_bond", "scheme": "semilinear", "J": 10, "N": 4}
         assert _run(tmp_path, "solve-semilinear", cfg) == 1
@@ -707,6 +734,38 @@ class TestOverrides:
         assert err.count("\n") == 1
         assert err.startswith(f"parabolica: exit=1 error=ConfigError detail=config key '{key}' ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "1025"])
+    def test_threads_variable_passes_the_threads_reader(self, tmp_path, capsys, monkeypatch,
+                                                        value):
+        def never(*args, **kwargs):
+            raise AssertionError("no thread pool may start")
+
+        monkeypatch.setattr(paths, "ThreadPoolExecutor", never)
+        monkeypatch.setenv("PARABOLICA_THREADS", value)
+        assert _run(tmp_path, "solve-linear", HEAT_LINEAR) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("parabolica: exit=1 error=ConfigError detail=")
+        assert "PARABOLICA_THREADS" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_a_malformed_threads_variable_is_ignored_when_a_count_is_set(
+        self, tmp_path, monkeypatch, where
+    ):
+        monkeypatch.setenv("PARABOLICA_THREADS", "abc")
+        cfg = dict(HEAT_LINEAR, threads=2) if where == "config" else HEAT_LINEAR
+        assert _run(tmp_path, "solve-linear", cfg, threads=2 if where == "flag" else None) == 0
+
+    def test_threads_resolve_from_flag_then_config_then_variable_then_one(self, monkeypatch):
+        config = dict(HEAT_LINEAR, threads=3)
+        monkeypatch.setenv("PARABOLICA_THREADS", "  ")  # blank counts as unset
+        assert cli.RunConfig.from_dict(HEAT_LINEAR).threads == 1
+        monkeypatch.setenv("PARABOLICA_THREADS", "5")
+        assert cli.RunConfig.from_dict(HEAT_LINEAR).threads == 5
+        assert cli.RunConfig.from_dict(config).threads == 3
+        assert cli.RunConfig.from_dict(config, threads=2).threads == 2
 
     def test_seed_defaults_to_zero(self, tmp_path):
         cfg = {"problem": "heat", "scheme": "linear", "J": 10, "N": 4}

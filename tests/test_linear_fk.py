@@ -262,7 +262,7 @@ class TestErrors:
             feynman_kac_estimate(coeffs, batch)
 
 
-def _remainders(coeffs, batch, threads=None):
+def _remainders(coeffs, batch, threads=1):
     """The streamed remainders stacked into a (J, N+1) matrix, node order checked."""
     columns = []
 

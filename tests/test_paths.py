@@ -256,7 +256,7 @@ class TestLayout:
     }
 
     @staticmethod
-    def _batch(d, threads=None):
+    def _batch(d, threads=1):
         return euler_simulate(layout_spec(d), TimeGrid(0.0, 1.0, 8), np.zeros(d), 257,
                               seed=11, threads=threads)
 

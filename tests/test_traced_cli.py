@@ -6,6 +6,7 @@ spans, would otherwise surface only as a failing ``perfbench/run.py
 --trace 1`` run, so one small traced run is made here too.
 """
 
+import collections
 import dataclasses
 import importlib.util
 import json
@@ -39,12 +40,12 @@ def test_traced_spec_builders_and_callables_exist():
     assert set(tracer.SPEC_CALLABLES) <= fields
 
 
-def _traced_run(tmp_path, subcommand, config_obj):
+def _traced_run(tmp_path, subcommand, config_obj, threads=1):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(config_obj))
     spans_path = tmp_path / "spans.json"
     argv = [sys.executable, str(TRACED_CLI), str(spans_path), subcommand,
-            "--config", str(config), "--out", str(tmp_path / "out"), "--threads", "1"]
+            "--config", str(config), "--out", str(tmp_path / "out"), "--threads", str(threads)]
     done = subprocess.run(argv, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     spans = json.loads(spans_path.read_text())
@@ -71,3 +72,16 @@ def test_traced_inline_run_spans_every_expression_evaluation(tmp_path):
     names = _traced_run(tmp_path, "solve-2bsde",
                         {"problem": problem, "scheme": "full_2bsde", "N": 4, "J": 500, "seed": 1})
     assert "expr.evaluate" in names
+
+
+def test_threaded_traced_runs_repeat_their_span_counts(tmp_path):
+    # The benchmark requires traced runs of one config to record the same
+    # spans; path blocks must therefore never run partly on the main thread.
+    config = {"problem": "gbm_linear", "N": 8, "J": 2000, "seed": 1}
+    counts = []
+    for k in range(2):
+        run_dir = tmp_path / f"run{k}"
+        run_dir.mkdir()
+        counts.append(collections.Counter(_traced_run(run_dir, "solve-linear", config, threads=2)))
+    assert counts[0] == counts[1]
+    assert counts[0]["paths.brownian_increments"] == 1
