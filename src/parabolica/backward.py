@@ -517,7 +517,6 @@ def _sweep(
         diagnostics={
             "terminal_gradient_fd": used_fd,
             "terminal_kink_fraction": float(np.mean(np.any(kinked, axis=1))),
-            "terminal_kinked": kinked,
         },
         control_means=control_means,
     )

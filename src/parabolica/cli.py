@@ -66,7 +66,7 @@ from .errors import (
     SingularSigma,
 )
 from .linear_fk import Estimate, LinearCoefficients, feynman_kac_estimate, pathwise_remainders
-from .paths import TimeGrid, encode_batch, euler_simulate
+from .paths import TimeGrid, batch_bytes, euler_simulate, write_batch
 from .regress import BasisSpec
 
 __all__ = ["RunConfig", "main"]
@@ -309,15 +309,16 @@ def _controls_csv(grid, control_means) -> bytes:
 def _array_bytes(config: RunConfig, spec) -> int:
     """Bytes of the arrays a run holds at once, from J, N, d and the scheme.
 
-    The path batch (X, dW, stop_index), its encoded copy when ``paths.bin``
-    is written, the two (Y, Z, Gamma) node columns the backward sweep
-    holds at once and, for hjb, the (G, J) node terms of the control
-    grid's G points.  Both the linear pass and the backward sweep stream
+    The path batch (X, dW, stop_index), the C-ordered copy of X (its largest
+    record) that writing ``paths.bin`` makes, the two (Y, Z, Gamma) node
+    columns the backward sweep holds at once and, for hjb, the (G, J) node
+    terms of the control grid's G points.  Both the linear pass and the backward sweep stream
     their nodes, so neither adds a (J, N+1) term.
     """
     J, N, d = config.J, config.N, spec.dim
-    batch = 8 * (J * (N + 1) * d + J * N * d + J)
-    total = batch * (2 if config.dump_paths or config.scheme == "simulate" else 1)
+    total = batch_bytes(J, N, d)
+    if config.dump_paths or config.scheme == "simulate":
+        total += 8 * J * (N + 1) * d
     if config.scheme in ("semilinear", "full_2bsde", "hjb"):
         second = d * d if config.scheme != "semilinear" else 0
         total += 2 * 8 * J * (1 + d + second)
@@ -331,7 +332,8 @@ def _execute(config: RunConfig):
 
     ``report`` holds the keys the run adds to ``summary.json``: the verify
     checks, or the terminal kink fraction of a backward run whose payoff
-    gradient was differenced.
+    gradient was differenced.  ``artifacts`` maps each file name to its
+    bytes, or for ``paths.bin`` to a function that writes it to an open file.
     """
     if isinstance(config.problem, str):
         spec = model.catalog_get(config.problem)
@@ -362,7 +364,6 @@ def _execute(config: RunConfig):
 
     if config.scheme == "simulate":
         est = Estimate.of(np.asarray(spec.g(batch.X[:, -1]), dtype=np.float64))
-        artifacts["paths.bin"] = encode_batch(batch)
     elif config.scheme == "linear":
         est = feynman_kac_estimate(coeffs, batch, config.threads)
         # Per-node rows from the realized remainders of the path functional,
@@ -384,8 +385,8 @@ def _execute(config: RunConfig):
         if config.scheme == "hjb":
             artifacts["controls.csv"] = _controls_csv(grid, sol.control_means)
 
-    if config.dump_paths and "paths.bin" not in artifacts:
-        artifacts["paths.bin"] = encode_batch(batch)
+    if config.dump_paths or config.scheme == "simulate":
+        artifacts["paths.bin"] = lambda fh: write_batch(batch, fh)
     return 0, est.value, est.stderr, report, artifacts
 
 
@@ -404,7 +405,10 @@ def _write_artifacts(out_dir: str, artifacts: dict) -> None:
     os.makedirs(out_dir, exist_ok=True)
     for name, blob in artifacts.items():
         with open(os.path.join(out_dir, name), "wb") as fh:
-            fh.write(blob)
+            if callable(blob):
+                blob(fh)
+            else:
+                fh.write(blob)
 
 
 def _fail(exc: ParabolicaError) -> int:

@@ -21,7 +21,9 @@ from (set only by ``hjb.as_problem``), which control extraction reads.
 
 ``analytic_v`` (when present) exposes the closed-form solution and its
 derivatives in the same batched convention and is what verification
-routines compare against.
+routines compare against.  Every catalog closed form but
+``boundary_heat``'s (v = x) is one member of ``_quadratic``'s family
+``v = A(t) |x|^2 + B(t)``, whose derivatives hold in any dimension.
 """
 
 from __future__ import annotations
@@ -160,24 +162,40 @@ def _const_rows(value: float):
     return fn
 
 
+def _quadratic(T: float, a: float = 0.0, rho: float = 0.0, b: float = 0.0,
+               kappa: float = 0.0, h: float = 0.0) -> AnalyticSolution:
+    """The closed form ``v(t, x) = A(t) |x|^2 + B(t)`` in any dimension.
+
+    With ``tau = T - t``: ``A = a exp(rho tau)`` and
+    ``B = b exp(kappa tau) + h tau``, so ``Dv = 2A x``, ``D^2v = 2A I`` and
+    ``v_t = -rho A |x|^2 - kappa b exp(kappa tau) - h``.
+    """
+
+    def A(t):
+        return a * math.exp(rho * (T - t))
+
+    def value(t, x):
+        return A(t) * np.einsum("ji,ji->j", x, x) + (b * math.exp(kappa * (T - t)) + h * (T - t))
+
+    def gradient(t, x):
+        # With a = 0 the gradient is +0.0 everywhere; 0.0 * x would be -0.0 at x < 0.
+        return (2.0 * A(t)) * x if a else np.zeros_like(x)
+
+    def hessian(t, x):
+        J, d = x.shape
+        out = np.zeros((J, d, d))
+        out[:, range(d), range(d)] = 2.0 * A(t)
+        return out
+
+    def time_derivative(t, x):
+        minus_dB = kappa * b * math.exp(kappa * (T - t)) + h
+        return -rho * A(t) * np.einsum("ji,ji->j", x, x) - minus_dB
+
+    return AnalyticSolution(value, gradient, hessian, time_derivative)
+
+
 def _heat() -> ProblemSpec:
     T = 1.0
-
-    def analytic():
-        def value(t, x):
-            return x[:, 0] ** 2 + (T - t)
-
-        def gradient(t, x):
-            return 2.0 * x
-
-        def hessian(t, x):
-            return np.full((len(x), 1, 1), 2.0)
-
-        def time_derivative(t, x):
-            return np.full(len(x), -1.0)
-
-        return AnalyticSolution(value, gradient, hessian, time_derivative)
-
     return ProblemSpec(
         dim=1,
         horizon=T,
@@ -186,7 +204,7 @@ def _heat() -> ProblemSpec:
         f=lambda t, x, y, z, gamma: -0.5 * np.trace(gamma, axis1=-2, axis2=-1),
         g=lambda x: x[:, 0] ** 2,
         dg=lambda x: 2.0 * x,
-        analytic_v=analytic(),
+        analytic_v=_quadratic(T, a=1.0, h=1.0),
         linear_parts=(_const_rows(0.0), _const_rows(0.0)),
         name="heat",
         x0_default=np.array([0.0]),
@@ -195,22 +213,6 @@ def _heat() -> ProblemSpec:
 
 def _discount_bond() -> ProblemSpec:
     T, r = 2.0, 0.05
-
-    def analytic():
-        def value(t, x):
-            return np.full(len(x), math.exp(-r * (T - t)))
-
-        def gradient(t, x):
-            return np.zeros_like(x)
-
-        def hessian(t, x):
-            return np.zeros((len(x), 1, 1))
-
-        def time_derivative(t, x):
-            return np.full(len(x), r * math.exp(-r * (T - t)))
-
-        return AnalyticSolution(value, gradient, hessian, time_derivative)
-
     # The solution has no x dependence, so the discounting representation
     # (alpha = 0, beta = -r) prices it exactly under any simulated paths.
     return ProblemSpec(
@@ -221,7 +223,7 @@ def _discount_bond() -> ProblemSpec:
         f=lambda t, x, y, z, gamma: r * np.asarray(y, dtype=np.float64),
         g=lambda x: np.ones(len(x)),
         dg=lambda x: np.zeros_like(x),
-        analytic_v=analytic(),
+        analytic_v=_quadratic(T, b=1.0, kappa=-r),
         linear_parts=(_const_rows(0.0), _const_rows(-r)),
         name="discount_bond",
         x0_default=np.array([1.0]),
@@ -231,21 +233,6 @@ def _discount_bond() -> ProblemSpec:
 def _gbm_linear() -> ProblemSpec:
     T, r, vol = 1.0, 0.05, 0.2
     growth_rate = 2.0 * r + vol * vol - r  # 0.09
-
-    def analytic():
-        def value(t, x):
-            return x[:, 0] ** 2 * math.exp(growth_rate * (T - t))
-
-        def gradient(t, x):
-            return 2.0 * x * math.exp(growth_rate * (T - t))
-
-        def hessian(t, x):
-            return np.full((len(x), 1, 1), 2.0 * math.exp(growth_rate * (T - t)))
-
-        def time_derivative(t, x):
-            return -growth_rate * x[:, 0] ** 2 * math.exp(growth_rate * (T - t))
-
-        return AnalyticSolution(value, gradient, hessian, time_derivative)
 
     def f(t, x, y, z, gamma):
         return (r * np.asarray(y, dtype=np.float64)
@@ -260,7 +247,7 @@ def _gbm_linear() -> ProblemSpec:
         f=f,
         g=lambda x: x[:, 0] ** 2,
         dg=lambda x: 2.0 * x,
-        analytic_v=analytic(),
+        analytic_v=_quadratic(T, a=1.0, rho=growth_rate),
         linear_parts=(_const_rows(0.0), _const_rows(-r)),
         name="gbm_linear",
         x0_default=np.array([1.0]),
@@ -269,22 +256,6 @@ def _gbm_linear() -> ProblemSpec:
 
 def _semilinear_exp() -> ProblemSpec:
     T = 1.0
-
-    def analytic():
-        def value(t, x):
-            return np.full(len(x), math.exp(T - t))
-
-        def gradient(t, x):
-            return np.zeros_like(x)
-
-        def hessian(t, x):
-            return np.zeros((len(x), 1, 1))
-
-        def time_derivative(t, x):
-            return np.full(len(x), -math.exp(T - t))
-
-        return AnalyticSolution(value, gradient, hessian, time_derivative)
-
     return ProblemSpec(
         dim=1,
         horizon=T,
@@ -294,7 +265,7 @@ def _semilinear_exp() -> ProblemSpec:
         - 0.5 * np.trace(gamma, axis1=-2, axis2=-1),
         g=lambda x: np.ones(len(x)),
         dg=lambda x: np.zeros_like(x),
-        analytic_v=analytic(),
+        analytic_v=_quadratic(T, b=1.0, kappa=1.0),
         name="semilinear_exp",
         x0_default=np.array([0.0]),
     )
@@ -303,21 +274,6 @@ def _semilinear_exp() -> ProblemSpec:
 def _bsb_uncertain_vol() -> ProblemSpec:
     T, sim_vol, vol_lo, vol_hi = 1.0, 0.15, 0.1, 0.2
     rate = vol_hi * vol_hi  # growth of the worst-case convex solution
-
-    def analytic():
-        def value(t, x):
-            return x[:, 0] ** 2 * math.exp(rate * (T - t))
-
-        def gradient(t, x):
-            return 2.0 * x * math.exp(rate * (T - t))
-
-        def hessian(t, x):
-            return np.full((len(x), 1, 1), 2.0 * math.exp(rate * (T - t)))
-
-        def time_derivative(t, x):
-            return -rate * x[:, 0] ** 2 * math.exp(rate * (T - t))
-
-        return AnalyticSolution(value, gradient, hessian, time_derivative)
 
     def f(t, x, y, z, gamma):
         # max over u in [vol_lo, vol_hi] of u^2 * x^2 * gamma is attained
@@ -333,7 +289,7 @@ def _bsb_uncertain_vol() -> ProblemSpec:
         f=f,
         g=lambda x: x[:, 0] ** 2,
         dg=lambda x: 2.0 * x,
-        analytic_v=analytic(),
+        analytic_v=_quadratic(T, a=1.0, rho=rate),
         name="bsb_uncertain_vol",
         x0_default=np.array([1.0]),
     )

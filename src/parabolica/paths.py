@@ -48,7 +48,8 @@ __all__ = [
     "for_path_blocks",
     "brownian_increments",
     "euler_simulate",
-    "encode_batch",
+    "batch_bytes",
+    "write_batch",
     "load_batch",
 ]
 
@@ -236,8 +237,13 @@ def euler_simulate(
     return PathBatch(grid=grid, J=J, dW=dW, X=X, stop_index=stop, domain=domain)
 
 
-def encode_batch(batch: PathBatch) -> bytes:
-    """The batch as concatenated raw .npy records.
+def batch_bytes(J: int, N: int, d: int) -> int:
+    """Bytes of a J-path, N-step, d-dimensional batch: X, dW and stop_index."""
+    return 8 * (J * (N + 1) * d + J * N * d + J)
+
+
+def write_batch(batch: PathBatch, fh) -> None:
+    """Write the batch to the binary file ``fh`` as raw .npy records, one at a time.
 
     times (N+1,), X (J, N+1, d), dW (J, N, d), stop_index (J,), in that
     order.  Raw records rather than an archive because zip headers embed
@@ -247,10 +253,8 @@ def encode_batch(batch: PathBatch) -> bytes:
     record that :func:`load_batch` refuses.  The domain is not serialized;
     a reloaded batch keeps stop_index but reports no domain.
     """
-    buf = io.BytesIO()
     for arr in (batch.grid.times, batch.X, batch.dW, batch.stop_index):
-        np.save(buf, np.ascontiguousarray(arr), allow_pickle=False)
-    return buf.getvalue()
+        np.save(fh, np.ascontiguousarray(arr), allow_pickle=False)
 
 
 def _read_record(raw: bytearray, buf: io.BytesIO, dtype) -> np.ndarray:
@@ -269,7 +273,7 @@ def _read_record(raw: bytearray, buf: io.BytesIO, dtype) -> np.ndarray:
 
 
 def load_batch(path: str) -> PathBatch:
-    """Read a batch written by :func:`encode_batch`.
+    """Read a batch written by :func:`write_batch`.
 
     Raises ConfigError unless the file holds exactly the four records, with
     dtypes and shapes that fit together, times equal to the uniform grid

@@ -31,7 +31,7 @@ from .errors import (
     NonFinite,
 )
 from .model import ProblemSpec, require_memory
-from .paths import PathBatch, TimeGrid, euler_simulate
+from .paths import PathBatch, TimeGrid, batch_bytes, euler_simulate
 
 __all__ = [
     "FdGrid",
@@ -243,9 +243,7 @@ def twobsde_residuals(spec: ProblemSpec, batch: PathBatch) -> dict:
         )
     av = spec.analytic_v
     times = batch.grid.times
-    X, dW, stop = batch.X, batch.dW, batch.stop_index
-    J, n_nodes, d = X.shape
-    N = n_nodes - 1
+    X, stop, N = batch.X, batch.stop_index, batch.grid.N
 
     terminal_gap = float(np.max(np.abs(av.value(times[-1], X[:, -1]) - spec.g(X[:, -1]))))
 
@@ -363,9 +361,7 @@ def verify_problem(
             f"problem {spec.name!r} has no analytic solution to verify against"
         )
     checks = []
-    # The largest residual batch: X, dW and stop_index.
-    nbytes = max((8 * (residual_J * (2 * N + 1) * spec.dim + residual_J) for N in residual_Ns),
-                 default=0)
+    nbytes = max((batch_bytes(residual_J, N, spec.dim) for N in residual_Ns), default=0)
 
     if spec.dim == 1:
         x0 = float(spec.x0_default[0])

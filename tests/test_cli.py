@@ -8,6 +8,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -708,6 +709,22 @@ class TestMemoryEstimate:
         assert estimate(65) - estimate(64) == 8 * (J * d + J * d)
         batch = 8 * (J * 65 * d + J * 64 * d + J)
         assert estimate(64) == batch + 2 * 8 * J * (1 + d + d * d)
+
+    def test_a_simulate_run_holds_the_batch_and_one_record_copy(self, tmp_path):
+        # paths.bin streams to disk: besides the batch, the run holds only
+        # the C-ordered copy of X made while that record is written.
+        J, N = 20_000, 32
+        cfg = {"problem": "gbm_linear", "scheme": "simulate", "J": J, "N": N, "seed": 4}
+        estimate = cli._array_bytes(cli.RunConfig.from_dict(cfg), model.catalog_get("gbm_linear"))
+        assert estimate == paths.batch_bytes(J, N, 1) + 8 * J * (N + 1)
+        tracemalloc.start()
+        try:
+            assert _run(tmp_path, "simulate", cfg, threads=2) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * estimate
+        assert paths.load_batch(str(tmp_path / "out" / "paths.bin")).J == J
 
 
 class TestOverrides:

@@ -18,15 +18,22 @@ from parabolica.paths import (
     PathBatch,
     TimeGrid,
     brownian_increments,
-    encode_batch,
     euler_simulate,
     load_batch,
+    write_batch,
 )
 
 # Reference exit fraction for |W| leaving (-1, 1) before t = 1 observed
 # on a 256-step grid, measured once from 10^7 paths (100 independent
 # 10^5-path chunks); the sampling error of the reference is ~5e-4.
 EXIT_FRACTION_REF = 0.595055
+
+
+def dump(batch) -> bytes:
+    """The bytes ``write_batch`` writes for ``batch``."""
+    buf = io.BytesIO()
+    write_batch(batch, buf)
+    return buf.getvalue()
 
 
 def drifting_spec(mu_value=0.0, sigma_value=1.0, domain=None):
@@ -248,7 +255,7 @@ def layout_spec(d):
 
 
 class TestLayout:
-    # SHA-256 of encode_batch(layout batch) when X and dW were still stored
+    # SHA-256 of the dump of the layout batch when X and dW were still stored
     # path-major: the node-major storage must not move a byte of the dump.
     DUMP_SHA256 = {
         1: "212c92bee05d10bb54512b9731961c25b406ab8208f5aec0ad74b204c71cfe02",
@@ -269,12 +276,18 @@ class TestLayout:
         for n in range(8):
             assert batch.dW[:, n].flags.c_contiguous
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_batch_bytes_counts_the_arrays_of_a_batch(self, d):
+        batch = self._batch(d)
+        held = batch.X.nbytes + batch.dW.nbytes + batch.stop_index.nbytes
+        assert paths.batch_bytes(257, 8, d) == held
+
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("d", [1, 2])
     def test_dump_bytes_are_pinned(self, d, threads):
         batch = self._batch(d, threads)
         assert 0 < np.mean(batch.stop_index < 8) < 1
-        assert hashlib.sha256(encode_batch(batch)).hexdigest() == self.DUMP_SHA256[d]
+        assert hashlib.sha256(dump(batch)).hexdigest() == self.DUMP_SHA256[d]
 
 
 class TestSerialization:
@@ -282,10 +295,11 @@ class TestSerialization:
         spec = catalog_get("boundary_heat")
         batch = euler_simulate(spec, TimeGrid(0.25, 1.0, 6), [0.5], 17, seed=99)
         # At d = 1 the node-major X is F-contiguous, which np.save would
-        # record in Fortran order unless encode_batch writes it C-ordered.
+        # record in Fortran order unless write_batch writes it C-ordered.
         assert batch.X.flags.f_contiguous and not batch.X.flags.c_contiguous
         fname = tmp_path / "batch.bin"
-        fname.write_bytes(encode_batch(batch))
+        with open(fname, "wb") as fh:
+            write_batch(batch, fh)
         loaded = load_batch(str(fname))
         assert loaded.J == 17
         assert loaded.grid == TimeGrid(0.25, 1.0, 6)
@@ -303,13 +317,13 @@ class TestSerialization:
         spec = catalog_get("heat")
         batch = euler_simulate(spec, TimeGrid(0.0, 1.0, 4), [0.0], 5, seed=1)
         fname = tmp_path / "batch.bin"
-        fname.write_bytes(encode_batch(batch)[:-16])
+        fname.write_bytes(dump(batch)[:-16])
         with pytest.raises(ConfigError):
             load_batch(str(fname))
 
     @staticmethod
     def _records(*arrays) -> bytes:
-        # C-ordered, as encode_batch writes them, so each case is refused
+        # C-ordered, as write_batch writes them, so each case is refused
         # for the defect it names and not for a Fortran-order header.
         buf = io.BytesIO()
         for arr in arrays:
@@ -327,7 +341,7 @@ class TestSerialization:
             self._records(times, X, dW, stop, stop),        # a fifth record
             self._records(times, X, dW),                    # a missing record
             self._records(times ** 2, X, dW, stop),         # a non-uniform grid
-            encode_batch(batch) + b"\0",
+            dump(batch) + b"\0",
         ):
             fname.write_bytes(blob)
             with pytest.raises(ConfigError):
