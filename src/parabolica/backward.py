@@ -50,8 +50,11 @@ Gamma solves, and the ``mu'z`` and trace terms of ``phi`` are formed
 once for all Picard sweeps, which then re-evaluate ``f`` alone.  When the
 problem carries a control (``spec.control``), ``f`` is not called: the
 node's :class:`hjb.NodeHamiltonian` evaluates every grid control's
-coefficients once, each Picard sweep takes ``-max`` over them, and after
-``Y`` is set the same object gives the node's mean maximizing control
+coefficients once.  When the discount rate is zero, H does not depend on
+``y``, so the node also forms the (G, J) objective and its maximum once
+and every Picard sweep reads ``-max`` from them; otherwise each sweep
+rebuilds the objective at its ``y``.  After ``Y`` is set the same object
+gives the node's mean maximizing control
 (``BackwardSolution.control_means``), so no second pass re-evaluates them.
 
 The sweep streams.  It holds node n's ``(Y, Z, Gamma)`` columns and the
@@ -372,8 +375,9 @@ def _sweep(
 
     When ``with_gamma`` is False no second-order column is maintained and
     ``phi`` is evaluated at a zero Hessian.  When it is True and the problem
-    carries a control, each node's Hamiltonians are built once, serve every
-    Picard sweep through ``-max`` and then give the node's mean control.
+    carries a control, each node's coefficients are evaluated once, serve
+    every Picard sweep through ``-max`` (of one objective formed once when
+    H does not depend on ``y``) and then give the node's mean control.
     The root value's stderr is the spread of the pathwise functional (see
     the module docstring).
     """
@@ -394,8 +398,10 @@ def _sweep(
     if not np.all(np.isfinite(y_n)):
         j = int(np.argmax(~np.isfinite(y_n)))
         raise NonFinite(f"non-finite terminal value at path {j}")
-    grad_T, kinked, used_fd = terminal_gradient(spec, X[:, N])
-    z_n = np.ascontiguousarray(grad_T)
+    z_n, kinked, used_fd = terminal_gradient(spec, X[:, N])
+    z_n = np.ascontiguousarray(z_n)
+    kink_fraction = float(np.mean(np.any(kinked, axis=1)))
+    del kinked  # only its fraction is reported
     g_n = terminal_hessian(spec, X[:, N]) if with_gamma else None
     observe(N, y_n, z_n, g_n)
 
@@ -516,7 +522,7 @@ def _sweep(
         fits=tuple(fits),
         diagnostics={
             "terminal_gradient_fd": used_fd,
-            "terminal_kink_fraction": float(np.mean(np.any(kinked, axis=1))),
+            "terminal_kink_fraction": kink_fraction,
         },
         control_means=control_means,
     )

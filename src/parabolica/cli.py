@@ -34,6 +34,8 @@ aside) regardless of ``--threads``; the flag only changes how work is
 chunked.  Only this module resolves the worker count: ``--threads``,
 then the config's ``threads``, then ``PARABOLICA_THREADS``, then 1, each
 through the ``threads`` reader; library calls take an int, default 1.
+Likewise only ``main`` sets the process's allocator policy (glibc's
+mmap and trim thresholds, see ``_keep_temporaries_on_the_heap``).
 """
 
 # Pin BLAS pools before numpy loads: the numeric modules own their
@@ -46,6 +48,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import platform
@@ -67,7 +70,7 @@ from .errors import (
 )
 from .linear_fk import Estimate, LinearCoefficients, feynman_kac_estimate, pathwise_remainders
 from .paths import TimeGrid, batch_bytes, euler_simulate, write_batch
-from .regress import BasisSpec
+from .regress import BasisSpec, basis_size
 
 __all__ = ["RunConfig", "main"]
 
@@ -132,6 +135,8 @@ _CONFIG_KEYS = {
 }
 _CONFIG = _object(_CONFIG_KEYS, "config")
 _THREADS_VAR = "PARABOLICA_THREADS"
+# glibc's mallopt parameters (malloc.h).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -309,21 +314,34 @@ def _controls_csv(grid, control_means) -> bytes:
 def _array_bytes(config: RunConfig, spec) -> int:
     """Bytes of the arrays a run holds at once, from J, N, d and the scheme.
 
-    The path batch (X, dW, stop_index), the C-ordered copy of X (its largest
-    record) that writing ``paths.bin`` makes, the two (Y, Z, Gamma) node
-    columns the backward sweep holds at once and, for hjb, the (G, J) node
-    terms of the control grid's G points.  Both the linear pass and the backward sweep stream
-    their nodes, so neither adds a (J, N+1) term.
+    The path batch (X, dW, stop_index) and the C-ordered copy of X (its
+    largest record) that writing ``paths.bin`` makes.  A backward step
+    holds, per path: node n's and node n-1's (Y, Z, Gamma) columns; the
+    last and the next design while the next is factorized (basis matrix,
+    its working copy and Q, p columns each); sigma, its inverse and mu;
+    the Gamma target, its fit and its unsymmetrized solve, or for
+    semilinear the zero Hessian; the Z and Y fits, mu'z, the half trace,
+    the last Picard correction and the pathwise functional.  An hjb node
+    adds its k control columns and, over the control grid's G points,
+    four (G, J) terms, the (G, J) objective and a (G, J) boolean mask
+    with the copy ``np.argmax`` makes of it.  Both the linear pass and the
+    backward sweep stream their nodes, so neither adds a (J, N+1) term.
     """
     J, N, d = config.J, config.N, spec.dim
     total = batch_bytes(J, N, d)
     if config.dump_paths or config.scheme == "simulate":
         total += 8 * J * (N + 1) * d
     if config.scheme in ("semilinear", "full_2bsde", "hjb"):
-        second = d * d if config.scheme != "semilinear" else 0
-        total += 2 * 8 * J * (1 + d + second)
+        p = basis_size(config.basis, d)
+        if config.scheme == "semilinear":
+            columns = 2 * (1 + d) + 5 * p + 3 * d * d + 2 * d + 5
+        else:
+            columns = 2 * (1 + d + d * d) + 5 * p + 5 * d * d + 2 * d + 5
+        total += 8 * J * columns
     if config.scheme == "hjb":
-        total += 4 * spec.control.resolution ** spec.control.control_dim * J * 8
+        cp = spec.control
+        G = cp.resolution ** cp.control_dim
+        total += 8 * J * cp.control_dim + (5 * 8 + 2) * G * J
     return total
 
 
@@ -442,7 +460,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_temporaries_on_the_heap() -> None:
+    """Set the process's allocator policy: MB-sized blocks come from the heap.
+
+    glibc serves a block past its mmap threshold with a fresh mapping
+    that is unmapped again on free, and hands heap tops past its trim
+    threshold back to the system.  Both start low (128 KiB) and rise only
+    with the blocks freed so far, so per-node temporaries of a few MB keep
+    faulting fresh pages in.  Fixed high values keep those pages in the
+    process for the next node.  Where the C library has no ``mallopt``
+    nothing is done; no result depends on it.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 128 << 20)
+    except (OSError, AttributeError, TypeError):
+        pass
+
+
 def main(argv=None) -> int:
+    _keep_temporaries_on_the_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -120,6 +120,9 @@ def hamiltonian(cp: ControlProblem, t, x, y, z, gamma, u) -> np.ndarray:
         return alpha + beta * np.asarray(y, dtype=np.float64) + lin + quad
 
 
+_NEGATIVE_ZERO = np.float64(-0.0).view(np.int64)
+
+
 def _repeats(row: np.ndarray) -> bool:
     """True when ``row`` is non-empty and every entry has the first entry's bits."""
     bits = row.view(np.int64)
@@ -139,6 +142,14 @@ class NodeHamiltonian:
     repeated bit pattern (a constant reward or discount rate), and widened
     to (G, J) at the first row that is not: broadcasting a repeated value
     gives the same bits and saves a (G, J) array.
+
+    When ``beta`` stayed a column of ``+0.0`` and ``alpha`` holds no
+    ``-0.0``, ``alpha + beta*y`` has ``alpha``'s bits at every finite ``y``
+    (``a + (+-0.0) = a`` and ``+0.0 + (+-0.0) = +0.0``), so H does not
+    depend on ``y``: the (G, J) objective and its column maximum are
+    formed once, here, and every finite ``y`` reads them.  A ``y`` that is
+    not all finite takes the general path, which rebuilds the objective at
+    that ``y``.
     """
 
     def __init__(self, cp: ControlProblem, t, x, z, gamma):
@@ -152,6 +163,16 @@ class NodeHamiltonian:
                     if self._terms[i].shape[1] == 1 and not _repeats(row):
                         self._terms[i] = np.repeat(self._terms[i], J, axis=1)
                     self._terms[i][g] = row if self._terms[i].shape[1] == J else row[0]
+        alpha, beta, lin, quad = self._terms
+        self._y_free = None
+        if (beta.shape[1] == 1 and not np.any(beta.view(np.int64))
+                and not np.any(alpha.view(np.int64) == _NEGATIVE_ZERO)):
+            values = np.empty((len(self.grid), J))
+            values[:] = alpha
+            with np.errstate(invalid="ignore", over="ignore"):
+                values += lin
+                values += quad
+            self._y_free = values, np.max(values, axis=0)
 
     def _values(self, y) -> np.ndarray:
         alpha, beta, lin, quad = self._terms
@@ -162,16 +183,32 @@ class NodeHamiltonian:
             values += quad
         return values
 
+    def _objective(self, y) -> tuple:
+        """The (G, J) objective at ``y`` and its column maximum."""
+        if self._y_free is not None and np.all(np.isfinite(y)):
+            return self._y_free
+        values = self._values(y)
+        return values, np.max(values, axis=0)
+
     def f(self, y) -> np.ndarray:
         """``-max_u H(u)`` per path; raises NonFinite when a maximum is not finite."""
-        best = np.max(self._values(y), axis=0)
+        best = self._objective(y)[1]
         if not np.all(np.isfinite(best)):
             raise NonFinite("control objective evaluated non-finite")
         return -best
 
     def argmax(self, y) -> np.ndarray:
-        """The first grid control attaining the maximum, per path: (J, control_dim)."""
-        return self.grid[np.argmax(self._values(y), axis=0)]
+        """The first grid control attaining the maximum, per path: (J, control_dim).
+
+        The first row equal to a finite column maximum is the one
+        ``np.argmax`` picks, found on a boolean array in place of
+        ``np.argmax``'s transposed float copy; a column whose maximum is
+        NaN takes ``np.argmax``'s first NaN.
+        """
+        values, best = self._objective(y)
+        if np.all(np.isfinite(best)):
+            return self.grid[np.argmax(values == best, axis=0)]
+        return self.grid[np.argmax(values, axis=0)]
 
 
 def hjb_generator(cp: ControlProblem) -> Callable:

@@ -269,6 +269,37 @@ class TestDeterminism:
         assert s1 == s2
 
 
+class TestAllocatorPolicy:
+    CONFIG = {"problem": "hjb_uncertain_vol", "scheme": "hjb", "J": 2000, "N": 8, "seed": 2}
+
+    @staticmethod
+    def _artifacts(tmp_path, out):
+        summary = _summary(tmp_path, out)
+        summary.pop("environment")
+        return [summary] + [(tmp_path / out / name).read_bytes()
+                            for name in ("steps.csv", "controls.csv")]
+
+    def test_the_thresholds_are_set_through_mallopt(self, tmp_path, monkeypatch):
+        calls = []
+        libc = type("FakeLibc", (), {"mallopt": staticmethod(lambda *a: calls.append(a) or 1)})
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc())
+        assert _run(tmp_path, "solve-hjb", self.CONFIG) == 0
+        # M_MMAP_THRESHOLD (-3) at 32 MiB, then M_TRIM_THRESHOLD (-1) at 128 MiB.
+        assert calls == [(-3, 32 << 20), (-1, 128 << 20)]
+
+    @pytest.mark.parametrize("missing", ["library", "mallopt"])
+    def test_a_c_library_without_mallopt_changes_nothing(self, tmp_path, monkeypatch, missing):
+        assert _run(tmp_path, "solve-hjb", self.CONFIG, out="policy") == 0
+
+        def no_library(name):
+            raise OSError("no C library")
+
+        no_mallopt = lambda name: type("BareLibc", (), {})()
+        monkeypatch.setattr(cli.ctypes, "CDLL", no_library if missing == "library" else no_mallopt)
+        assert _run(tmp_path, "solve-hjb", self.CONFIG, out="fallback") == 0
+        assert self._artifacts(tmp_path, "fallback") == self._artifacts(tmp_path, "policy")
+
+
 class TestArtifacts:
     def test_linear_steps_csv_layout(self, tmp_path):
         assert _run(tmp_path, "solve-linear", HEAT_LINEAR) == 0
@@ -708,7 +739,38 @@ class TestMemoryEstimate:
         # One more step adds a row of X and one of dW, and nothing else.
         assert estimate(65) - estimate(64) == 8 * (J * d + J * d)
         batch = 8 * (J * 65 * d + J * 64 * d + J)
-        assert estimate(64) == batch + 2 * 8 * J * (1 + d + d * d)
+        # At d = 1: two (Y, Z, Gamma) node columns, five columns of p = 3
+        # for the last and next designs, and the step's 12 other columns.
+        assert estimate(64) == batch + 8 * J * (2 * 3 + 5 * 3 + 12)
+
+    X_DEPENDENT = {
+        "dim": 1, "horizon": 1.0, "mu": ["0"], "sigma": [["0.15*x[0]"]],
+        "g": "x[0]^2", "dg": ["2*x[0]"], "x0": [1.0],
+        "control": {"control_dim": 1, "lower": [0.1], "upper": [0.2],
+                    "alpha": "0.01*u[0]*x[0]^2", "beta": "-0.01*u[0]*x[0]^2",
+                    "b": ["0.01*u[0]*x[0]"], "a": [["u[0]*x[0]"]]},
+    }
+
+    @pytest.mark.parametrize("command, problem", [
+        ("solve-hjb", "hjb_uncertain_vol"),
+        ("solve-hjb", X_DEPENDENT),
+        ("solve-2bsde", "bsb_uncertain_vol"),
+    ], ids=["hjb-catalog", "hjb-x-dependent", "2bsde"])
+    def test_a_backward_run_holds_at_most_its_estimate(self, tmp_path, command, problem):
+        # The x-dependent control widens all four node terms to (G, J).
+        J, N = 4000, 16
+        cfg = {"problem": problem, "J": J, "N": N, "seed": 3}
+        spec = (model.catalog_get(problem) if isinstance(problem, str)
+                else model.problem_from_dict(problem))
+        scheme = cli._SUBCOMMANDS[command]
+        estimate = cli._array_bytes(cli.RunConfig.from_dict(cfg, scheme=scheme), spec)
+        tracemalloc.start()
+        try:
+            assert _run(tmp_path, command, cfg, threads=2) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * estimate
 
     def test_a_simulate_run_holds_the_batch_and_one_record_copy(self, tmp_path):
         # paths.bin streams to disk: besides the batch, the run holds only

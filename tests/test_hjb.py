@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from parabolica.backward import screen_driver
-from parabolica.errors import ConfigError, MissingGamma
+from parabolica.errors import ConfigError, MissingGamma, NonFinite
 from parabolica.hjb import (
     ControlProblem,
+    NodeHamiltonian,
     as_problem,
     control_problem_from_dict,
     extract_control,
@@ -155,6 +156,114 @@ class TestGenerator:
         with pytest.raises(NonFinite):
             f(0.0, np.array([[1.0]]), np.array([np.inf]), np.ones((1, 1)),
               np.ones((1, 1, 1)))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestYFreeNode:
+    """With beta = +0.0, a node forms its objective once; the bits must not move.
+
+    The reference is ``hamiltonian`` per grid control, the general path's
+    operations; a beta of ``-0.0`` also forces the general path, with the
+    same bits whenever alpha holds no ``-0.0``.
+    """
+
+    J = 64
+
+    @staticmethod
+    def problem(beta=0.0, alpha=None, a=None):
+        return ControlProblem(
+            dim=2, control_dim=2,
+            lower=np.array([-1.0, 0.1]), upper=np.array([1.0, 0.4]),
+            alpha=alpha or (lambda t, x, u: np.sin(3 * u[0]) * x[:, 0] + u[1] * x[:, 1]),
+            beta=lambda t, x, u: np.full(len(x), beta),
+            b=lambda t, x, u: np.stack([u[0] * x[:, 1], np.full(len(x), u[1])], axis=1),
+            a=a or (lambda t, x, u: u[1] * x[:, :, None] * np.array([[1.0, 0.3]])),
+            resolution=5,
+        )
+
+    def states(self, seed, zero_derivatives=False):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-2, 2, size=(self.J, 2))
+        z = np.zeros((self.J, 2)) if zero_derivatives else rng.normal(size=(self.J, 2))
+        gam = np.zeros((self.J, 2, 2)) if zero_derivatives else rng.normal(size=(self.J, 2, 2))
+        y = rng.normal(size=self.J)
+        y[:4] = [0.0, -0.0, 0.0, -0.0]  # signed zeros, beside negative and positive y
+        return x, y, z, gam
+
+    @staticmethod
+    def reference(cp, x, y, z, gam):
+        h = np.stack([hamiltonian(cp, 0.3, x, y, z, gam, u) for u in cp.grid()])
+        return -np.max(h, axis=0), cp.grid()[np.argmax(h, axis=0)]
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        general = NodeHamiltonian._values
+        monkeypatch.setattr(NodeHamiltonian, "_values",
+                            lambda self, y: calls.append(1) or general(self, y))
+        return calls
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_f_and_argmax_match_the_general_path_bit_for_bit(self, monkeypatch, seed):
+        calls = self.spy(monkeypatch)
+        x, y, z, gam = self.states(seed)
+        free = NodeHamiltonian(self.problem(), 0.3, x, z, gam)
+        got = free.f(y), free.argmax(y), free.f(y)
+        assert calls == []  # the y-free node never rebuilds its objective
+        general = NodeHamiltonian(self.problem(beta=-0.0), 0.3, x, z, gam)
+        expected = general.f(y), general.argmax(y)
+        assert len(calls) == 2
+        ref_f, ref_u = self.reference(self.problem(), x, y, z, gam)
+        for f in (got[0], got[2], expected[0]):
+            np.testing.assert_array_equal(_bits(f), _bits(ref_f))
+        np.testing.assert_array_equal(got[1], ref_u)
+        np.testing.assert_array_equal(expected[1], ref_u)
+
+    def test_an_all_tie_objective_takes_the_first_grid_point(self):
+        cp = self.problem(alpha=lambda t, x, u: np.zeros(len(x)))
+        x, y, z, gam = self.states(3, zero_derivatives=True)
+        node = NodeHamiltonian(cp, 0.3, x, z, gam)
+        ref_f, ref_u = self.reference(cp, x, y, z, gam)
+        np.testing.assert_array_equal(_bits(node.f(y)), _bits(ref_f))
+        np.testing.assert_array_equal(node.argmax(y), np.broadcast_to(cp.grid()[0], (self.J, 2)))
+        np.testing.assert_array_equal(ref_u, node.argmax(y))
+
+    def test_alpha_with_a_negative_zero_takes_the_general_path(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        cp = self.problem(alpha=lambda t, x, u: np.where(x[:, 0] > 0, -0.0, u[0] * x[:, 1]))
+        x, y, z, gam = self.states(4)
+        node = NodeHamiltonian(cp, 0.3, x, z, gam)
+        f, u = node.f(y), node.argmax(y)
+        assert len(calls) == 2
+        ref_f, ref_u = self.reference(cp, x, y, z, gam)
+        np.testing.assert_array_equal(_bits(f), _bits(ref_f))
+        np.testing.assert_array_equal(u, ref_u)
+
+    def test_a_nan_in_y_raises_as_the_general_path_does(self):
+        x, y, z, gam = self.states(5)
+        y[7] = np.nan
+        for cp in (self.problem(), self.problem(beta=-0.0)):
+            with pytest.raises(NonFinite, match="^control objective evaluated non-finite$"):
+                NodeHamiltonian(cp, 0.3, x, z, gam).f(y)
+
+    def test_a_nan_column_takes_np_argmax_first_nan(self):
+        # Paths with x_0 < 0 see a NaN diffusion from the grid's third u_1 on.
+        def a(t, x, u):
+            scale = np.where((x[:, 0] < 0) & (u[1] > 0.2), np.nan, u[1])
+            return scale[:, None, None] * x[:, :, None] * np.array([[1.0, 0.3]])
+
+        cp = self.problem(a=a)
+        x, y, z, gam = self.states(6)
+        node = NodeHamiltonian(cp, 0.3, x, z, gam)
+        with np.errstate(invalid="ignore"):
+            ref_f, ref_u = self.reference(cp, x, y, z, gam)
+        assert np.isnan(ref_f).any() and not np.all(ref_u == cp.grid()[0])
+        np.testing.assert_array_equal(node.argmax(y), ref_u)
+        with pytest.raises(NonFinite, match="^control objective evaluated non-finite$"):
+            node.f(y)
 
 
 class TestControlProblem:
