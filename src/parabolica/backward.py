@@ -50,15 +50,17 @@ Gamma solves, and the ``mu'z`` and trace terms of ``phi`` are formed
 once for all Picard sweeps, which then re-evaluate ``f`` alone.  When the
 problem carries a control (``spec.control``), ``f`` is not called: the
 node's :class:`hjb.NodeHamiltonian` evaluates every grid control's
-coefficients once.  When the discount rate is zero, H does not depend on
-``y``, so the node also forms the (G, J) objective and its maximum once
-and every Picard sweep reads ``-max`` from them; otherwise each sweep
-rebuilds the objective at its ``y``.  After ``Y`` is set the same object
-gives the node's mean maximizing control
-(``BackwardSolution.control_means``), so no second pass re-evaluates them.
+coefficients once, into (G, J) arrays over the G grid controls.  When
+the discount rate is zero, H does not depend on ``y``, so the node keeps
+only the (G, J) objective and its maximum, formed once, and every Picard
+sweep reads ``-max`` from them; otherwise each sweep rebuilds the
+objective at its ``y``.  After ``Y`` is set the same object gives the
+node's mean maximizing control (``BackwardSolution.control_means``), so
+no second pass re-evaluates them.
 
-The sweep streams.  It holds node n's ``(Y, Z, Gamma)`` columns and the
-node n-1 columns it builds from them, and hands each finished node to an
+The sweep streams.  Each step is a function that builds node n-1's
+``(Y, Z, Gamma)`` columns from node n's and frees the rest of what it
+built on return, and each finished node goes to an
 ``observe(n, y, z, gamma)`` callback, n = N first and 0 last.  Without
 one, a history observer keeps every node and the solution carries the
 (J, N+1, ...) arrays; the CLI passes its ``steps.csv`` row builder
@@ -365,10 +367,11 @@ def _sweep(
 ) -> BackwardSolution:
     """Run the backward recursion over the batch, streaming each node.
 
-    Only node n's columns and the node n-1 columns built from them are
-    held; ``observe(n, y, z, gamma)`` sees each node once, n = N first,
-    with C-contiguous (J,) ``y``, (J, d) ``z`` and (J, d, d) ``gamma``
-    (None when ``with_gamma`` is False), which it must not modify.
+    Between steps only the current node's columns are held; a step adds
+    its own arrays and frees them on return.  ``observe(n, y, z, gamma)``
+    sees each node once, n = N first, with C-contiguous (J,) ``y``,
+    (J, d) ``z`` and (J, d, d) ``gamma`` (None when ``with_gamma`` is
+    False), which it must not modify.
     Without ``observe`` a :class:`_History` keeps every column and the
     solution carries it as ``Y``, ``Z`` and ``Gamma``; with one, those
     fields are None.
@@ -415,7 +418,9 @@ def _sweep(
 
     pathwise = y_n.copy()
     fits = []
-    for n in range(N, 0, -1):
+
+    def step(n, y_n, z_n, g_n):
+        """Node n-1's columns from node n's; records the fits, pathwise charge and control mean."""
         k = n - 1
         t_prev = times[k]
         alive = stop > k
@@ -497,21 +502,14 @@ def _sweep(
                 frozen = hjb.NodeHamiltonian(cp, t_prev, X[done, k], z_k[done], g_k[done])
                 u[done] = frozen.argmax(y_k[done])
             control_means[k] = _column_means(u)
-            node = None  # release this node's (G, J) terms before the next is built
 
-        observe(k, y_k, z_k, g_k)
-        y_n, z_n, g_n = y_k, z_k, g_k
+        fits.append({"n": k, "t": t_prev, "y": fit_y, "z": fit_z, "gamma": fit_g,
+                     "alive": n_alive})
+        return y_k, z_k, g_k
 
-        fits.append(
-            {
-                "n": k,
-                "t": t_prev,
-                "y": fit_y,
-                "z": fit_z,
-                "gamma": fit_g,
-                "alive": n_alive,
-            }
-        )
+    for n in range(N, 0, -1):
+        y_n, z_n, g_n = step(n, y_n, z_n, g_n)
+        observe(n - 1, y_n, z_n, g_n)
 
     fits.reverse()
     return BackwardSolution(

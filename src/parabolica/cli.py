@@ -316,16 +316,17 @@ def _array_bytes(config: RunConfig, spec) -> int:
 
     The path batch (X, dW, stop_index) and the C-ordered copy of X (its
     largest record) that writing ``paths.bin`` makes.  A backward step
-    holds, per path: node n's and node n-1's (Y, Z, Gamma) columns; the
-    last and the next design while the next is factorized (basis matrix,
-    its working copy and Q, p columns each); sigma, its inverse and mu;
-    the Gamma target, its fit and its unsymmetrized solve, or for
-    semilinear the zero Hessian; the Z and Y fits, mu'z, the half trace,
-    the last Picard correction and the pathwise functional.  An hjb node
-    adds its k control columns and, over the control grid's G points,
-    four (G, J) terms, the (G, J) objective and a (G, J) boolean mask
-    with the copy ``np.argmax`` makes of it.  Both the linear pass and the
-    backward sweep stream their nodes, so neither adds a (J, N+1) term.
+    frees its own arrays on return; within it, per path: node n's and
+    node n-1's (Y, Z, Gamma) columns and the design (basis matrix and Q,
+    p columns each), then the larger of the QR's working copy (p) and the
+    rest: sigma, its inverse and mu; the Gamma target, fit and
+    unsymmetrized solve (semilinear: the zero Hessian); sigma sigma'; the
+    Z fit; and ten value columns (Y fit, mu'z, half trace, last Picard
+    correction, pathwise functional, five for the driver).  An hjb node
+    adds its k control columns and, over the G grid points, four (G, J)
+    terms, the (G, J) objective and a (G, J) boolean mask with the copy
+    ``np.argmax`` makes of it; a y-free node holds less.  Both passes
+    stream their nodes, so neither adds a (J, N+1) term.
     """
     J, N, d = config.J, config.N, spec.dim
     total = batch_bytes(J, N, d)
@@ -334,10 +335,10 @@ def _array_bytes(config: RunConfig, spec) -> int:
     if config.scheme in ("semilinear", "full_2bsde", "hjb"):
         p = basis_size(config.basis, d)
         if config.scheme == "semilinear":
-            columns = 2 * (1 + d) + 5 * p + 3 * d * d + 2 * d + 5
+            node, rest = 1 + d, 4 * d * d + 2 * d + 10
         else:
-            columns = 2 * (1 + d + d * d) + 5 * p + 5 * d * d + 2 * d + 5
-        total += 8 * J * columns
+            node, rest = 1 + d + d * d, 6 * d * d + 2 * d + 10
+        total += 8 * J * (2 * node + 2 * p + max(p, rest))
     if config.scheme == "hjb":
         cp = spec.control
         G = cp.resolution ** cp.control_dim

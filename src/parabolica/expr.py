@@ -412,20 +412,25 @@ def coefficient(source, d: int, args: tuple[str, ...], rank: int, what: str, k: 
     """Compile one problem coefficient's text into the batched callable ``fn(*args)``.
 
     ``source`` is one expression (``rank`` 0), a list of ``d`` (rank 1)
-    or a ``d`` x ``d`` table (rank 2), and ``fn`` returns ``(J,)``,
-    ``(J, d)`` or ``(J, d, d)``, J being the length of ``x``.  Any other
-    nesting or width, or a variable outside ``args``, raises ConfigError
-    naming ``what``; a syntax error keeps its type and gains ``what`` and
-    the offending entry as a prefix.
+    or a ``d`` x ``d`` table (rank 2), and ``fn`` returns a fresh float64
+    array of shape ``(J,)``, ``(J, d)`` or ``(J, d, d)``, J being the
+    length of ``x``, with each entry's value assigned into its slot (a
+    scalar or a (J,) row broadcasts).  Any other nesting or width, or a
+    variable outside ``args``, raises ConfigError naming ``what``; a
+    syntax error keeps its type and gains ``what`` and the offending
+    entry as a prefix.
     """
     shape = ("one expression", f"a list of d = {d} expressions",
              f"a d x d = {d} x {d} table of expressions")[rank]
+    slots = []  # (index, ast) per entry, in row-major order
 
-    def leaves(src, depth: int):
-        if depth:
+    def leaves(src, index: tuple):
+        if len(index) < rank:
             if not isinstance(src, (list, tuple)) or len(src) != d:
                 raise ConfigError(f"{what} must be {shape}, got {src!r}")
-            return [leaves(s, depth - 1) for s in src]
+            for i, s in enumerate(src):
+                leaves(s, index + (i,))
+            return
         if isinstance(src, bool) or not isinstance(src, (str, int, float)):
             raise ConfigError(f"{what} must be {shape}, got {src!r}")
         text = str(src)
@@ -439,24 +444,21 @@ def coefficient(source, d: int, args: tuple[str, ...], rank: int, what: str, k: 
         if stray:
             raise ConfigError(f"{what} may reference {', '.join(args)} only, not "
                               f"{', '.join(sorted(stray))}: {src!r}")
-        return ast
+        slots.append(((slice(None),) + index, ast))
 
-    tree = leaves(source, rank)
+    leaves(source, ())
 
     def fn(*values):
         ctx = EvalContext(**{a: v if a == "t" else np.asarray(v, dtype=np.float64)
                              for a, v in zip(args, values)})
-        return _stack(tree, rank, ctx, len(ctx.x))
+        out = np.empty((len(ctx.x),) + (d,) * rank)
+        for index, ast in slots:
+            # ``evaluate`` is looked up at call time, so a wrapper installed
+            # on the module sees every call.
+            out[index] = evaluate(ast, ctx)
+        return out
 
     return fn
-
-
-def _stack(tree, depth: int, ctx: EvalContext, n: int) -> np.ndarray:
-    if depth:
-        return np.stack([_stack(c, depth - 1, ctx, n) for c in tree], axis=-depth)
-    # ``evaluate`` is looked up at call time, so a wrapper installed on the
-    # module sees every call.
-    return np.broadcast_to(np.asarray(evaluate(tree, ctx), dtype=np.float64), (n,))
 
 
 # --------------------------------------------------------------------------

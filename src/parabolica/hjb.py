@@ -103,76 +103,68 @@ class ControlProblem:
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
-def _control_terms(cp: ControlProblem, t, x, z, gamma, u) -> tuple:
-    """The y-free parts of H at one control: ``(alpha, beta, b'z, 1/2 Tr[a a' gamma])``."""
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
+def _state_terms(cp: ControlProblem, t, x, z, gamma, u) -> tuple:
+    """``(b'z, 1/2 Tr[a a' gamma])`` at one control vector ``u``."""
     a_val = cp.a(t, x, u)
     aat = np.einsum("jab,jcb->jac", a_val, a_val)
     quad = 0.5 * np.einsum("jab,jba->j", aat, gamma)
     lin = np.einsum("jd,jd->j", cp.b(t, x, u), z)
-    return cp.alpha(t, x, u), cp.beta(t, x, u), lin, quad
+    return lin, quad
 
 
 def hamiltonian(cp: ControlProblem, t, x, y, z, gamma, u) -> np.ndarray:
     """The controlled drift H = alpha + beta*y + b'z + 1/2 Tr[a a' gamma]."""
+    u = np.asarray(u, dtype=np.float64).reshape(-1)
     with np.errstate(invalid="ignore", over="ignore"):
-        alpha, beta, lin, quad = _control_terms(cp, t, x, z, gamma, u)
-        return alpha + beta * np.asarray(y, dtype=np.float64) + lin + quad
+        lin, quad = _state_terms(cp, t, x, z, gamma, u)
+        return cp.alpha(t, x, u) + cp.beta(t, x, u) * np.asarray(y, dtype=np.float64) + lin + quad
 
 
 _NEGATIVE_ZERO = np.float64(-0.0).view(np.int64)
-
-
-def _repeats(row: np.ndarray) -> bool:
-    """True when ``row`` is non-empty and every entry has the first entry's bits."""
-    bits = row.view(np.int64)
-    return bits.size > 0 and bool(np.all(bits == bits[0]))
 
 
 class NodeHamiltonian:
     """H at every grid control for one batch of ``(t, x, z, gamma)``.
 
     Only ``beta*y`` depends on ``y``, so the coefficients are evaluated
-    once, at construction, and stacked over the G grid controls; :meth:`f`
-    and :meth:`argmax` then cost a few array operations per ``y``.  Each
-    value is ``((alpha + beta*y) + b'z) + quad``, the operations
-    :func:`hamiltonian` performs, so both agree bit for bit.
+    once per grid control, at construction, into (G, J) arrays over the
+    G grid controls; :meth:`f` and :meth:`argmax` then cost a few array
+    operations per ``y``.  Each value is ``((alpha + beta*y) + b'z) +
+    quad``, the operations :func:`hamiltonian` performs, so both agree
+    bit for bit.
 
-    A term is kept as a (G, 1) column while every control's row is one
-    repeated bit pattern (a constant reward or discount rate), and widened
-    to (G, J) at the first row that is not: broadcasting a repeated value
-    gives the same bits and saves a (G, J) array.
-
-    When ``beta`` stayed a column of ``+0.0`` and ``alpha`` holds no
-    ``-0.0``, ``alpha + beta*y`` has ``alpha``'s bits at every finite ``y``
-    (``a + (+-0.0) = a`` and ``+0.0 + (+-0.0) = +0.0``), so H does not
-    depend on ``y``: the (G, J) objective and its column maximum are
-    formed once, here, and every finite ``y`` reads them.  A ``y`` that is
-    not all finite takes the general path, which rebuilds the objective at
-    that ``y``.
+    When every ``beta`` has the bits of ``+0.0`` and no ``alpha`` is
+    ``-0.0``, ``alpha + beta*y`` has ``alpha``'s bits at every finite
+    ``y`` (``a + (+-0.0) = a`` and ``+0.0 + (+-0.0) = +0.0``), so H does
+    not depend on ``y``: ``b'z`` and ``quad`` are folded into ``alpha``'s
+    rows in place and the node keeps only that objective and its column
+    maximum, which every ``y`` reads.  A ``y`` that is not all finite
+    would make every value NaN, so there :meth:`f` and :meth:`argmax`
+    raise NonFinite.  Any other node keeps the four (G, J) terms and
+    rebuilds the objective at each ``y``.
     """
 
     def __init__(self, cp: ControlProblem, t, x, z, gamma):
         self.grid = cp.grid()
-        J = len(x)
-        self._terms = [np.empty((len(self.grid), 1)) for _ in range(4)]
+        shape = (len(self.grid), len(x))
+        alpha, beta = np.empty(shape), np.empty(shape)
+        self._terms = self._y_free = None
         with np.errstate(invalid="ignore", over="ignore"):
             for g, u in enumerate(self.grid):
-                for i, term in enumerate(_control_terms(cp, t, x, z, gamma, u)):
-                    row = np.broadcast_to(np.asarray(term, dtype=np.float64), (J,))
-                    if self._terms[i].shape[1] == 1 and not _repeats(row):
-                        self._terms[i] = np.repeat(self._terms[i], J, axis=1)
-                    self._terms[i][g] = row if self._terms[i].shape[1] == J else row[0]
-        alpha, beta, lin, quad = self._terms
-        self._y_free = None
-        if (beta.shape[1] == 1 and not np.any(beta.view(np.int64))
-                and not np.any(alpha.view(np.int64) == _NEGATIVE_ZERO)):
-            values = np.empty((len(self.grid), J))
-            values[:] = alpha
-            with np.errstate(invalid="ignore", over="ignore"):
-                values += lin
-                values += quad
-            self._y_free = values, np.max(values, axis=0)
+                alpha[g], beta[g] = cp.alpha(t, x, u), cp.beta(t, x, u)
+            if not (np.any(beta.view(np.int64))
+                    or np.any(alpha.view(np.int64) == _NEGATIVE_ZERO)):
+                del beta  # +0.0 throughout: alpha + beta*y is alpha at every finite y
+                for g, u in enumerate(self.grid):
+                    lin, quad = _state_terms(cp, t, x, z, gamma, u)
+                    alpha[g] += lin
+                    alpha[g] += quad
+                self._y_free = alpha, np.max(alpha, axis=0)
+            else:
+                lin, quad = np.empty(shape), np.empty(shape)
+                for g, u in enumerate(self.grid):
+                    lin[g], quad[g] = _state_terms(cp, t, x, z, gamma, u)
+                self._terms = alpha, beta, lin, quad
 
     def _values(self, y) -> np.ndarray:
         alpha, beta, lin, quad = self._terms
@@ -185,10 +177,12 @@ class NodeHamiltonian:
 
     def _objective(self, y) -> tuple:
         """The (G, J) objective at ``y`` and its column maximum."""
-        if self._y_free is not None and np.all(np.isfinite(y)):
-            return self._y_free
-        values = self._values(y)
-        return values, np.max(values, axis=0)
+        if self._terms is not None:
+            values = self._values(y)
+            return values, np.max(values, axis=0)
+        if not np.all(np.isfinite(y)):
+            raise NonFinite("control objective evaluated non-finite")
+        return self._y_free
 
     def f(self, y) -> np.ndarray:
         """``-max_u H(u)`` per path; raises NonFinite when a maximum is not finite."""

@@ -393,19 +393,21 @@ class TestNodeHamiltonians:
         for n in range(N + 1):
             np.testing.assert_array_equal(sol.control_means[n], control[:, n].mean(axis=0))
 
+    @pytest.mark.parametrize("coefficient", ["alpha", "beta", "b", "a"])
     @pytest.mark.parametrize("picard_iters", [1, 3])
-    def test_sweep_evaluates_each_control_once_per_node(self, picard_iters):
+    def test_sweep_evaluates_each_control_once_per_node(self, picard_iters, coefficient):
         calls = [0]
         cp = hjb.uncertain_volatility_control()
 
-        def a(t, x, u):
+        def counted(t, x, u):
             calls[0] += 1
-            return cp.a(t, x, u)
+            return getattr(cp, coefficient)(t, x, u)
 
-        counted = dataclasses.replace(cp, a=a)
-        spec = hjb.as_problem(counted, model.catalog_get("bsb_uncertain_vol"))
+        spec = hjb.as_problem(dataclasses.replace(cp, **{coefficient: counted}),
+                              model.catalog_get("bsb_uncertain_vol"))
         N, G = 6, len(cp.grid())
         batch = _simulate(spec, N, 400, 2)
+        calls[0] = 0  # as_problem screens beta
         screen_driver(spec, gamma_free=False)
         screen, calls[0] = calls[0], 0
         backward_solve_2bsde(spec, batch, BASIS2, picard_iters=picard_iters)

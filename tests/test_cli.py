@@ -739,9 +739,10 @@ class TestMemoryEstimate:
         # One more step adds a row of X and one of dW, and nothing else.
         assert estimate(65) - estimate(64) == 8 * (J * d + J * d)
         batch = 8 * (J * 65 * d + J * 64 * d + J)
-        # At d = 1: two (Y, Z, Gamma) node columns, five columns of p = 3
-        # for the last and next designs, and the step's 12 other columns.
-        assert estimate(64) == batch + 8 * J * (2 * 3 + 5 * 3 + 12)
+        # At d = 1: two (Y, Z, Gamma) node columns, the step's design (two
+        # columns of p = 3), and the step's 18 other columns, which
+        # outnumber the QR's working copy of the design.
+        assert estimate(64) == batch + 8 * J * (2 * 3 + 2 * 3 + 18)
 
     X_DEPENDENT = {
         "dim": 1, "horizon": 1.0, "mu": ["0"], "sigma": [["0.15*x[0]"]],

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parabolica import expr
 from parabolica.errors import ConfigError, ExprSyntaxError, IndexOutOfRange, MissingBinding
 from parabolica.expr import (
     Binary,
@@ -174,6 +175,47 @@ class TestCoefficient:
         fn = coefficient("t + x[0]*u[0]", 1, ("t", "x", "u"), 0, "control alpha", k=1)
         np.testing.assert_array_equal(fn(0.5, np.array([[2.0], [3.0]]), np.array([4.0])),
                                       [8.5, 12.5])
+
+    @staticmethod
+    def leaf(index, d, offset):
+        """A literal 0, a -0.0, a t-only or an x-dependent entry, cycling over the slots."""
+        flat = sum(i * d**n for n, i in enumerate(index))
+        kind = (flat + offset) % 4
+        return ("0", "-0.0", f"0.5*t + {flat}",
+                f"x[{flat % d}]*x[{(flat + 1) % d}] - {flat}")[kind]
+
+    @pytest.mark.parametrize("offset", range(4))
+    @pytest.mark.parametrize("rank", [0, 1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_output_is_the_stack_of_one_evaluate_per_leaf(self, monkeypatch, d, rank, offset):
+        if rank == 0:
+            source = self.leaf((), d, offset)
+        elif rank == 1:
+            source = [self.leaf((i,), d, offset) for i in range(d)]
+        else:
+            source = [[self.leaf((i, j), d, offset) for j in range(d)] for i in range(d)]
+        x = np.random.default_rng(d).normal(size=(7, d))
+        x[0] = -0.0
+        x[1] = 0.0
+        ctx = EvalContext(t=0.3, x=x)
+
+        def reference(src, depth):
+            if depth:
+                return np.stack([reference(s, depth - 1) for s in src], axis=-depth)
+            value = np.asarray(evaluate(parse(src, d), ctx), dtype=np.float64)
+            return np.broadcast_to(value, (len(x),))
+
+        expected = reference(source, rank)
+        calls = []
+        real = expr.evaluate
+        monkeypatch.setattr(expr, "evaluate", lambda ast, c: calls.append(ast) or real(ast, c))
+        fn = coefficient(source, d, ("t", "x"), rank, "c")
+        for _ in range(2):
+            got = fn(0.3, x)
+            assert got.shape == (len(x),) + (d,) * rank and got.dtype == np.float64
+            np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+        assert len(calls) == 2 * d**rank  # one evaluate per leaf and call
+        assert len(set(map(id, calls))) == d**rank
 
     @pytest.mark.parametrize("source, rank", [
         (["1", "2"], 0),

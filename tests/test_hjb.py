@@ -249,6 +249,32 @@ class TestYFreeNode:
             with pytest.raises(NonFinite, match="^control objective evaluated non-finite$"):
                 NodeHamiltonian(cp, 0.3, x, z, gam).f(y)
 
+    def test_a_nan_in_y_raises_from_argmax_on_a_y_free_node(self):
+        x, y, z, gam = self.states(5)
+        y[7] = np.nan
+        node = NodeHamiltonian(self.problem(), 0.3, x, z, gam)
+        with pytest.raises(NonFinite, match="^control objective evaluated non-finite$"):
+            node.argmax(y)
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_constant_alpha_and_nonzero_beta_match_hamiltonian_bit_for_bit(self, seed):
+        # Every path sees one alpha and one beta per control: the general
+        # path's (G, J) terms then repeat a value along each row.
+        cp = ControlProblem(
+            dim=2, control_dim=2,
+            lower=np.array([-1.0, 0.1]), upper=np.array([1.0, 0.4]),
+            alpha=lambda t, x, u: np.full(len(x), 0.3 * u[0] - u[1]),
+            beta=lambda t, x, u: np.full(len(x), -0.7 * u[1]),
+            b=lambda t, x, u: np.stack([u[0] * x[:, 1], np.full(len(x), u[1])], axis=1),
+            a=lambda t, x, u: u[1] * x[:, :, None] * np.array([[1.0, 0.3]]),
+            resolution=5,
+        )
+        x, y, z, gam = self.states(seed)
+        node = NodeHamiltonian(cp, 0.3, x, z, gam)
+        ref_f, ref_u = self.reference(cp, x, y, z, gam)
+        np.testing.assert_array_equal(_bits(node.f(y)), _bits(ref_f))
+        np.testing.assert_array_equal(node.argmax(y), ref_u)
+
     def test_a_nan_column_takes_np_argmax_first_nan(self):
         # Paths with x_0 < 0 see a NaN diffusion from the grid's third u_1 on.
         def a(t, x, u):

@@ -3,7 +3,10 @@
 ``perfbench/traced_cli.py`` replaces attributes of the package's modules
 with timed wrappers.  A rename in the package, or work moving between
 spans, would otherwise surface only as a failing ``perfbench/run.py
---trace 1`` run, so one small traced run is made here too.
+--trace 1`` run, so small traced runs are made here too.  That benchmark
+also requires a traced run to write the artifacts an untraced run writes,
+and two traced runs of one config to record the same spans and counts;
+the backward runs below check both.
 """
 
 import collections
@@ -14,7 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from parabolica import model
+from parabolica import cli, model
 
 TRACED_CLI = Path(__file__).resolve().parent.parent / "perfbench" / "traced_cli.py"
 
@@ -41,6 +44,7 @@ def test_traced_spec_builders_and_callables_exist():
 
 
 def _traced_run(tmp_path, subcommand, config_obj, threads=1):
+    """The spans of one traced run, as ``[name, start, end, parent, attrs]`` rows."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(config_obj))
     spans_path = tmp_path / "spans.json"
@@ -52,12 +56,50 @@ def _traced_run(tmp_path, subcommand, config_obj, threads=1):
     assert spans["exit"] == 0
     roots = [span[0] for span in spans["spans"] if span[3] is None]
     assert roots == ["cli"]
-    return [span[0] for span in spans["spans"]]
+    return spans["spans"]
+
+
+def _artifacts(out_dir):
+    """What the benchmark compares byte for byte: summary.json without environment, the CSVs."""
+    summary = json.loads((out_dir / "summary.json").read_text())
+    summary.pop("environment")
+    files = {name: (out_dir / name).read_bytes()
+             for name in ("steps.csv", "controls.csv") if (out_dir / name).exists()}
+    return summary, files
+
+
+def _counts(spans):
+    """Calls per span name and each call's count attributes, in call order."""
+    calls = collections.Counter(span[0] for span in spans)
+    attrs = collections.defaultdict(list)
+    for name, _, _, _, attr in spans:
+        if attr is not None:
+            attrs[name].append(attr)
+    return calls, dict(attrs)
+
+
+def _traced_runs_repeat_the_untraced_run(tmp_path, subcommand, config_obj):
+    """Two traced runs: same artifacts as an untraced run, same spans and counts."""
+    untraced = tmp_path / "untraced"
+    untraced.mkdir()
+    (untraced / "config.json").write_text(json.dumps(config_obj))
+    assert cli.main([subcommand, "--config", str(untraced / "config.json"),
+                     "--out", str(untraced / "out"), "--threads", "2"]) == 0
+    expected = _artifacts(untraced / "out")
+    counts = []
+    for k in range(2):
+        run_dir = tmp_path / f"traced{k}"
+        run_dir.mkdir()
+        counts.append(_counts(_traced_run(run_dir, subcommand, config_obj, threads=2)))
+        assert _artifacts(run_dir / "out") == expected
+    assert counts[0] == counts[1]
+    return counts[0][0]
 
 
 def test_traced_run_writes_one_cli_root_span(tmp_path):
-    _traced_run(tmp_path, "solve-hjb",
-                {"problem": "hjb_uncertain_vol", "N": 8, "J": 2000, "seed": 1})
+    calls = _traced_runs_repeat_the_untraced_run(
+        tmp_path, "solve-hjb", {"problem": "hjb_uncertain_vol", "N": 8, "J": 2000, "seed": 1})
+    assert calls["regress.fit"] == 3 * 8
 
 
 def test_traced_inline_run_spans_every_expression_evaluation(tmp_path):
@@ -69,9 +111,10 @@ def test_traced_inline_run_spans_every_expression_evaluation(tmp_path):
         "f": "-0.02*x[0]^2*gamma[0][0] - 0.02*x[1]^2*gamma[1][1]",
         "g": "x[0]^2 + x[1]^2", "x0": [1.0, 1.0],
     }
-    names = _traced_run(tmp_path, "solve-2bsde",
-                        {"problem": problem, "scheme": "full_2bsde", "N": 4, "J": 500, "seed": 1})
-    assert "expr.evaluate" in names
+    calls = _traced_runs_repeat_the_untraced_run(
+        tmp_path, "solve-2bsde",
+        {"problem": problem, "scheme": "full_2bsde", "N": 4, "J": 500, "seed": 1})
+    assert calls["expr.evaluate"] > 0
 
 
 def test_threaded_traced_runs_repeat_their_span_counts(tmp_path):
@@ -82,6 +125,6 @@ def test_threaded_traced_runs_repeat_their_span_counts(tmp_path):
     for k in range(2):
         run_dir = tmp_path / f"run{k}"
         run_dir.mkdir()
-        counts.append(collections.Counter(_traced_run(run_dir, "solve-linear", config, threads=2)))
+        counts.append(_counts(_traced_run(run_dir, "solve-linear", config, threads=2))[0])
     assert counts[0] == counts[1]
     assert counts[0]["paths.brownian_increments"] == 1
