@@ -47,11 +47,15 @@ values at the fit states are read off the basis matrix itself.  ``sigma``
 and ``mu`` are evaluated once, ``sigma`` is inverted once (a division when
 every matrix is diagonal, a batched inverse otherwise) for both the Z and
 Gamma solves, and the ``mu'z`` and trace terms of ``phi`` are formed
-once for all Picard sweeps, which then re-evaluate ``f`` alone.  When the
-problem carries a control (``spec.control``), ``f`` is not called: the
-node's :class:`hjb.NodeHamiltonian` evaluates every grid control's
-coefficients once, into (G, J) arrays over the G grid controls.  When
-the discount rate is zero, H does not depend on ``y``, so the node keeps
+once for all Picard sweeps, which then re-evaluate ``f`` alone.  A
+diagonal ``sigma`` stays its (J, d) diagonal view: it serves the Z and
+Gamma solves and the half-trace ``sum_i sigma_ii^2 gamma_ii``
+(:func:`model.half_trace`), as it serves the noise of the Euler step, so
+``sigma sigma'`` is formed only for a ``sigma`` with an off-diagonal
+entry.  When the problem carries a control (``spec.control``), ``f`` is
+not called: the node's :class:`hjb.NodeHamiltonian` evaluates every grid
+control's coefficients once, into (G, J) arrays over the G grid
+controls.  When the discount rate is zero, H does not depend on ``y``, so the node keeps
 only the (G, J) objective and its maximum, formed once, and every Picard
 sweep reads ``-max`` from them; otherwise each sweep rebuilds the
 objective at its ``y``.  After ``Y`` is set the same object gives the
@@ -92,7 +96,7 @@ import numpy as np
 from . import hjb, regress
 from .errors import ConfigError, GammaDependence, NonFinite, SingularSigma
 from .linear_fk import Estimate
-from .model import ProblemSpec, as_points
+from .model import ProblemSpec, as_points, diagonal, half_trace
 from .paths import PathBatch
 
 __all__ = ["BackwardSolution", "backward_solve_semilinear", "backward_solve_2bsde"]
@@ -121,12 +125,13 @@ class BackwardSolution:
     control_means: Optional[np.ndarray] = None
 
 
-def _ito_terms(mu, sig, z, gamma) -> tuple:
-    """``mu'z`` and ``0.5*Tr[sigma sigma' gamma]``, the terms the Itô transform adds to ``f``."""
+def _ito_terms(mu, sig, z, gamma, sig_diag) -> tuple:
+    """``mu'z`` and ``0.5*Tr[sigma sigma' gamma]``, the terms the Itô transform adds to ``f``.
+
+    ``sig_diag`` is ``diagonal(sig)``; the sweep passes the one it inverted ``sig`` with.
+    """
     mu_z = np.einsum("jd,jd->j", mu, np.asarray(z, dtype=np.float64))
-    ssT = np.einsum("jab,jcb->jac", sig, sig)
-    trace = np.einsum("jab,jba->j", ssT, np.asarray(gamma, dtype=np.float64))
-    return mu_z, 0.5 * trace
+    return mu_z, half_trace(sig, np.asarray(gamma, dtype=np.float64), sig_diag)
 
 
 def phi_transform(spec: ProblemSpec) -> Callable:
@@ -139,8 +144,8 @@ def phi_transform(spec: ProblemSpec) -> Callable:
         f_val = np.asarray(spec.f(t, x, y, z, gamma), dtype=np.float64)
         mu = np.asarray(spec.mu(x), dtype=np.float64)
         sig = np.asarray(spec.sigma(x), dtype=np.float64)
-        mu_z, half_trace = _ito_terms(mu, sig, z, gamma)
-        return (f_val + mu_z) + half_trace
+        mu_z, trace = _ito_terms(mu, sig, z, gamma, diagonal(sig))
+        return (f_val + mu_z) + trace
 
     return phi
 
@@ -175,6 +180,7 @@ def screen_driver(spec: ProblemSpec, gamma_free: bool) -> None:
     sig = np.asarray(spec.sigma(x), dtype=np.float64)
     if not gamma_free:
         x, y, z, mu, sig = (np.concatenate([a, a]) for a in (x, y, z, mu, sig))
+    sig_diag = diagonal(sig)
 
     def symmetric():
         gamma = rng.standard_normal((samples, d, d))
@@ -182,8 +188,8 @@ def screen_driver(spec: ProblemSpec, gamma_free: bool) -> None:
 
     def phi(t, gamma):
         f_val = np.asarray(spec.f(t, x, y, z, gamma), dtype=np.float64)
-        mu_z, half_trace = _ito_terms(mu, sig, z, gamma)
-        return f_val, (f_val + mu_z) + half_trace
+        mu_z, trace = _ito_terms(mu, sig, z, gamma, sig_diag)
+        return f_val, (f_val + mu_z) + trace
 
     for t in times:
         if gamma_free:
@@ -296,19 +302,17 @@ def terminal_hessian(spec: ProblemSpec, X_T) -> np.ndarray:
 def _invert_sigma(sig: np.ndarray, alive: np.ndarray, step: int) -> tuple:
     """Invert the diffusion matrices of one step once, for the Z and Gamma solves.
 
-    Returns ``(diag, inverse)``: the (J, d) diagonal and None when every
-    matrix is diagonal, so the solves divide; otherwise None and the batched
-    (J, d, d) inverse.  A singular matrix raises SingularSigma naming its
-    path, an index into the batch (``alive`` marks the rows of ``sig``).
+    Returns ``(diag, inverse)``: the (J, d) diagonal view and None when
+    every matrix is diagonal, so the solves divide; otherwise None and the
+    batched (J, d, d) inverse.  A singular matrix raises SingularSigma
+    naming its path, an index into the batch (``alive`` marks the rows of
+    ``sig``).
     """
-    d = sig.shape[-1]
-    diag = sig[:, np.arange(d), np.arange(d)]
-    # Diagonal exactly when no nonzero entry lies off the diagonal.
-    if np.count_nonzero(sig) == np.count_nonzero(diag):
-        zero = np.flatnonzero((diag == 0.0).any(axis=1))
-        if zero.size == 0:
+    diag = diagonal(sig)
+    if diag is not None:
+        if diag.all():
             return diag, None
-        j = int(zero[0])
+        j = int(np.flatnonzero((diag == 0.0).any(axis=1))[0])
     else:
         try:
             return None, np.linalg.inv(sig)
@@ -463,12 +467,12 @@ def _sweep(
 
         fit_y, Ey = expect(y_n[fit_rows])
         # Only f moves between Picard sweeps; the rest of phi is fixed per step.
-        mu_z, half_trace = _ito_terms(mu, sig, z, gamma)
+        mu_z, trace = _ito_terms(mu, sig, z, gamma, sig_diag)
         node = None if cp is None else hjb.NodeHamiltonian(cp, t_prev, x, z, gamma)
 
         def correction(y):
             f_val = spec.f(t_prev, x, y, z, gamma) if node is None else node.f(y)
-            return (np.asarray(f_val, dtype=np.float64) + mu_z) + half_trace
+            return (np.asarray(f_val, dtype=np.float64) + mu_z) + trace
 
         y, phi_last = picard_y(Ey, correction, dt, picard_iters)
         if phi_last is not None:

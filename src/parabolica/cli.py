@@ -59,7 +59,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import model, verify
-from .backward import backward_solve_2bsde, backward_solve_semilinear
+from .backward import backward_solve_2bsde, backward_solve_semilinear, screen_driver
 from .errors import (
     CflViolation,
     ConfigError,
@@ -372,8 +372,11 @@ def _execute(config: RunConfig):
             "hjb runs need a control problem: use a control catalog entry "
             "or an inline problem with a control block"
         )
-    if config.scheme == "linear":  # refused before a simulation it would waste
+    # A problem the scheme refuses is refused before a simulation it would waste.
+    if config.scheme == "linear":
         coeffs = LinearCoefficients.from_spec(spec)
+    elif config.scheme != "simulate":
+        screen_driver(spec, gamma_free=config.scheme == "semilinear")
 
     x0 = config.x0 if config.x0 is not None else spec.x0_default
     model.require_memory(_array_bytes(config, spec), f"a {config.scheme} run")

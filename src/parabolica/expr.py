@@ -415,7 +415,9 @@ def coefficient(source, d: int, args: tuple[str, ...], rank: int, what: str, k: 
     or a ``d`` x ``d`` table (rank 2), and ``fn`` returns a fresh float64
     array of shape ``(J,)``, ``(J, d)`` or ``(J, d, d)``, J being the
     length of ``x``, with each entry's value assigned into its slot (a
-    scalar or a (J,) row broadcasts).  Any other nesting or width, or a
+    scalar or a (J,) row broadcasts).  An entry that is the literal ``0``
+    is never evaluated: ``fn`` then starts from zeros and its slot keeps
+    ``+0.0``, the value it would get.  Any other nesting or width, or a
     variable outside ``args``, raises ConfigError naming ``what``; a
     syntax error keeps its type and gains ``what`` and the offending
     entry as a prefix.
@@ -444,14 +446,17 @@ def coefficient(source, d: int, args: tuple[str, ...], rank: int, what: str, k: 
         if stray:
             raise ConfigError(f"{what} may reference {', '.join(args)} only, not "
                               f"{', '.join(sorted(stray))}: {src!r}")
-        slots.append(((slice(None),) + index, ast))
+        # The parser keeps a sign in a ``neg`` node, so ``-0.0`` is still evaluated.
+        if ast.root != Num(0.0):
+            slots.append(((slice(None),) + index, ast))
 
     leaves(source, ())
+    alloc = np.empty if len(slots) == d**rank else np.zeros
 
     def fn(*values):
         ctx = EvalContext(**{a: v if a == "t" else np.asarray(v, dtype=np.float64)
                              for a, v in zip(args, values)})
-        out = np.empty((len(ctx.x),) + (d,) * rank)
+        out = alloc((len(ctx.x),) + (d,) * rank)
         for index, ast in slots:
             # ``evaluate`` is looked up at call time, so a wrapper installed
             # on the module sees every call.

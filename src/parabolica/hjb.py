@@ -37,7 +37,8 @@ import numpy as np
 
 from . import expr as _expr
 from .errors import ConfigError, MissingGamma, NonFinite
-from .model import _REQUIRED, ProblemSpec, _floats, _integer, known_keys, read_key, require_memory
+from .model import (_REQUIRED, ProblemSpec, _floats, _integer, diagonal, half_trace, known_keys,
+                    read_key, require_memory)
 
 __all__ = [
     "ControlProblem",
@@ -104,10 +105,15 @@ class ControlProblem:
 
 
 def _state_terms(cp: ControlProblem, t, x, z, gamma, u) -> tuple:
-    """``(b'z, 1/2 Tr[a a' gamma])`` at one control vector ``u``."""
+    """``(b'z, 1/2 Tr[a a' gamma])`` at one control vector ``u``.
+
+    The trace term is :func:`model.half_trace`: a diagonal ``a`` gives
+    ``sum_i a_ii^2 gamma_ii`` from its (J, d) diagonal view, with the bits
+    of the dense form, and ``a a'`` is formed only for an ``a`` with an
+    off-diagonal entry.
+    """
     a_val = cp.a(t, x, u)
-    aat = np.einsum("jab,jcb->jac", a_val, a_val)
-    quad = 0.5 * np.einsum("jab,jba->j", aat, gamma)
+    quad = half_trace(a_val, gamma, diagonal(a_val))
     lin = np.einsum("jd,jd->j", cp.b(t, x, u), z)
     return lin, quad
 

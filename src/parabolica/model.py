@@ -56,6 +56,8 @@ __all__ = [
     "catalog_names",
     "problem_from_dict",
     "as_points",
+    "diagonal",
+    "half_trace",
 ]
 
 
@@ -67,6 +69,49 @@ def as_points(x, d: int) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != d:
         raise DimensionMismatch(f"expected points of shape (J, {d}), got {arr.shape}")
     return arr
+
+
+def diagonal(m) -> Optional[np.ndarray]:
+    """The (J, d) diagonal view of the (J, d, d) matrices ``m``, or None.
+
+    None when any entry off a diagonal is non-zero (``-0.0`` is zero);
+    at d = 1 nothing is counted.
+    """
+    diag = np.diagonal(m, axis1=-2, axis2=-1)
+    if diag.shape[-1] == 1:
+        return diag
+    nonzero = np.not_equal(m, 0.0)  # counted as booleans, several times faster than as floats
+    if np.count_nonzero(nonzero) == np.count_nonzero(np.diagonal(nonzero, axis1=-2, axis2=-1)):
+        return diag
+    return None
+
+
+def half_trace(sig, gamma, diag: Optional[np.ndarray]) -> np.ndarray:
+    """``0.5*Tr[sigma sigma' gamma]`` per row, with the bits of the two einsums of the dense form.
+
+    ``diag`` is :func:`diagonal` of ``sig``.  With one, the trace is
+    ``0.5 * (((0.0 + s_00^2 g_00) + s_11^2 g_11) + ...)``: the einsum
+    also adds in index order from ``+0.0`` (for the C-ordered d x d
+    blocks the solvers pass; a transposed view of ``gamma`` can make it
+    add in SIMD-lane order), and its off-diagonal products are zeros
+    that change no bit of the sum.  They are NaN instead where a
+    ``sigma`` diagonal entry or an off-diagonal ``gamma`` entry is not
+    finite (``0*inf``), so at d >= 2 a batch holding such a value takes
+    the dense form.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # the einsums warn of nothing
+        # A finite sum means that every entry is finite.
+        if diag is not None and (diag.shape[-1] == 1
+                                 or np.isfinite(np.sum(diag) + np.sum(gamma))):
+            terms = np.multiply(diag.T, diag.T, order="C")  # (d, J): one contiguous row per i
+            terms *= np.diagonal(gamma, axis1=-2, axis2=-1).T
+            total = terms[0] + 0.0
+            for row in terms[1:]:
+                total += row
+            total *= 0.5
+            return total
+    ssT = np.einsum("jab,jcb->jac", sig, sig)
+    return 0.5 * np.einsum("jab,jba->j", ssT, gamma)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,10 @@ as their (J, N+1, d) and (J, N, d) transposed views: ``X[:, n]`` and
 the same values and is only slower to walk.
 
 States evolve by the explicit Euler step
-``X_{n+1} = X_n + mu(X_n) dt + sigma(X_n) dW_n``.  When the problem has
+``X_{n+1} = X_n + mu(X_n) dt + sigma(X_n) dW_n``.  Where every
+``sigma(X_n)`` of a step is diagonal, its noise is ``sigma_ii dW_i`` from
+the (J, d) diagonal view, with the bits of the matrix product, which only
+a ``sigma`` with an off-diagonal entry pays for.  When the problem has
 a box domain, a path is stopped at the first grid node strictly outside
 the open box and its state is frozen at that exit value for the rest of
 the grid; there is no intra-step (Brownian-bridge) exit correction, so
@@ -40,7 +43,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import ConfigError, DimensionMismatch, NonFinite
-from .model import Box, ProblemSpec
+from .model import Box, ProblemSpec, diagonal
 
 __all__ = [
     "TimeGrid",
@@ -179,6 +182,23 @@ def brownian_increments(grid: TimeGrid, J: int, d: int, seed: int, threads: int 
     return store.transpose(1, 0, 2)
 
 
+def _noise(vol, dw: np.ndarray) -> np.ndarray:
+    """``sigma dW`` per path, with the bits of ``einsum("jab,jb->ja")`` for finite ``dw``.
+
+    A diagonal ``sigma`` gives ``sigma_ii dW_i``, plus ``0.0`` in place:
+    the einsum sums from ``+0.0``, so a ``-0.0`` product comes out
+    ``+0.0``.  At d >= 2 a non-finite ``dW_j`` would make the einsum's
+    zero products ``0 * dW_j`` NaN, but :func:`brownian_increments` draws
+    none.
+    """
+    vd = diagonal(vol)
+    if vd is None:
+        return np.einsum("jab,jb->ja", vol, dw)
+    noise = vd * dw
+    noise += 0.0
+    return noise
+
+
 def euler_simulate(
     spec: ProblemSpec,
     grid: TimeGrid,
@@ -221,8 +241,8 @@ def euler_simulate(
         xa = X[rows, n]
         with np.errstate(over="ignore", invalid="ignore"):
             drift = spec.mu(xa)
-            vol = spec.sigma(xa)
-            step = xa + drift * dt + np.einsum("jab,jb->ja", vol, dW[rows, n])
+            step = xa + drift * dt
+            step += _noise(spec.sigma(xa), dW[rows, n])
         finite = np.all(np.isfinite(step), axis=1)
         if not finite.all():
             j_bad = int(np.flatnonzero(alive)[np.argmin(finite)])

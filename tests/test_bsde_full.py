@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from parabolica import hjb, model, paths, regress
+from parabolica import backward, hjb, model, paths, regress
 from parabolica.backward import (
     backward_solve_2bsde,
     backward_solve_semilinear,
@@ -528,6 +528,88 @@ class TestGeneralSigma:
             backward_solve_2bsde(spec, batch, BASIS2)
         j, k = _located(exc_info)
         assert batch.X[j, k, 0] > 0.5
+
+
+FINITE_SPECIALS = np.array([0.0, -0.0, 1e200, -1e200, 1e-200, -1e-200])
+SPECIALS = np.concatenate([FINITE_SPECIALS, [np.inf, -np.inf, np.nan]])
+
+
+def _sprinkled(rng, shape, specials):
+    """Normal entries spread over many magnitudes, a tenth of them replaced by ``specials``."""
+    out = rng.standard_normal(shape) * np.exp(rng.uniform(-5.0, 5.0, shape))
+    hit = rng.random(shape) < 0.1
+    out[hit] = rng.choice(specials, int(hit.sum()))
+    return out
+
+
+def _two_einsums(sig, gamma):
+    """The dense half-trace: the reference the diagonal form must match bit for bit."""
+    return 0.5 * np.einsum("jab,jba->j", np.einsum("jab,jcb->jac", sig, sig), gamma)
+
+
+def _same_bits(got, want):
+    np.testing.assert_array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+
+class TestDiagonalDiffusion:
+    """A diagonal sigma's half-trace is formed from its (J, d) diagonal with the dense form's bits."""
+
+    @staticmethod
+    def batch(d, seed, specials, J=300):
+        rng = np.random.default_rng(seed)
+        sig = np.zeros((J, d, d))
+        idx = np.arange(d)
+        sig[:, idx, idx] = _sprinkled(rng, (J, d), specials)
+        gamma = _sprinkled(rng, (J, d, d), specials)
+        # Rows whose every product is -0.0 (a zero sigma times a negative
+        # gamma): the einsum adds them to +0.0 and returns +0.0.
+        sig[:8, idx, idx] = rng.choice([0.0, -0.0], (8, d))
+        gamma[:8, idx, idx] = -rng.uniform(0.5, 2.0, (8, d))
+        return sig, gamma
+
+    @pytest.mark.parametrize("layout", ["contiguous", "history"])
+    @pytest.mark.parametrize("specials", ["finite", "non-finite"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 16])
+    def test_half_trace_has_the_bits_of_the_two_einsums(self, d, specials, layout):
+        values = FINITE_SPECIALS if specials == "finite" else SPECIALS
+        for seed in range(3):
+            sig, gamma = self.batch(d, seed, values)
+            if layout == "history":  # one node of a (J, N+1, d, d) history
+                gamma = np.stack([np.zeros_like(gamma), gamma], axis=1)[:, 1]
+            diag = model.diagonal(sig)
+            assert diag is not None and diag.shape == (len(sig), d)
+            _same_bits(model.half_trace(sig, gamma, diag), _two_einsums(sig, gamma))
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_a_finite_diagonal_batch_forms_no_dense_product(self, d, monkeypatch):
+        sig, gamma = self.batch(d, 9, FINITE_SPECIALS)
+        want = _two_einsums(sig, gamma)
+
+        def no_einsum(*args, **kwargs):
+            raise AssertionError("a diagonal sigma formed sigma sigma'")
+
+        monkeypatch.setattr(np, "einsum", no_einsum)
+        _same_bits(model.half_trace(sig, gamma, model.diagonal(sig)), want)
+
+    def test_a_tiny_off_diagonal_entry_takes_the_dense_path(self, monkeypatch):
+        sig = np.array([[1.0, 1e-300], [0.0, 1.0]])
+        assert model.diagonal(np.broadcast_to(sig, (3, 2, 2))) is None
+        assert model.diagonal(np.broadcast_to(np.diag([1.0, -0.0]), (3, 2, 2))) is not None
+        dense = []
+
+        def spy(m):
+            out = model.diagonal(m)
+            dense.append(out is None)
+            return out
+
+        monkeypatch.setattr(backward, "diagonal", spy)
+        monkeypatch.setattr(paths, "diagonal", spy)
+        spec = _correlated_spec(lambda x: np.broadcast_to(sig, (len(x), 2, 2)).copy())
+        N = 4
+        sol = backward_solve_2bsde(spec, _simulate(spec, N, 300, 1), BASIS2)
+        # Euler's N steps, the screen, then each backward step.
+        assert dense == [True] * (N + 1 + N)
+        assert np.all(np.isfinite(sol.Gamma))
 
 
 class TestStoppedPaths:

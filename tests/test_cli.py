@@ -554,6 +554,36 @@ class TestExitCodes:
         assert err.startswith("parabolica: exit=1 error=ConfigError detail=problem "
                               "'bsb_uncertain_vol' declares no linear coefficients")
 
+    @pytest.mark.parametrize("command, problem, line", [
+        ("solve-2bsde", {"dim": 1, "horizon": 1.0, "mu": ["0"], "sigma": [["1"]],
+                         "f": "0.5*gamma[0][0]", "g": "x[0]^2", "name": "heat_flipped"},
+         "exit=1 error=ConfigError detail=driver of 'heat_flipped' increases in gamma at t="),
+        ("solve-2bsde", {"dim": 2, "horizon": 1.0, "mu": ["0", "0"],
+                         "sigma": [["1", "0"], ["0", "1"]],
+                         "f": "-0.5*gamma[0][0] + 0.1*gamma[1][1]", "g": "x[0]*x[1]",
+                         "name": "rising"},
+         "exit=1 error=ConfigError detail=driver of 'rising' increases in gamma at t="),
+        ("solve-semilinear", "discount_bond", "exit=1 error=GammaDependence detail="),
+        ("solve-hjb", {"dim": 1, "horizon": 1.0, "mu": ["0"], "sigma": [["0.15*x[0]"]],
+                       "g": "x[0]^2", "x0": [1.0],
+                       "control": {"control_dim": 1, "lower": [0.1], "upper": [0.2],
+                                   "alpha": "log(x[0])", "a": [["u[0]*x[0]"]]}},
+         "exit=2 error=NonFinite detail="),
+    ], ids=["flipped-heat", "rising-d2", "semilinear", "hjb"])
+    def test_a_driver_the_screen_refuses_is_refused_before_simulating(
+        self, tmp_path, capsys, monkeypatch, command, problem, line
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("a driver the screen refuses must not be simulated")
+
+        monkeypatch.setattr(cli, "euler_simulate", never)
+        cfg = {"problem": problem, "J": 100_000, "N": 64}
+        assert _run(tmp_path, command, cfg) == int(line[5])
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("parabolica: " + line)
+        assert not (tmp_path / "out").exists()
+
     def test_gamma_dependent_driver_is_a_validation_failure(self, tmp_path, capsys):
         cfg = {"problem": "discount_bond", "scheme": "semilinear", "J": 10, "N": 4}
         assert _run(tmp_path, "solve-semilinear", cfg) == 1

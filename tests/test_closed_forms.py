@@ -6,12 +6,16 @@ once for any d.  The first class checks each closed form's derivatives
 against central differences of the value; the others build the heat
 equation and diagonal uncertain volatility at d = 2 and 3 from the same
 family and check them with the residual oracle and the 2BSDE solver.
+A correlated constant diffusion, whose solution ``x'Mx + (T - t) Tr[CC'M]``
+is outside that family, checks the solver's dense-sigma path.
 """
+
+import json
 
 import numpy as np
 import pytest
 
-from parabolica import model
+from parabolica import backward, cli, model
 from parabolica.backward import backward_solve_2bsde
 from parabolica.model import ProblemSpec, analytic_residual
 from parabolica.paths import TimeGrid, euler_simulate
@@ -191,3 +195,47 @@ class TestSolverInSeveralDimensions:
         spec = uncertain_vol_nd(d)
         exact = _exact_root(spec)
         assert abs(_root(spec, 1).value - exact) <= 0.02 * exact
+
+
+class TestCorrelatedSigma:
+    """-v_t - 1/2 Tr[CC' D^2v] = 0 with X = x + C W: v = x'Mx + (T - t) Tr[CC'M].
+
+    ``C`` has an off-diagonal entry, so every step of the sweep inverts it
+    and forms ``CC'``: the dense path beside the diagonal one.
+    """
+
+    C = np.array([[0.3, 0.2], [0.0, 0.4]])
+    M = np.array([[1.0, 0.5], [0.5, 2.0]])
+    X0 = np.array([0.5, -0.3])
+
+    def problem(self) -> dict:
+        cct = (self.C @ self.C.T).tolist()
+        m, pairs = self.M.tolist(), [(a, b) for a in range(2) for b in range(2)]
+        return {
+            "dim": 2, "horizon": 1.0, "mu": ["0", "0"],
+            "sigma": [[repr(v) for v in row] for row in self.C.tolist()],
+            "f": "-0.5*(" + " + ".join(f"{cct[a][b]!r}*gamma[{a}][{b}]" for a, b in pairs) + ")",
+            "g": " + ".join(f"{m[a][b]!r}*x[{a}]*x[{b}]" for a, b in pairs),
+            "x0": self.X0.tolist(),
+        }
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_root_lands_within_four_stderr_on_the_dense_path(self, tmp_path, monkeypatch, seed):
+        dense = []
+
+        def spy(m):
+            out = model.diagonal(m)
+            dense.append(out is None)
+            return out
+
+        monkeypatch.setattr(backward, "diagonal", spy)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"problem": self.problem(), "N": 16, "J": 10_000,
+                                      "seed": seed}))
+        out = tmp_path / "out"
+        assert cli.main(["solve-2bsde", "--config", str(config), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        exact = self.X0 @ self.M @ self.X0 + np.trace(self.C @ self.C.T @ self.M)
+        assert abs(summary["value"] - exact) <= 4.0 * summary["stderr"]
+        # The CLI's screen, the solver's screen, then each of the 16 steps.
+        assert dense == [True] * (2 + 16)

@@ -214,8 +214,23 @@ class TestCoefficient:
             got = fn(0.3, x)
             assert got.shape == (len(x),) + (d,) * rank and got.dtype == np.float64
             np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
-        assert len(calls) == 2 * d**rank  # one evaluate per leaf and call
-        assert len(set(map(id, calls))) == d**rank
+        # One evaluate per leaf and call, except for a literal 0, which is never evaluated.
+        evaluated = sum(leaf != "0" for leaf in np.ravel(np.array(source, dtype=object)))
+        assert len(calls) == 2 * evaluated
+        assert len(set(map(id, calls))) == evaluated
+        assert all(ast.root != expr.Num(0.0) for ast in calls)
+
+    @pytest.mark.parametrize("rank", [0, 1, 2])
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_an_all_zero_coefficient_evaluates_nothing(self, monkeypatch, d, rank):
+        source = "0"
+        for _ in range(rank):
+            source = [source] * d
+        monkeypatch.setattr(expr, "evaluate", lambda ast, c: pytest.fail("evaluated a literal 0"))
+        fn = coefficient(source, d, ("x",), rank, "mu")
+        got = fn(np.full((5, d), -1.0))
+        assert got.shape == (5,) + (d,) * rank
+        assert not np.any(got.view(np.int64))  # +0.0 everywhere
 
     @pytest.mark.parametrize("source, rank", [
         (["1", "2"], 0),

@@ -15,6 +15,7 @@ from parabolica.hjb import (
     extract_control,
     hamiltonian,
     hjb_generator,
+    _state_terms,
     uncertain_volatility_control,
 )
 from parabolica.model import catalog_get, problem_from_dict
@@ -290,6 +291,45 @@ class TestYFreeNode:
         np.testing.assert_array_equal(node.argmax(y), ref_u)
         with pytest.raises(NonFinite, match="^control objective evaluated non-finite$"):
             node.f(y)
+
+
+class TestStateTerms:
+    """b'z and 1/2 Tr[a a' gamma] keep the bits of their einsums for a diagonal and a dense a."""
+
+    SPECIALS = np.array([0.0, -0.0, 1e200, -1e200, 1e-200, -1e-200, np.inf, -np.inf, np.nan])
+
+    @pytest.mark.parametrize("finite", [True, False], ids=["finite", "non-finite"])
+    @pytest.mark.parametrize("d, dense", [(1, False)] + [(d, dense) for d in (2, 3, 4)
+                                                          for dense in (False, True)])
+    def test_state_terms_have_the_bits_of_the_einsums(self, d, dense, finite):
+        rng = np.random.default_rng(d)
+        J, idx = 300, np.arange(d)
+        specials = self.SPECIALS[:6] if finite else self.SPECIALS
+
+        def sprinkled(shape):
+            out = rng.standard_normal(shape) * np.exp(rng.uniform(-5.0, 5.0, shape))
+            hit = rng.random(shape) < 0.1
+            out[hit] = rng.choice(specials, int(hit.sum()))
+            return out
+
+        a_val = np.zeros((J, d, d))
+        a_val[:, idx, idx] = sprinkled((J, d))
+        gamma = sprinkled((J, d, d))
+        # Rows whose every product is -0.0, which the einsum returns as +0.0.
+        a_val[:8, idx, idx] = rng.choice([0.0, -0.0], (8, d))
+        gamma[:8, idx, idx] = -rng.uniform(0.5, 2.0, (8, d))
+        if dense:
+            a_val[:, 0, d - 1] = 0.3
+        b_val, z = rng.standard_normal((J, d)), sprinkled((J, d))
+        zeros = lambda t, x, u: np.zeros(len(x))
+        cp = ControlProblem(dim=d, control_dim=1, lower=np.array([0.0]), upper=np.array([1.0]),
+                            alpha=zeros, beta=zeros, b=lambda t, x, u: b_val,
+                            a=lambda t, x, u: a_val)
+        want_lin = np.einsum("jd,jd->j", b_val, z)
+        want_quad = 0.5 * np.einsum("jab,jba->j", np.einsum("jab,jcb->jac", a_val, a_val), gamma)
+        lin, quad = _state_terms(cp, 0.0, np.zeros((J, d)), z, gamma, np.array([0.5]))
+        assert _bits(lin).tolist() == _bits(want_lin).tolist()
+        assert _bits(quad).tolist() == _bits(want_quad).tolist()
 
 
 class TestControlProblem:

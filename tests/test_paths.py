@@ -198,6 +198,54 @@ class TestEuler:
             euler_simulate(spec, TimeGrid(0.0, 1.0, 8), [20.0], 2, seed=0)
 
 
+class TestDiagonalNoise:
+    """A diagonal sigma's Euler noise is sigma_ii dW_i, with the bits of the matrix product."""
+
+    FINITE = np.array([0.0, -0.0, 1e200, -1e200, 1e-200, -1e-200])
+
+    def sprinkled(self, rng, shape, specials):
+        out = rng.standard_normal(shape) * np.exp(rng.uniform(-5.0, 5.0, shape))
+        hit = rng.random(shape) < 0.1
+        out[hit] = rng.choice(specials, int(hit.sum()))
+        return out
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_noise_has_the_bits_of_the_einsum(self, d, monkeypatch):
+        # sigma may hold any value; dW holds non-finite values only at d = 1,
+        # since at d >= 2 the einsum's 0*inf products would make them NaN and
+        # brownian_increments never draws one.
+        non_finite = np.array([np.inf, -np.inf, np.nan])
+        rng = np.random.default_rng(d)
+        J, idx = 400, np.arange(d)
+        vol = np.zeros((J, d, d))
+        vol[:, idx, idx] = self.sprinkled(rng, (J, d), np.concatenate([self.FINITE, non_finite]))
+        dw_specials = self.FINITE if d > 1 else np.concatenate([self.FINITE, non_finite])
+        dw = self.sprinkled(rng, (J, d), dw_specials)
+        # A zero sigma times a positive dW is -0.0 or +0.0 by the zero's
+        # sign; the einsum adds it to +0.0 and returns +0.0.
+        vol[:8, idx, idx] = rng.choice([0.0, -0.0], (8, d))
+        dw[:8] = rng.uniform(0.5, 2.0, (8, d))
+        want = np.einsum("jab,jb->ja", vol, dw)
+
+        def no_einsum(*args, **kwargs):
+            raise AssertionError("a diagonal sigma took the matrix product")
+
+        monkeypatch.setattr(np, "einsum", no_einsum)
+        with np.errstate(over="ignore", invalid="ignore"):  # as euler_simulate calls it
+            got = paths._noise(vol, dw)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_a_tiny_off_diagonal_entry_keeps_the_matrix_product(self, monkeypatch):
+        vol = np.broadcast_to(np.array([[1.0, 1e-300], [0.0, 2.0]]), (50, 2, 2))
+        dw = np.random.default_rng(0).standard_normal((50, 2))
+        want = np.einsum("jab,jb->ja", vol, dw)
+        calls = []
+        einsum = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *a: calls.append(a[0]) or einsum(*a))
+        np.testing.assert_array_equal(paths._noise(vol, dw), want)
+        assert calls == ["jab,jb->ja"]
+
+
 class TestStopping:
     def test_frozen_after_exit(self):
         spec = drifting_spec(domain=Box(np.array([-1.0]), np.array([1.0])))
