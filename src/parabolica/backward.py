@@ -54,11 +54,13 @@ Gamma solves and the half-trace ``sum_i sigma_ii^2 gamma_ii``
 ``sigma sigma'`` is formed only for a ``sigma`` with an off-diagonal
 entry.  When the problem carries a control (``spec.control``), ``f`` is
 not called: the node's :class:`hjb.NodeHamiltonian` evaluates every grid
-control's coefficients once, into (G, J) arrays over the G grid
-controls.  When the discount rate is zero, H does not depend on ``y``, so the node keeps
-only the (G, J) objective and its maximum, formed once, and every Picard
-sweep reads ``-max`` from them; otherwise each sweep rebuilds the
-objective at its ``y``.  After ``Y`` is set the same object gives the
+control's coefficients once, into two (G, J) arrays over the G grid
+controls, ``base`` and ``beta`` of ``H = base + beta*y``; ``base``'s
+``b'z`` and trace terms are :func:`model.ito_terms`, as ``phi``'s are.
+When the discount rate is zero, H does not depend on ``y``, so the node
+keeps only ``base`` and its maximum, and every Picard sweep reads
+``-max`` from them; otherwise each sweep forms ``base + beta*y`` at its
+``y``.  After ``Y`` is set the same object gives the
 node's mean maximizing control (``BackwardSolution.control_means``), so
 no second pass re-evaluates them.
 
@@ -96,7 +98,7 @@ import numpy as np
 from . import hjb, regress
 from .errors import ConfigError, GammaDependence, NonFinite, SingularSigma
 from .linear_fk import Estimate
-from .model import ProblemSpec, as_points, diagonal, half_trace
+from .model import ProblemSpec, as_points, diagonal, ito_terms
 from .paths import PathBatch
 
 __all__ = ["BackwardSolution", "backward_solve_semilinear", "backward_solve_2bsde"]
@@ -125,15 +127,6 @@ class BackwardSolution:
     control_means: Optional[np.ndarray] = None
 
 
-def _ito_terms(mu, sig, z, gamma, sig_diag) -> tuple:
-    """``mu'z`` and ``0.5*Tr[sigma sigma' gamma]``, the terms the Itô transform adds to ``f``.
-
-    ``sig_diag`` is ``diagonal(sig)``; the sweep passes the one it inverted ``sig`` with.
-    """
-    mu_z = np.einsum("jd,jd->j", mu, np.asarray(z, dtype=np.float64))
-    return mu_z, half_trace(sig, np.asarray(gamma, dtype=np.float64), sig_diag)
-
-
 def phi_transform(spec: ProblemSpec) -> Callable:
     """Itô-form driver ``phi = f + mu'z + 0.5*Tr[sigma sigma' gamma]``.
 
@@ -144,7 +137,7 @@ def phi_transform(spec: ProblemSpec) -> Callable:
         f_val = np.asarray(spec.f(t, x, y, z, gamma), dtype=np.float64)
         mu = np.asarray(spec.mu(x), dtype=np.float64)
         sig = np.asarray(spec.sigma(x), dtype=np.float64)
-        mu_z, trace = _ito_terms(mu, sig, z, gamma, diagonal(sig))
+        mu_z, trace = ito_terms(mu, sig, z, gamma, diagonal(sig))
         return (f_val + mu_z) + trace
 
     return phi
@@ -188,7 +181,7 @@ def screen_driver(spec: ProblemSpec, gamma_free: bool) -> None:
 
     def phi(t, gamma):
         f_val = np.asarray(spec.f(t, x, y, z, gamma), dtype=np.float64)
-        mu_z, trace = _ito_terms(mu, sig, z, gamma, sig_diag)
+        mu_z, trace = ito_terms(mu, sig, z, gamma, sig_diag)
         return f_val, (f_val + mu_z) + trace
 
     for t in times:
@@ -467,7 +460,7 @@ def _sweep(
 
         fit_y, Ey = expect(y_n[fit_rows])
         # Only f moves between Picard sweeps; the rest of phi is fixed per step.
-        mu_z, trace = _ito_terms(mu, sig, z, gamma, sig_diag)
+        mu_z, trace = ito_terms(mu, sig, z, gamma, sig_diag)
         node = None if cp is None else hjb.NodeHamiltonian(cp, t_prev, x, z, gamma)
 
         def correction(y):

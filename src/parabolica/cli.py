@@ -323,10 +323,10 @@ def _array_bytes(config: RunConfig, spec) -> int:
     unsymmetrized solve (semilinear: the zero Hessian); sigma sigma'; the
     Z fit; and ten value columns (Y fit, mu'z, half trace, last Picard
     correction, pathwise functional, five for the driver).  An hjb node
-    adds its k control columns and, over the G grid points, four (G, J)
-    terms, the (G, J) objective and a (G, J) boolean mask with the copy
-    ``np.argmax`` makes of it; a y-free node holds less.  Both passes
-    stream their nodes, so neither adds a (J, N+1) term.
+    adds its k control columns and, over the G grid points, its (G, J)
+    ``base`` and ``beta``, the (G, J) objective and a (G, J) boolean mask
+    with the copy ``np.argmax`` makes of it; a y-free node holds less.
+    Both passes stream their nodes, so neither adds a (J, N+1) term.
     """
     J, N, d = config.J, config.N, spec.dim
     total = batch_bytes(J, N, d)
@@ -342,7 +342,7 @@ def _array_bytes(config: RunConfig, spec) -> int:
     if config.scheme == "hjb":
         cp = spec.control
         G = cp.resolution ** cp.control_dim
-        total += 8 * J * cp.control_dim + (5 * 8 + 2) * G * J
+        total += 8 * J * cp.control_dim + (3 * 8 + 2) * G * J
     return total
 
 

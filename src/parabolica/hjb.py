@@ -24,7 +24,9 @@ because each H is nondecreasing in it.
 The sup over U is approximated by a uniform grid that includes the box
 endpoints; ties resolve to the first grid point in lexicographic order,
 in both the generator and the control extraction, so max and argmax are
-always coherent.
+always coherent.  One kernel, shared by :func:`hamiltonian` and
+:class:`NodeHamiltonian`, evaluates each grid control's H as ``base +
+beta*y``, ``base = (alpha + b'z) + 1/2 Tr[a a' gamma]``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from . import expr as _expr
 from .errors import ConfigError, MissingGamma, NonFinite
-from .model import (_REQUIRED, ProblemSpec, _floats, _integer, diagonal, half_trace, known_keys,
+from .model import (_REQUIRED, ProblemSpec, _floats, _integer, diagonal, ito_terms, known_keys,
                     read_key, require_memory)
 
 __all__ = [
@@ -104,26 +106,26 @@ class ControlProblem:
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
-def _state_terms(cp: ControlProblem, t, x, z, gamma, u) -> tuple:
-    """``(b'z, 1/2 Tr[a a' gamma])`` at one control vector ``u``.
+def _control_terms(cp: ControlProblem, t, x, z, gamma, u, base) -> np.ndarray:
+    """Fill ``base`` with ``(alpha + b'z) + 1/2 Tr[a a' gamma]`` at control ``u``; return ``beta``.
 
-    The trace term is :func:`model.half_trace`: a diagonal ``a`` gives
-    ``sum_i a_ii^2 gamma_ii`` from its (J, d) diagonal view, with the bits
-    of the dense form, and ``a a'`` is formed only for an ``a`` with an
-    off-diagonal entry.
+    ``H(u) = base + beta*y``; ``b'z`` and the trace are :func:`model.ito_terms` of ``b`` and ``a``.
     """
     a_val = cp.a(t, x, u)
-    quad = half_trace(a_val, gamma, diagonal(a_val))
-    lin = np.einsum("jd,jd->j", cp.b(t, x, u), z)
-    return lin, quad
+    base[...] = cp.alpha(t, x, u)
+    lin, quad = ito_terms(cp.b(t, x, u), a_val, z, gamma, diagonal(a_val))
+    base += lin
+    base += quad
+    return cp.beta(t, x, u)
 
 
 def hamiltonian(cp: ControlProblem, t, x, y, z, gamma, u) -> np.ndarray:
-    """The controlled drift H = alpha + beta*y + b'z + 1/2 Tr[a a' gamma]."""
+    """The controlled drift H = ((alpha + b'z) + 1/2 Tr[a a' gamma]) + beta*y."""
     u = np.asarray(u, dtype=np.float64).reshape(-1)
+    base = np.empty(len(x))
     with np.errstate(invalid="ignore", over="ignore"):
-        lin, quad = _state_terms(cp, t, x, z, gamma, u)
-        return cp.alpha(t, x, u) + cp.beta(t, x, u) * np.asarray(y, dtype=np.float64) + lin + quad
+        beta = _control_terms(cp, t, x, z, gamma, u, base)
+        return base + beta * np.asarray(y, dtype=np.float64)
 
 
 _NEGATIVE_ZERO = np.float64(-0.0).view(np.int64)
@@ -132,63 +134,47 @@ _NEGATIVE_ZERO = np.float64(-0.0).view(np.int64)
 class NodeHamiltonian:
     """H at every grid control for one batch of ``(t, x, z, gamma)``.
 
-    Only ``beta*y`` depends on ``y``, so the coefficients are evaluated
-    once per grid control, at construction, into (G, J) arrays over the
-    G grid controls; :meth:`f` and :meth:`argmax` then cost a few array
-    operations per ``y``.  Each value is ``((alpha + beta*y) + b'z) +
-    quad``, the operations :func:`hamiltonian` performs, so both agree
-    bit for bit.
-
-    When every ``beta`` has the bits of ``+0.0`` and no ``alpha`` is
-    ``-0.0``, ``alpha + beta*y`` has ``alpha``'s bits at every finite
-    ``y`` (``a + (+-0.0) = a`` and ``+0.0 + (+-0.0) = +0.0``), so H does
-    not depend on ``y``: ``b'z`` and ``quad`` are folded into ``alpha``'s
-    rows in place and the node keeps only that objective and its column
-    maximum, which every ``y`` reads.  A ``y`` that is not all finite
-    would make every value NaN, so there :meth:`f` and :meth:`argmax`
-    raise NonFinite.  Any other node keeps the four (G, J) terms and
-    rebuilds the objective at each ``y``.
+    Each grid control's ``base`` and ``beta`` (:func:`_control_terms`,
+    the kernel of :func:`hamiltonian`) are filled once, into (G, J)
+    arrays over the G grid controls; :meth:`f` and :meth:`argmax` form
+    ``base + beta*y`` at each ``y`` as :func:`hamiltonian` does, with its
+    bits.  When every ``beta`` has the bits of ``+0.0`` and no ``base``
+    is ``-0.0``, ``base + beta*y`` is ``base`` at every finite ``y``
+    (``a + (+-0.0) = a`` and ``+0.0 + (+-0.0) = +0.0``): the node drops
+    ``beta`` and keeps ``base`` and its column maximum, which every ``y``
+    reads.  There a ``y`` that is not all finite would make every value
+    NaN, so :meth:`f` and :meth:`argmax` raise NonFinite.
     """
 
     def __init__(self, cp: ControlProblem, t, x, z, gamma):
         self.grid = cp.grid()
-        shape = (len(self.grid), len(x))
-        alpha, beta = np.empty(shape), np.empty(shape)
-        self._terms = self._y_free = None
+        self._base = base = np.empty((len(self.grid), len(x)))
+        beta = np.empty_like(base)
         with np.errstate(invalid="ignore", over="ignore"):
             for g, u in enumerate(self.grid):
-                alpha[g], beta[g] = cp.alpha(t, x, u), cp.beta(t, x, u)
-            if not (np.any(beta.view(np.int64))
-                    or np.any(alpha.view(np.int64) == _NEGATIVE_ZERO)):
-                del beta  # +0.0 throughout: alpha + beta*y is alpha at every finite y
-                for g, u in enumerate(self.grid):
-                    lin, quad = _state_terms(cp, t, x, z, gamma, u)
-                    alpha[g] += lin
-                    alpha[g] += quad
-                self._y_free = alpha, np.max(alpha, axis=0)
+                beta[g] = _control_terms(cp, t, x, z, gamma, u, base[g])
+            # numpy's einsums add from +0.0 and leave no -0.0 in base; the -0.0
+            # clause keeps the shortcut exact under an einsum that does.
+            if (np.any(beta.view(np.int64))
+                    or np.any(base.view(np.int64) == _NEGATIVE_ZERO)):
+                self._beta, self._best = beta, None
             else:
-                lin, quad = np.empty(shape), np.empty(shape)
-                for g, u in enumerate(self.grid):
-                    lin[g], quad[g] = _state_terms(cp, t, x, z, gamma, u)
-                self._terms = alpha, beta, lin, quad
+                self._beta, self._best = None, np.max(base, axis=0)
 
     def _values(self, y) -> np.ndarray:
-        alpha, beta, lin, quad = self._terms
         with np.errstate(invalid="ignore", over="ignore"):
-            values = beta * np.asarray(y, dtype=np.float64)
-            np.add(alpha, values, out=values)
-            values += lin
-            values += quad
+            values = self._beta * np.asarray(y, dtype=np.float64)
+            values += self._base
         return values
 
     def _objective(self, y) -> tuple:
         """The (G, J) objective at ``y`` and its column maximum."""
-        if self._terms is not None:
+        if self._beta is not None:
             values = self._values(y)
             return values, np.max(values, axis=0)
         if not np.all(np.isfinite(y)):
             raise NonFinite("control objective evaluated non-finite")
-        return self._y_free
+        return self._base, self._best
 
     def f(self, y) -> np.ndarray:
         """``-max_u H(u)`` per path; raises NonFinite when a maximum is not finite."""

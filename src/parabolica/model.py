@@ -58,6 +58,7 @@ __all__ = [
     "as_points",
     "diagonal",
     "half_trace",
+    "ito_terms",
 ]
 
 
@@ -89,15 +90,16 @@ def diagonal(m) -> Optional[np.ndarray]:
 def half_trace(sig, gamma, diag: Optional[np.ndarray]) -> np.ndarray:
     """``0.5*Tr[sigma sigma' gamma]`` per row, with the bits of the two einsums of the dense form.
 
-    ``diag`` is :func:`diagonal` of ``sig``.  With one, the trace is
-    ``0.5 * (((0.0 + s_00^2 g_00) + s_11^2 g_11) + ...)``: the einsum
-    also adds in index order from ``+0.0`` (for the C-ordered d x d
-    blocks the solvers pass; a transposed view of ``gamma`` can make it
-    add in SIMD-lane order), and its off-diagonal products are zeros
-    that change no bit of the sum.  They are NaN instead where a
-    ``sigma`` diagonal entry or an off-diagonal ``gamma`` entry is not
-    finite (``0*inf``), so at d >= 2 a batch holding such a value takes
-    the dense form.
+    The dense form runs on C-ordered copies of ``sig`` and ``gamma``
+    (no copy for the C-ordered blocks the solvers pass): on a transposed
+    layout the einsum can add the d x d products in SIMD-lane order, so
+    the same values would give other bits.  ``diag`` is :func:`diagonal`
+    of ``sig``.  With one, the trace is ``0.5 * (((0.0 + s_00^2 g_00) +
+    s_11^2 g_11) + ...)``: the einsum also adds in index order from
+    ``+0.0``, and its off-diagonal products are zeros that change no bit
+    of the sum.  They are NaN instead where a ``sigma`` diagonal entry or
+    an off-diagonal ``gamma`` entry is not finite (``0*inf``), so at
+    d >= 2 a batch holding such a value takes the dense form.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # the einsums warn of nothing
         # A finite sum means that every entry is finite.
@@ -110,8 +112,18 @@ def half_trace(sig, gamma, diag: Optional[np.ndarray]) -> np.ndarray:
                 total += row
             total *= 0.5
             return total
+    sig = np.ascontiguousarray(sig)
     ssT = np.einsum("jab,jcb->jac", sig, sig)
-    return 0.5 * np.einsum("jab,jba->j", ssT, gamma)
+    return 0.5 * np.einsum("jab,jba->j", ssT, np.ascontiguousarray(gamma))
+
+
+def ito_terms(mu, sig, z, gamma, sig_diag: Optional[np.ndarray]) -> tuple:
+    """``(mu'z, 0.5*Tr[sigma sigma' gamma])`` per row, the terms the Itô transform adds to ``f``.
+
+    ``sig_diag`` is :func:`diagonal` of ``sig``; the trace is :func:`half_trace`.
+    """
+    mu, z, gamma = (np.asarray(v, dtype=np.float64) for v in (mu, z, gamma))
+    return np.einsum("jd,jd->j", mu, z), half_trace(sig, gamma, sig_diag)
 
 
 @dataclass(frozen=True)

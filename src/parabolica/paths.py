@@ -37,13 +37,13 @@ import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtri
 
 from .errors import ConfigError, DimensionMismatch, NonFinite
-from .model import Box, ProblemSpec, diagonal
+from .model import ProblemSpec, diagonal
 
 __all__ = [
     "TimeGrid",
@@ -100,7 +100,6 @@ class PathBatch:
     dW: np.ndarray          # (J, N, d) view of node-major (N, J, d) storage
     X: np.ndarray           # (J, N+1, d) view of node-major (N+1, J, d) storage
     stop_index: np.ndarray  # (J,) first node outside the domain, N if none
-    domain: Optional[Box] = None
 
     @property
     def dim(self) -> int:
@@ -254,7 +253,7 @@ def euler_simulate(
             stop[newly_out] = n + 1
             alive &= inside
 
-    return PathBatch(grid=grid, J=J, dW=dW, X=X, stop_index=stop, domain=domain)
+    return PathBatch(grid=grid, J=J, dW=dW, X=X, stop_index=stop)
 
 
 def batch_bytes(J: int, N: int, d: int) -> int:
@@ -270,8 +269,7 @@ def write_batch(batch: PathBatch, fh) -> None:
     timestamps, which would break byte-identical reruns.  Each record is
     written C-ordered: at d = 1 the node-major X and dW views are
     F-contiguous, and ``np.save`` would otherwise write a Fortran-order
-    record that :func:`load_batch` refuses.  The domain is not serialized;
-    a reloaded batch keeps stop_index but reports no domain.
+    record that :func:`load_batch` refuses.
     """
     for arr in (batch.grid.times, batch.X, batch.dW, batch.stop_index):
         np.save(fh, np.ascontiguousarray(arr), allow_pickle=False)
@@ -316,4 +314,4 @@ def load_batch(path: str) -> PathBatch:
         raise ConfigError(f"{path}: stored times are not a uniform grid")
     if np.any((stop < 0) | (stop > N)):
         raise ConfigError(f"{path}: a stop_index lies outside [0, {N}]")
-    return PathBatch(grid=grid, J=J, dW=dW, X=X, stop_index=stop, domain=None)
+    return PathBatch(grid=grid, J=J, dW=dW, X=X, stop_index=stop)

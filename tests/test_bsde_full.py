@@ -580,6 +580,15 @@ class TestDiagonalDiffusion:
             assert diag is not None and diag.shape == (len(sig), d)
             _same_bits(model.half_trace(sig, gamma, diag), _two_einsums(sig, gamma))
 
+    @pytest.mark.parametrize("d", [4, 8, 16])
+    def test_a_dense_half_trace_does_not_depend_on_the_layout_of_gamma(self, d):
+        rng = np.random.default_rng(d)
+        sig = rng.standard_normal((1000, d, d))
+        gamma = np.transpose(rng.standard_normal((1000, d, d)), (0, 2, 1))
+        assert not gamma.flags.c_contiguous
+        _same_bits(model.half_trace(sig, gamma, None),
+                   model.half_trace(sig, np.ascontiguousarray(gamma), None))
+
     @pytest.mark.parametrize("d", [1, 2, 4])
     def test_a_finite_diagonal_batch_forms_no_dense_product(self, d, monkeypatch):
         sig, gamma = self.batch(d, 9, FINITE_SPECIALS)

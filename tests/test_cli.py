@@ -774,6 +774,18 @@ class TestMemoryEstimate:
         # outnumber the QR's working copy of the design.
         assert estimate(64) == batch + 8 * J * (2 * 3 + 2 * 3 + 18)
 
+    def test_an_hjb_estimate_adds_the_control_column_and_the_node_arrays(self):
+        spec = model.catalog_get("hjb_uncertain_vol")
+        J, N, d = 1000, 64, spec.dim
+        cfg = {"problem": "hjb_uncertain_vol", "scheme": "hjb", "J": J, "N": N}
+        estimate = cli._array_bytes(cli.RunConfig.from_dict(cfg), spec)
+        batch = 8 * (J * (N + 1) * d + J * N * d + J)
+        # The 2BSDE step of d = 1 and p = 3, then the control column and,
+        # over G = 21 grid points, base, beta and the objective (8 bytes
+        # each) and the argmax mask with its copy (1 byte each).
+        G = 21
+        assert estimate == batch + 8 * J * (2 * 3 + 2 * 3 + 18) + 8 * J * 1 + (3 * 8 + 2) * G * J
+
     X_DEPENDENT = {
         "dim": 1, "horizon": 1.0, "mu": ["0"], "sigma": [["0.15*x[0]"]],
         "g": "x[0]^2", "dg": ["2*x[0]"], "x0": [1.0],

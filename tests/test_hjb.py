@@ -1,5 +1,6 @@
 """Tests for the control-problem generator and control extraction."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from parabolica.backward import screen_driver
 from parabolica.errors import ConfigError, MissingGamma, NonFinite
+from parabolica import hjb
 from parabolica.hjb import (
     ControlProblem,
     NodeHamiltonian,
@@ -15,7 +17,7 @@ from parabolica.hjb import (
     extract_control,
     hamiltonian,
     hjb_generator,
-    _state_terms,
+    _control_terms,
     uncertain_volatility_control,
 )
 from parabolica.model import catalog_get, problem_from_dict
@@ -232,7 +234,26 @@ class TestYFreeNode:
         np.testing.assert_array_equal(node.argmax(y), np.broadcast_to(cp.grid()[0], (self.J, 2)))
         np.testing.assert_array_equal(ref_u, node.argmax(y))
 
-    def test_alpha_with_a_negative_zero_takes_the_general_path(self, monkeypatch):
+    def test_alpha_with_a_negative_zero_takes_the_y_free_path(self, monkeypatch):
+        # The gate reads base = (alpha + b'z) + quad, which a -0.0 alpha
+        # with a non-zero b'z does not leave at -0.0.
+        calls = self.spy(monkeypatch)
+        cp = self.problem(alpha=lambda t, x, u: np.where(x[:, 0] > 0, -0.0, u[0] * x[:, 1]))
+        x, y, z, gam = self.states(4)
+        node = NodeHamiltonian(cp, 0.3, x, z, gam)
+        f, u = node.f(y), node.argmax(y)
+        assert calls == []
+        ref_f, ref_u = self.reference(cp, x, y, z, gam)
+        np.testing.assert_array_equal(_bits(f), _bits(ref_f))
+        np.testing.assert_array_equal(u, ref_u)
+
+    def test_a_negative_zero_base_takes_the_general_path(self, monkeypatch):
+        # numpy's einsums add from +0.0 and leave no -0.0 in base, so the
+        # terms they give are replaced by -0.0: base is then -0.0 wherever
+        # alpha is, and -0.0 + 0.0*y is +0.0 at a positive y.
+        real = hjb.ito_terms
+        monkeypatch.setattr(hjb, "ito_terms", lambda *args: tuple(
+            np.full_like(term, -0.0) for term in real(*args)))
         calls = self.spy(monkeypatch)
         cp = self.problem(alpha=lambda t, x, u: np.where(x[:, 0] > 0, -0.0, u[0] * x[:, 1]))
         x, y, z, gam = self.states(4)
@@ -240,6 +261,7 @@ class TestYFreeNode:
         f, u = node.f(y), node.argmax(y)
         assert len(calls) == 2
         ref_f, ref_u = self.reference(cp, x, y, z, gam)
+        assert np.any(_bits(ref_f) == _bits(-0.0))
         np.testing.assert_array_equal(_bits(f), _bits(ref_f))
         np.testing.assert_array_equal(u, ref_u)
 
@@ -294,7 +316,7 @@ class TestYFreeNode:
 
 
 class TestStateTerms:
-    """b'z and 1/2 Tr[a a' gamma] keep the bits of their einsums for a diagonal and a dense a."""
+    """base = (alpha + b'z) + 1/2 Tr[a a' gamma] has the einsums' bits, for diagonal and dense a."""
 
     SPECIALS = np.array([0.0, -0.0, 1e200, -1e200, 1e-200, -1e-200, np.inf, -np.inf, np.nan])
 
@@ -321,15 +343,46 @@ class TestStateTerms:
         if dense:
             a_val[:, 0, d - 1] = 0.3
         b_val, z = rng.standard_normal((J, d)), sprinkled((J, d))
-        zeros = lambda t, x, u: np.zeros(len(x))
+        alpha_val, beta_val = sprinkled(J), -np.abs(sprinkled(J))
         cp = ControlProblem(dim=d, control_dim=1, lower=np.array([0.0]), upper=np.array([1.0]),
-                            alpha=zeros, beta=zeros, b=lambda t, x, u: b_val,
-                            a=lambda t, x, u: a_val)
-        want_lin = np.einsum("jd,jd->j", b_val, z)
-        want_quad = 0.5 * np.einsum("jab,jba->j", np.einsum("jab,jcb->jac", a_val, a_val), gamma)
-        lin, quad = _state_terms(cp, 0.0, np.zeros((J, d)), z, gamma, np.array([0.5]))
-        assert _bits(lin).tolist() == _bits(want_lin).tolist()
-        assert _bits(quad).tolist() == _bits(want_quad).tolist()
+                            alpha=lambda t, x, u: alpha_val, beta=lambda t, x, u: beta_val,
+                            b=lambda t, x, u: b_val, a=lambda t, x, u: a_val)
+        base = np.empty(J)
+        with np.errstate(invalid="ignore", over="ignore"):
+            want_lin = np.einsum("jd,jd->j", b_val, z)
+            want_quad = 0.5 * np.einsum("jab,jba->j", np.einsum("jab,jcb->jac", a_val, a_val),
+                                        gamma)
+            want = (alpha_val + want_lin) + want_quad
+            beta = _control_terms(cp, 0.0, np.zeros((J, d)), z, gamma, np.array([0.5]), base)
+        assert beta is beta_val
+        assert _bits(base).tolist() == _bits(want).tolist()
+
+
+class TestNodeMemory:
+    def test_a_discounted_node_holds_two_grid_arrays(self):
+        # base and beta over the G grid controls and one control's (J,)
+        # temporaries at a time; four (G, J) float arrays do not fit.
+        G, J = 21, 20_000
+        cp = ControlProblem(
+            dim=1, control_dim=1, lower=np.array([0.1]), upper=np.array([0.2]),
+            alpha=lambda t, x, u: 0.01 * u[0] * x[:, 0] ** 2,
+            beta=lambda t, x, u: -0.01 * u[0] * x[:, 0] ** 2,
+            b=lambda t, x, u: 0.01 * u[0] * x,
+            a=lambda t, x, u: u[0] * x[:, :, None],
+            resolution=G,
+        )
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0.5, 1.5, size=(J, 1))
+        z, gam = rng.normal(size=(J, 1)), rng.normal(size=(J, 1, 1))
+        tracemalloc.start()
+        try:
+            node = NodeHamiltonian(cp, 0.3, x, z, gam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (2 * 8 + 1) * G * J + 8 * 8 * J
+        y = rng.normal(size=J)
+        np.testing.assert_array_equal(node.f(y), TestYFreeNode.reference(cp, x, y, z, gam)[0])
 
 
 class TestControlProblem:

@@ -178,7 +178,6 @@ class TestStoppedPaths:
             dW=np.zeros((2, 4, 1)),
             X=X,
             stop_index=np.array([2, 4], dtype=np.int64),
-            domain=model.Box(np.array([-1.0]), np.array([1.0])),
         )
 
     def test_source_integral_truncates_at_exit(self):

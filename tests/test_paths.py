@@ -278,7 +278,6 @@ class TestStopping:
 
     def test_whole_space_never_stops(self):
         batch = euler_simulate(catalog_get("heat"), TimeGrid(0.0, 1.0, 4), [0.0], 10, seed=0)
-        assert batch.domain is None
         assert np.all(batch.stop_index == 4)
 
     def test_boundary_heat_catalog_stops_some_paths(self):
