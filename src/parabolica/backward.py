@@ -54,13 +54,12 @@ Gamma solves and the half-trace ``sum_i sigma_ii^2 gamma_ii``
 ``sigma sigma'`` is formed only for a ``sigma`` with an off-diagonal
 entry.  When the problem carries a control (``spec.control``), ``f`` is
 not called: the node's :class:`hjb.NodeHamiltonian` evaluates every grid
-control's coefficients once, into two (G, J) arrays over the G grid
-controls, ``base`` and ``beta`` of ``H = base + beta*y``; ``base``'s
-``b'z`` and trace terms are :func:`model.ito_terms`, as ``phi``'s are.
-When the discount rate is zero, H does not depend on ``y``, so the node
-keeps only ``base`` and its maximum, and every Picard sweep reads
-``-max`` from them; otherwise each sweep forms ``base + beta*y`` at its
-``y``.  After ``Y`` is set the same object gives the
+control's coefficients once, into (G, J) arrays over the G grid
+controls: ``base`` and ``beta`` of ``H = base + beta*y``.  When the
+control problem has no discount rate (``beta`` is None), H does not
+depend on ``y``, so the node holds only ``base`` and its maximum, and
+every Picard sweep reads ``-max`` from them; otherwise each sweep forms
+``base + beta*y`` at its ``y``.  After ``Y`` is set the same object gives the
 node's mean maximizing control (``BackwardSolution.control_means``), so
 no second pass re-evaluates them.
 
@@ -125,22 +124,6 @@ class BackwardSolution:
     fits: tuple
     diagnostics: dict = field(default_factory=dict)
     control_means: Optional[np.ndarray] = None
-
-
-def phi_transform(spec: ProblemSpec) -> Callable:
-    """Itô-form driver ``phi = f + mu'z + 0.5*Tr[sigma sigma' gamma]``.
-
-    The returned callable has signature ``phi(t, x, y, z, gamma) -> (J,)``.
-    """
-
-    def phi(t, x, y, z, gamma):
-        f_val = np.asarray(spec.f(t, x, y, z, gamma), dtype=np.float64)
-        mu = np.asarray(spec.mu(x), dtype=np.float64)
-        sig = np.asarray(spec.sigma(x), dtype=np.float64)
-        mu_z, trace = ito_terms(mu, sig, z, gamma, diagonal(sig))
-        return (f_val + mu_z) + trace
-
-    return phi
 
 
 def screen_driver(spec: ProblemSpec, gamma_free: bool) -> None:
@@ -457,6 +440,8 @@ def _sweep(
             z = Ez / sig_diag
         else:
             z = np.einsum("jba,jb->ja", sig_inv, Ez)
+        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(gamma))):
+            raise NonFinite(f"non-finite backward value at step {k}")
 
         fit_y, Ey = expect(y_n[fit_rows])
         # Only f moves between Picard sweeps; the rest of phi is fixed per step.
@@ -471,8 +456,7 @@ def _sweep(
         if phi_last is not None:
             pathwise[rows] -= phi_last * dt
 
-        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(z))
-                and np.all(np.isfinite(gamma))):
+        if not np.all(np.isfinite(y)):
             raise NonFinite(f"non-finite backward value at step {k}")
 
         # Node k's columns: stopped paths keep node n's y and carry zero

@@ -315,23 +315,29 @@ def _array_bytes(config: RunConfig, spec) -> int:
     """Bytes of the arrays a run holds at once, from J, N, d and the scheme.
 
     The path batch (X, dW, stop_index) and the C-ordered copy of X (its
-    largest record) that writing ``paths.bin`` makes.  A backward step
-    frees its own arrays on return; within it, per path: node n's and
-    node n-1's (Y, Z, Gamma) columns and the design (basis matrix and Q,
-    p columns each), then the larger of the QR's working copy (p) and the
-    rest: sigma, its inverse and mu; the Gamma target, fit and
-    unsymmetrized solve (semilinear: the zero Hessian); sigma sigma'; the
-    Z fit; and ten value columns (Y fit, mu'z, half trace, last Picard
-    correction, pathwise functional, five for the driver).  An hjb node
+    largest record) that writing ``paths.bin`` makes.  The linear pass's
+    replay holds, per path, the functional's totals, the accumulators
+    ``acc`` and ``log_B``, the node's alpha, beta and ``source`` columns,
+    the last remainder while the next is formed from three temporaries,
+    and the ``bad`` flag.  A backward step frees its own arrays on
+    return; within it, per path: node n's and node n-1's (Y, Z, Gamma)
+    columns and the design (basis matrix and Q, p columns each), then
+    the larger of the QR's working copy (p) and the rest: sigma, its
+    inverse and mu; the Gamma target, fit and unsymmetrized solve
+    (semilinear: the zero Hessian); sigma sigma'; the Z fit; and ten
+    value columns (Y fit, mu'z, half trace, last Picard correction,
+    pathwise functional, five for the driver).  An hjb node
     adds its k control columns and, over the G grid points, its (G, J)
-    ``base`` and ``beta``, the (G, J) objective and a (G, J) boolean mask
-    with the copy ``np.argmax`` makes of it; a y-free node holds less.
+    ``base``, a (G, J) boolean mask and the copy ``np.argmax`` makes of
+    it, and, with a discount rate, the (G, J) ``beta`` and objective.
     Both passes stream their nodes, so neither adds a (J, N+1) term.
     """
     J, N, d = config.J, config.N, spec.dim
     total = batch_bytes(J, N, d)
     if config.dump_paths or config.scheme == "simulate":
         total += 8 * J * (N + 1) * d
+    if config.scheme == "linear":
+        total += (10 * 8 + 1) * J
     if config.scheme in ("semilinear", "full_2bsde", "hjb"):
         p = basis_size(config.basis, d)
         if config.scheme == "semilinear":
@@ -342,7 +348,8 @@ def _array_bytes(config: RunConfig, spec) -> int:
     if config.scheme == "hjb":
         cp = spec.control
         G = cp.resolution ** cp.control_dim
-        total += 8 * J * cp.control_dim + (3 * 8 + 2) * G * J
+        floats = 1 if cp.beta is None else 3
+        total += 8 * J * cp.control_dim + (floats * 8 + 2) * G * J
     return total
 
 

@@ -26,7 +26,9 @@ endpoints; ties resolve to the first grid point in lexicographic order,
 in both the generator and the control extraction, so max and argmax are
 always coherent.  One kernel, shared by :func:`hamiltonian` and
 :class:`NodeHamiltonian`, evaluates each grid control's H as ``base +
-beta*y``, ``base = (alpha + b'z) + 1/2 Tr[a a' gamma]``.
+beta*y``, ``base = (alpha + b'z) + 1/2 Tr[a a' gamma]``.  A term that is
+zero by construction is absent (None) and costs nothing; without
+``beta``, H does not depend on ``y``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 
 from . import expr as _expr
 from .errors import ConfigError, MissingGamma, NonFinite
-from .model import (_REQUIRED, ProblemSpec, _floats, _integer, diagonal, ito_terms, known_keys,
+from .model import (_REQUIRED, ProblemSpec, _floats, _integer, diagonal, half_trace, known_keys,
                     read_key, require_memory)
 
 __all__ = [
@@ -58,10 +60,11 @@ __all__ = [
 class ControlProblem:
     """Coefficients of a control problem over a bounded box of controls.
 
-    ``alpha(t, x, u)`` and ``beta(t, x, u)`` return per-path scalars
-    ``(J,)``; ``b(t, x, u)`` returns ``(J, d)`` and ``a(t, x, u)``
-    ``(J, d, d)``, each evaluated at a single control vector ``u`` of
-    length ``control_dim`` and a batch ``x`` of shape ``(J, d)``.
+    ``a(t, x, u)`` returns ``(J, d, d)``, ``b(t, x, u)`` ``(J, d)`` and
+    ``alpha(t, x, u)`` and ``beta(t, x, u)`` per-path scalars ``(J,)``,
+    each evaluated at a single control vector ``u`` of length
+    ``control_dim`` and a batch ``x`` of shape ``(J, d)``.  ``alpha``,
+    ``beta`` or ``b`` left None is identically zero and never evaluated.
     ``resolution`` is the per-dimension grid size (endpoints included);
     a grid larger than physical memory is refused with ConfigError.
     The sign of ``beta`` depends on the problem's horizon and domain, so
@@ -72,10 +75,10 @@ class ControlProblem:
     control_dim: int
     lower: np.ndarray
     upper: np.ndarray
-    alpha: Callable
-    beta: Callable
-    b: Callable
     a: Callable
+    alpha: Optional[Callable] = None
+    beta: Optional[Callable] = None
+    b: Optional[Callable] = None
     resolution: int = 21
 
     def __post_init__(self):
@@ -106,17 +109,19 @@ class ControlProblem:
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
-def _control_terms(cp: ControlProblem, t, x, z, gamma, u, base) -> np.ndarray:
+def _control_terms(cp: ControlProblem, t, x, z, gamma, u, base) -> Optional[np.ndarray]:
     """Fill ``base`` with ``(alpha + b'z) + 1/2 Tr[a a' gamma]`` at control ``u``; return ``beta``.
 
-    ``H(u) = base + beta*y``; ``b'z`` and the trace are :func:`model.ito_terms` of ``b`` and ``a``.
+    ``H(u) = base + beta*y``, and ``beta`` is None when ``cp.beta`` is.
+    An absent ``alpha`` starts ``base`` at ``+0.0``, and an absent ``b``
+    adds no ``b'z``; the trace is :func:`model.half_trace` of ``a``.
     """
     a_val = cp.a(t, x, u)
-    base[...] = cp.alpha(t, x, u)
-    lin, quad = ito_terms(cp.b(t, x, u), a_val, z, gamma, diagonal(a_val))
-    base += lin
-    base += quad
-    return cp.beta(t, x, u)
+    base[...] = 0.0 if cp.alpha is None else cp.alpha(t, x, u)
+    if cp.b is not None:
+        base += np.einsum("jd,jd->j", cp.b(t, x, u), z)
+    base += half_trace(a_val, gamma, diagonal(a_val))
+    return None if cp.beta is None else cp.beta(t, x, u)
 
 
 def hamiltonian(cp: ControlProblem, t, x, y, z, gamma, u) -> np.ndarray:
@@ -125,10 +130,7 @@ def hamiltonian(cp: ControlProblem, t, x, y, z, gamma, u) -> np.ndarray:
     base = np.empty(len(x))
     with np.errstate(invalid="ignore", over="ignore"):
         beta = _control_terms(cp, t, x, z, gamma, u, base)
-        return base + beta * np.asarray(y, dtype=np.float64)
-
-
-_NEGATIVE_ZERO = np.float64(-0.0).view(np.int64)
+        return base if beta is None else base + beta * np.asarray(y, dtype=np.float64)
 
 
 class NodeHamiltonian:
@@ -138,28 +140,23 @@ class NodeHamiltonian:
     the kernel of :func:`hamiltonian`) are filled once, into (G, J)
     arrays over the G grid controls; :meth:`f` and :meth:`argmax` form
     ``base + beta*y`` at each ``y`` as :func:`hamiltonian` does, with its
-    bits.  When every ``beta`` has the bits of ``+0.0`` and no ``base``
-    is ``-0.0``, ``base + beta*y`` is ``base`` at every finite ``y``
-    (``a + (+-0.0) = a`` and ``+0.0 + (+-0.0) = +0.0``): the node drops
-    ``beta`` and keeps ``base`` and its column maximum, which every ``y``
-    reads.  There a ``y`` that is not all finite would make every value
-    NaN, so :meth:`f` and :meth:`argmax` raise NonFinite.
+    bits.  Without ``cp.beta`` the node is y-free: it holds no ``beta``
+    array and keeps ``base`` and its column maximum, which every ``y``
+    reads.  There a ``y`` that is not all finite raises NonFinite from
+    :meth:`f` and :meth:`argmax`, as it would make a discounted node's
+    values NaN.
     """
 
     def __init__(self, cp: ControlProblem, t, x, z, gamma):
         self.grid = cp.grid()
         self._base = base = np.empty((len(self.grid), len(x)))
-        beta = np.empty_like(base)
+        self._beta = None if cp.beta is None else np.empty_like(base)
         with np.errstate(invalid="ignore", over="ignore"):
             for g, u in enumerate(self.grid):
-                beta[g] = _control_terms(cp, t, x, z, gamma, u, base[g])
-            # numpy's einsums add from +0.0 and leave no -0.0 in base; the -0.0
-            # clause keeps the shortcut exact under an einsum that does.
-            if (np.any(beta.view(np.int64))
-                    or np.any(base.view(np.int64) == _NEGATIVE_ZERO)):
-                self._beta, self._best = beta, None
-            else:
-                self._beta, self._best = None, np.max(base, axis=0)
+                beta = _control_terms(cp, t, x, z, gamma, u, base[g])
+                if beta is not None:
+                    self._beta[g] = beta
+        self._best = np.max(base, axis=0) if self._beta is None else None
 
     def _values(self, y) -> np.ndarray:
         with np.errstate(invalid="ignore", over="ignore"):
@@ -242,16 +239,7 @@ def uncertain_volatility_control(
     resolution: int = 21,
     dim: int = 1,
 ) -> ControlProblem:
-    """Volatility chosen adversarially in [vol_lo, vol_hi]: a(u) = u*x."""
-
-    def alpha(t, x, u):
-        return np.zeros(len(x))
-
-    def beta(t, x, u):
-        return np.zeros(len(x))
-
-    def b(t, x, u):
-        return np.zeros_like(x)
+    """Volatility chosen adversarially in [vol_lo, vol_hi]: a(u) = u*x, and no other term."""
 
     def a(t, x, u):
         d = x.shape[1]
@@ -265,9 +253,6 @@ def uncertain_volatility_control(
         control_dim=1,
         lower=np.array([vol_lo]),
         upper=np.array([vol_hi]),
-        alpha=alpha,
-        beta=beta,
-        b=b,
         a=a,
         resolution=resolution,
     )
@@ -277,22 +262,22 @@ def as_problem(cp: ControlProblem, base: ProblemSpec, name: Optional[str] = None
     """``base`` with the generator assembled from ``cp``, which it carries as ``control``.
 
     The discount rate must be finite and nonpositive for the value
-    function to be well-posed; it is spot-checked at 8 times in [0, T],
-    64 states of the problem's domain ([-5, 5]^d on the whole space) and
-    every grid control, and a NaN or infinity there is refused as a
-    positive value is.
+    function to be well-posed; a given ``beta`` is spot-checked at 8
+    times in [0, T], 64 states of the problem's domain ([-5, 5]^d on the
+    whole space) and every grid control, and a NaN or infinity there is
+    refused as a positive value is.
     """
-    rng = np.random.default_rng(0)
-    lo, hi = (base.domain.lower, base.domain.upper) if base.domain is not None else (-5.0, 5.0)
-    xs = rng.uniform(lo, hi, size=(64, base.dim))
-    ts = rng.uniform(0.0, base.horizon, size=8)
-    for t in ts:
-        for u in cp.grid():
-            beta = np.asarray(cp.beta(float(t), xs, u), dtype=np.float64)
-            bad = ~np.isfinite(beta) | (beta > 1e-10)
-            if np.any(bad):
-                raise ConfigError(f"beta must be <= 0 and finite; sampled value "
-                                  f"{beta[bad][0]:.3g} at t={t:.3g}")
+    if cp.beta is not None:
+        rng = np.random.default_rng(0)
+        lo, hi = (base.domain.lower, base.domain.upper) if base.domain is not None else (-5.0, 5.0)
+        xs = rng.uniform(lo, hi, size=(64, base.dim))
+        for t in rng.uniform(0.0, base.horizon, size=8):
+            for u in cp.grid():
+                beta = np.asarray(cp.beta(float(t), xs, u), dtype=np.float64)
+                bad = ~np.isfinite(beta) | (beta > 1e-10)
+                if np.any(bad):
+                    raise ConfigError(f"beta must be <= 0 and finite; sampled value "
+                                      f"{beta[bad][0]:.3g} at t={t:.3g}")
     return dataclasses.replace(
         base,
         f=hjb_generator(cp),
@@ -306,20 +291,21 @@ def control_problem_from_dict(obj: dict, dim: int) -> ControlProblem:
     """Build a :class:`ControlProblem` from a configuration dictionary.
 
     Keys: ``control_dim``, ``lower``, ``upper`` (length-k lists), ``a``;
-    optional ``alpha``, ``beta``, ``b`` (each 0 by default) and
-    ``resolution``.  docs/expr-grammar.md tables each coefficient's
-    variables and shape; a missing, unknown or malformed key, another
-    variable or a wrong nesting or width raises ConfigError.
+    optional ``alpha``, ``beta``, ``b`` (each absent, so zero, when
+    omitted) and ``resolution``.  docs/expr-grammar.md tables each
+    coefficient's variables and shape; a missing, unknown or malformed
+    key, another variable or a wrong nesting or width raises ConfigError.
     """
     known_keys(obj, ("control_dim", "lower", "upper", "a", "alpha", "beta", "b", "resolution"),
                "control")
     k = read_key(obj, "control_dim", _integer, "control")
-    fields = {
-        key: _expr.coefficient(read_key(obj, key, where="control", default=default), dim,
-                               ("t", "x", "u"), rank, f"control {key}", k)
-        for key, rank, default in (("alpha", 0, "0"), ("beta", 0, "0"),
-                                   ("b", 1, ["0"] * dim), ("a", 2, _REQUIRED))
-    }
+    fields = {}
+    for key, rank, default in (("alpha", 0, None), ("beta", 0, None), ("b", 1, None),
+                               ("a", 2, _REQUIRED)):
+        source = read_key(obj, key, where="control", default=default)
+        if source is not None:
+            fields[key] = _expr.coefficient(source, dim, ("t", "x", "u"), rank,
+                                            f"control {key}", k)
     return ControlProblem(
         dim=dim,
         control_dim=k,

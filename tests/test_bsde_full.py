@@ -12,7 +12,6 @@ from parabolica import backward, hjb, model, paths, regress
 from parabolica.backward import (
     backward_solve_2bsde,
     backward_solve_semilinear,
-    phi_transform,
     screen_driver,
     terminal_gradient,
 )
@@ -116,13 +115,15 @@ class TestPhiGenerator:
     """The Itô-form driver phi and the screen both entry points run on it."""
 
     def test_heat_transform_collapses_to_zero(self):
-        phi = phi_transform(model.catalog_get("heat"))
+        spec = model.catalog_get("heat")
         rng = np.random.default_rng(0)
         x = rng.normal(size=(30, 1))
         y, z = rng.normal(size=30), rng.normal(size=(30, 1))
         gamma = rng.normal(size=(30, 1, 1))
+        sig = spec.sigma(x)
+        mu_z, trace = model.ito_terms(spec.mu(x), sig, z, gamma, model.diagonal(sig))
         np.testing.assert_array_equal(
-            phi(0.3, x, y, z, gamma), np.zeros(30)
+            (spec.f(0.3, x, y, z, gamma) + mu_z) + trace, np.zeros(30)
         )
 
     @pytest.mark.parametrize(
@@ -393,11 +394,18 @@ class TestNodeHamiltonians:
         for n in range(N + 1):
             np.testing.assert_array_equal(sol.control_means[n], control[:, n].mean(axis=0))
 
+    # The x-dependent control of tests/test_cli.py, which gives all four terms.
+    X_DEPENDENT = {"control_dim": 1, "lower": [0.1], "upper": [0.2],
+                   "alpha": "0.01*u[0]*x[0]^2", "beta": "-0.01*u[0]*x[0]^2",
+                   "b": ["0.01*u[0]*x[0]"], "a": [["u[0]*x[0]"]]}
+
     @pytest.mark.parametrize("coefficient", ["alpha", "beta", "b", "a"])
     @pytest.mark.parametrize("picard_iters", [1, 3])
     def test_sweep_evaluates_each_control_once_per_node(self, picard_iters, coefficient):
         calls = [0]
-        cp = hjb.uncertain_volatility_control()
+        # The catalog control gives only a.
+        cp = (hjb.uncertain_volatility_control() if coefficient == "a"
+              else hjb.control_problem_from_dict(self.X_DEPENDENT, 1))
 
         def counted(t, x, u):
             calls[0] += 1

@@ -10,7 +10,6 @@ from parabolica import model, paths
 from parabolica.backward import (
     BackwardSolution,
     backward_solve_semilinear,
-    phi_transform,
     picard_y,
     screen_driver,
 )
@@ -63,9 +62,11 @@ class TestGeneratorScreening:
         x = rng.normal(size=(40, 1))
         y = rng.normal(size=40)
         z = rng.normal(size=(40, 1))
-        # The sweep evaluates a gamma-free phi at a zero Hessian.
-        phi = phi_transform(spec)
-        np.testing.assert_array_equal(phi(0.25, x, y, z, np.zeros((40, 1, 1))), -y)
+        # The sweep evaluates a gamma-free phi = f + mu'z + trace at a zero Hessian.
+        gamma = np.zeros((40, 1, 1))
+        sig = spec.sigma(x)
+        mu_z, trace = model.ito_terms(spec.mu(x), sig, z, gamma, model.diagonal(sig))
+        np.testing.assert_array_equal((spec.f(0.25, x, y, z, gamma) + mu_z) + trace, -y)
 
     def test_discount_bond_driver_keeps_gamma_dependence(self):
         # f = r*y with a non-degenerate sigma leaves +tr(sigma sigma' gamma)/2

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from parabolica import backward, cli, hjb, model, paths, verify
+from parabolica import backward, cli, hjb, model, paths, regress, verify
 from parabolica.errors import ConfigError
 
 HEAT_LINEAR = {"problem": "heat", "scheme": "linear", "J": 10, "N": 4, "seed": 1}
@@ -668,6 +668,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("parabolica: exit=2 error=NonFinite detail=transformed driver")
 
+    @pytest.mark.parametrize("discounted", [False, True], ids=["catalog", "discounted"])
+    def test_a_non_finite_z_exits_2_naming_its_step(self, tmp_path, capsys, monkeypatch,
+                                                     discounted):
+        # Each step predicts Gamma, Z and Y in that order: the fifth call
+        # is the Z of node 2, the second step of four.
+        real, calls = regress.predict, []
+
+        def poisoned(reg, dsg):
+            out = real(reg, dsg)
+            calls.append(1)
+            if len(calls) == 5:
+                out[0] = np.inf
+            return out
+
+        monkeypatch.setattr(regress, "predict", poisoned)
+        problem = TestMemoryEstimate.X_DEPENDENT if discounted else "hjb_uncertain_vol"
+        cfg = {"problem": problem, "J": 200, "N": 4, "seed": 1}
+        assert _run(tmp_path, "solve-hjb", cfg) == 2
+        assert len(calls) == 5
+        err = capsys.readouterr().err
+        assert err == ("parabolica: exit=2 error=NonFinite detail=non-finite backward value "
+                       "at step 2\n")
+
     def test_no_partial_artifacts_after_a_numeric_failure(self, tmp_path):
         cfg = {"problem": "discount_bond", "scheme": "semilinear", "J": 10, "N": 4}
         _run(tmp_path, "solve-semilinear", cfg)
@@ -752,9 +775,10 @@ class TestExitCodes:
         assert _run(tmp_path, "solve-linear", cfg) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        # X and dW of 1e7 paths over 1e5 steps, plus stop_index.
+        # X and dW of 1e7 paths over 1e5 steps, plus stop_index, then the
+        # linear pass's ten float columns and one boolean column.
         assert err.startswith("parabolica: exit=1 error=ConfigError detail=a linear run "
-                              "needs 16000160000000 bytes")
+                              "needs 16000970000000 bytes")
 
 
 class TestMemoryEstimate:
@@ -781,10 +805,15 @@ class TestMemoryEstimate:
         estimate = cli._array_bytes(cli.RunConfig.from_dict(cfg), spec)
         batch = 8 * (J * (N + 1) * d + J * N * d + J)
         # The 2BSDE step of d = 1 and p = 3, then the control column and,
-        # over G = 21 grid points, base, beta and the objective (8 bytes
-        # each) and the argmax mask with its copy (1 byte each).
+        # over G = 21 grid points, base (8 bytes) and the argmax mask with
+        # its copy (1 byte each): the catalog control has no discount rate.
         G = 21
-        assert estimate == batch + 8 * J * (2 * 3 + 2 * 3 + 18) + 8 * J * 1 + (3 * 8 + 2) * G * J
+        assert estimate == batch + 8 * J * (2 * 3 + 2 * 3 + 18) + 8 * J * 1 + (8 + 2) * G * J
+        # A discount rate adds beta and the objective over the grid.
+        cfg["problem"] = self.X_DEPENDENT
+        discounted = cli._array_bytes(cli.RunConfig.from_dict(cfg),
+                                      model.problem_from_dict(self.X_DEPENDENT))
+        assert discounted == estimate + 2 * 8 * G * J
 
     X_DEPENDENT = {
         "dim": 1, "horizon": 1.0, "mu": ["0"], "sigma": [["0.15*x[0]"]],
@@ -794,14 +823,15 @@ class TestMemoryEstimate:
                     "b": ["0.01*u[0]*x[0]"], "a": [["u[0]*x[0]"]]},
     }
 
-    @pytest.mark.parametrize("command, problem", [
-        ("solve-hjb", "hjb_uncertain_vol"),
-        ("solve-hjb", X_DEPENDENT),
-        ("solve-2bsde", "bsb_uncertain_vol"),
-    ], ids=["hjb-catalog", "hjb-x-dependent", "2bsde"])
-    def test_a_backward_run_holds_at_most_its_estimate(self, tmp_path, command, problem):
+    @pytest.mark.parametrize("command, problem, J, N", [
+        ("solve-hjb", "hjb_uncertain_vol", 4000, 16),
+        ("solve-hjb", X_DEPENDENT, 4000, 16),
+        ("solve-2bsde", "bsb_uncertain_vol", 4000, 16),
+        ("solve-linear", "gbm_linear", 20_000, 4),
+    ], ids=["hjb-catalog", "hjb-x-dependent", "2bsde", "linear"])
+    def test_a_run_holds_at_most_its_estimate(self, tmp_path, command, problem, J, N):
         # The x-dependent control widens all four node terms to (G, J).
-        J, N = 4000, 16
+        # At N = 4 the linear pass's working columns are half of its peak.
         cfg = {"problem": problem, "J": J, "N": N, "seed": 3}
         spec = (model.catalog_get(problem) if isinstance(problem, str)
                 else model.problem_from_dict(problem))

@@ -8,7 +8,6 @@ import pytest
 
 from parabolica.backward import screen_driver
 from parabolica.errors import ConfigError, MissingGamma, NonFinite
-from parabolica import hjb
 from parabolica.hjb import (
     ControlProblem,
     NodeHamiltonian,
@@ -166,22 +165,21 @@ def _bits(a):
 
 
 class TestYFreeNode:
-    """With beta = +0.0, a node forms its objective once; the bits must not move.
+    """Without beta, a node forms its objective once; the bits must not move.
 
-    The reference is ``hamiltonian`` per grid control, the general path's
-    operations; a beta of ``-0.0`` also forces the general path, with the
-    same bits whenever alpha holds no ``-0.0``.
+    The reference is ``hamiltonian`` per grid control; a beta of ``+0.0``
+    takes the general path, with the same bits.
     """
 
     J = 64
 
     @staticmethod
-    def problem(beta=0.0, alpha=None, a=None):
+    def problem(beta=None, alpha=None, a=None):
         return ControlProblem(
             dim=2, control_dim=2,
             lower=np.array([-1.0, 0.1]), upper=np.array([1.0, 0.4]),
             alpha=alpha or (lambda t, x, u: np.sin(3 * u[0]) * x[:, 0] + u[1] * x[:, 1]),
-            beta=lambda t, x, u: np.full(len(x), beta),
+            beta=None if beta is None else (lambda t, x, u: np.full(len(x), beta)),
             b=lambda t, x, u: np.stack([u[0] * x[:, 1], np.full(len(x), u[1])], axis=1),
             a=a or (lambda t, x, u: u[1] * x[:, :, None] * np.array([[1.0, 0.3]])),
             resolution=5,
@@ -216,7 +214,7 @@ class TestYFreeNode:
         free = NodeHamiltonian(self.problem(), 0.3, x, z, gam)
         got = free.f(y), free.argmax(y), free.f(y)
         assert calls == []  # the y-free node never rebuilds its objective
-        general = NodeHamiltonian(self.problem(beta=-0.0), 0.3, x, z, gam)
+        general = NodeHamiltonian(self.problem(beta=0.0), 0.3, x, z, gam)
         expected = general.f(y), general.argmax(y)
         assert len(calls) == 2
         ref_f, ref_u = self.reference(self.problem(), x, y, z, gam)
@@ -234,41 +232,10 @@ class TestYFreeNode:
         np.testing.assert_array_equal(node.argmax(y), np.broadcast_to(cp.grid()[0], (self.J, 2)))
         np.testing.assert_array_equal(ref_u, node.argmax(y))
 
-    def test_alpha_with_a_negative_zero_takes_the_y_free_path(self, monkeypatch):
-        # The gate reads base = (alpha + b'z) + quad, which a -0.0 alpha
-        # with a non-zero b'z does not leave at -0.0.
-        calls = self.spy(monkeypatch)
-        cp = self.problem(alpha=lambda t, x, u: np.where(x[:, 0] > 0, -0.0, u[0] * x[:, 1]))
-        x, y, z, gam = self.states(4)
-        node = NodeHamiltonian(cp, 0.3, x, z, gam)
-        f, u = node.f(y), node.argmax(y)
-        assert calls == []
-        ref_f, ref_u = self.reference(cp, x, y, z, gam)
-        np.testing.assert_array_equal(_bits(f), _bits(ref_f))
-        np.testing.assert_array_equal(u, ref_u)
-
-    def test_a_negative_zero_base_takes_the_general_path(self, monkeypatch):
-        # numpy's einsums add from +0.0 and leave no -0.0 in base, so the
-        # terms they give are replaced by -0.0: base is then -0.0 wherever
-        # alpha is, and -0.0 + 0.0*y is +0.0 at a positive y.
-        real = hjb.ito_terms
-        monkeypatch.setattr(hjb, "ito_terms", lambda *args: tuple(
-            np.full_like(term, -0.0) for term in real(*args)))
-        calls = self.spy(monkeypatch)
-        cp = self.problem(alpha=lambda t, x, u: np.where(x[:, 0] > 0, -0.0, u[0] * x[:, 1]))
-        x, y, z, gam = self.states(4)
-        node = NodeHamiltonian(cp, 0.3, x, z, gam)
-        f, u = node.f(y), node.argmax(y)
-        assert len(calls) == 2
-        ref_f, ref_u = self.reference(cp, x, y, z, gam)
-        assert np.any(_bits(ref_f) == _bits(-0.0))
-        np.testing.assert_array_equal(_bits(f), _bits(ref_f))
-        np.testing.assert_array_equal(u, ref_u)
-
     def test_a_nan_in_y_raises_as_the_general_path_does(self):
         x, y, z, gam = self.states(5)
         y[7] = np.nan
-        for cp in (self.problem(), self.problem(beta=-0.0)):
+        for cp in (self.problem(), self.problem(beta=0.0)):
             with pytest.raises(NonFinite, match="^control objective evaluated non-finite$"):
                 NodeHamiltonian(cp, 0.3, x, z, gam).f(y)
 
@@ -359,6 +326,25 @@ class TestStateTerms:
 
 
 class TestNodeMemory:
+    def test_a_y_free_node_holds_one_grid_array(self):
+        # base over the G grid controls and one control's (J,) temporaries
+        # at a time; a second (G, J) float array does not fit.
+        G, J = 21, 20_000
+        cp = uncertain_volatility_control(resolution=G)
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0.5, 1.5, size=(J, 1))
+        z, gam = rng.normal(size=(J, 1)), rng.normal(size=(J, 1, 1))
+        tracemalloc.start()
+        try:
+            node = NodeHamiltonian(cp, 0.3, x, z, gam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert node._beta is None
+        assert peak <= (8 + 1) * G * J + 8 * 8 * J
+        y = rng.normal(size=J)
+        np.testing.assert_array_equal(node.f(y), TestYFreeNode.reference(cp, x, y, z, gam)[0])
+
     def test_a_discounted_node_holds_two_grid_arrays(self):
         # base and beta over the G grid controls and one control's (J,)
         # temporaries at a time; four (G, J) float arrays do not fit.
@@ -478,6 +464,7 @@ class TestFromDict:
         f1 = hjb_generator(cp)(0.1, x, np.zeros(30), np.zeros((30, 1)), gam)
         f2 = hjb_generator(ref)(0.1, x, np.zeros(30), np.zeros((30, 1)), gam)
         np.testing.assert_array_equal(f1, f2)
+        assert cp.alpha is None and cp.beta is None and cp.b is None
 
     def test_missing_a_rejected(self):
         with pytest.raises(ConfigError):
