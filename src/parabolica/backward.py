@@ -370,7 +370,7 @@ def _sweep(
     N, J, d = grid.N, batch.J, batch.dim
     dt = grid.dt
     times = grid.times
-    X, dW, stop = batch.X, batch.dW, batch.stop_index
+    X, dW, stop = batch.X, batch.increments(), batch.stop_index
     p = regress.basis_size(basis, d)
     history = _History(J, N, d, with_gamma) if observe is None else None
     observe = history if observe is None else observe
@@ -521,7 +521,8 @@ def backward_solve_semilinear(
     ``Z`` are None; otherwise they hold the full histories.
 
     Raises GammaDependence when the transformed driver still depends on its
-    Hessian argument and NonFinite when it is non-finite where probed;
+    Hessian argument and NonFinite when it is non-finite where probed,
+    ConfigError when the batch was simulated without its increments;
     RegressionFailure and NonFinite propagate from the per-step fits and
     updates.
     """
@@ -545,7 +546,8 @@ def backward_solve_2bsde(
 
     Raises NonFinite when the transformed driver is non-finite where
     probed, ConfigError when ``f`` increases in its Hessian argument
-    where probed, SingularSigma (with the offending path and step) when the
+    where probed or when the batch was simulated without its increments,
+    SingularSigma (with the offending path and step) when the
     diffusion matrix cannot be inverted along the paths, and propagates
     RegressionFailure/NonFinite from the per-step estimates.
     """

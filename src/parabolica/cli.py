@@ -135,6 +135,9 @@ _CONFIG_KEYS = {
 }
 _CONFIG = _object(_CONFIG_KEYS, "config")
 _THREADS_VAR = "PARABOLICA_THREADS"
+# Held by every run whatever J and N: the argument parser (about 50 KB),
+# the config, the problem's callables and the worker pool.
+_RUN_OVERHEAD_BYTES = 128 << 10
 # glibc's mallopt parameters (malloc.h).
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
@@ -311,15 +314,25 @@ def _controls_csv(grid, control_means) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _keeps_increments(config: RunConfig) -> bool:
+    """Whether the run reads its batch's dW: a backward sweep or ``paths.bin`` does."""
+    return config.scheme != "linear" or config.dump_paths
+
+
 def _array_bytes(config: RunConfig, spec) -> int:
     """Bytes of the arrays a run holds at once, from J, N, d and the scheme.
 
-    The path batch (X, dW, stop_index) and the C-ordered copy of X (its
-    largest record) that writing ``paths.bin`` makes.  The linear pass's
-    replay holds, per path, the functional's totals, the accumulators
-    ``acc`` and ``log_B``, the node's alpha, beta and ``source`` columns,
-    the last remainder while the next is formed from three temporaries,
-    and the ``bad`` flag.  A backward step frees its own arrays on
+    ``_RUN_OVERHEAD_BYTES`` for what does not grow with J or N; the path
+    batch (X, stop_index, and dW where the run reads it: a backward sweep
+    or ``paths.bin``); and the C-ordered copy of X (its largest record)
+    that writing ``paths.bin`` makes.  A linear run holds the larger of
+    two working sets, per path: Euler's hash state, dW and the step's
+    sigma, noise and new state (1 + 3d + d^2 columns); and the linear
+    pass's six, the functional's totals, the accumulators ``acc`` and
+    ``log_B``, one remainder and the two columns of its ``steps.csv``
+    error.  Where a domain can stop paths, gathering the live rows adds
+    d columns to the linear pass and 2d to Euler.  Besides, up to 4 + d
+    boolean flags per path.  A backward step frees its own arrays on
     return; within it, per path: node n's and node n-1's (Y, Z, Gamma)
     columns and the design (basis matrix and Q, p columns each), then
     the larger of the QR's working copy (p) and the rest: sigma, its
@@ -333,11 +346,13 @@ def _array_bytes(config: RunConfig, spec) -> int:
     Both passes stream their nodes, so neither adds a (J, N+1) term.
     """
     J, N, d = config.J, config.N, spec.dim
-    total = batch_bytes(J, N, d)
+    total = _RUN_OVERHEAD_BYTES + batch_bytes(J, N, d, _keeps_increments(config))
     if config.dump_paths or config.scheme == "simulate":
         total += 8 * J * (N + 1) * d
     if config.scheme == "linear":
-        total += (10 * 8 + 1) * J
+        gathered = 0 if spec.domain is None else d
+        columns = max(6 + gathered, 1 + 3 * d + d * d + 2 * gathered)
+        total += 8 * J * columns + (4 + d) * J
     if config.scheme in ("semilinear", "full_2bsde", "hjb"):
         p = basis_size(config.basis, d)
         if config.scheme == "semilinear":
@@ -388,7 +403,8 @@ def _execute(config: RunConfig):
     x0 = config.x0 if config.x0 is not None else spec.x0_default
     model.require_memory(_array_bytes(config, spec), f"a {config.scheme} run")
     grid = TimeGrid(config.t0, spec.horizon, config.N)
-    batch = euler_simulate(spec, grid, x0, config.J, config.seed, config.threads)
+    batch = euler_simulate(spec, grid, x0, config.J, config.seed, config.threads,
+                           keep_increments=_keeps_increments(config))
     report = {}
 
     if config.scheme == "simulate":

@@ -55,6 +55,9 @@ __all__ = [
     "pathwise_remainders",
 ]
 
+# Paths per slice of a remainder's discount: 64 KB of temporaries.
+_CHUNK = 1 << 13
+
 
 @dataclass(frozen=True, eq=False)
 class LinearCoefficients:
@@ -129,17 +132,28 @@ def _accumulate(coeffs: LinearCoefficients, X: np.ndarray, stop: np.ndarray, gri
             continue
         # A slice rather than a mask gather while every path is alive.
         rows = slice(None) if n < first else stop > n
-        xn = X[rows, n]
-        a_n = np.asarray(coeffs.alpha(times[n], xn), dtype=np.float64)
-        b_n = np.asarray(coeffs.beta(times[n], xn), dtype=np.float64)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # exp(log_B) * a_n * dt, evaluated left to right in one buffer.
-            source = np.exp(log_B[rows])
-            source *= a_n
-            source *= dt
-            acc[rows] += source
-            log_B[rows] += b_n * dt
+        _advance(coeffs, times[n], dt, X[rows, n], rows, acc, log_B)
     yield acc, log_B
+
+
+def _advance(coeffs: LinearCoefficients, t: float, dt: float, xn: np.ndarray, rows,
+             acc: np.ndarray, log_B: np.ndarray) -> None:
+    """Accrue one step of the paths ``rows`` at state ``xn`` into ``acc`` and ``log_B``.
+
+    Its own function, so no step column outlives it; alpha's columns are
+    freed before beta is evaluated.
+    """
+    a_n = np.asarray(coeffs.alpha(t, xn), dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # exp(log_B) * a_n * dt, evaluated left to right in one buffer.
+        source = np.exp(log_B[rows])
+        source *= a_n
+        source *= dt
+        acc[rows] += source
+    del a_n, source
+    b_n = np.asarray(coeffs.beta(t, xn), dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_B[rows] += b_n * dt
 
 
 def _block_functional(
@@ -204,11 +218,24 @@ def pathwise_remainders(
     for n, (acc, log_B) in enumerate(
         _accumulate(coeffs, batch.X, batch.stop_index, batch.grid)
     ):
-        with np.errstate(over="ignore", invalid="ignore"):
-            remainder = (totals - acc) * np.exp(-log_B)
+        remainder = _remainder(totals, acc, log_B)
         bad |= ~np.isfinite(remainder)
         observe(n, remainder)
+        del remainder  # so the next one is not formed beside it
     _raise_at_first(bad)
+
+
+def _remainder(totals: np.ndarray, acc: np.ndarray, log_B: np.ndarray) -> np.ndarray:
+    """``(totals - acc) * exp(-log_B)`` in one fresh buffer, bit for bit.
+
+    The discount is formed ``_CHUNK`` paths at a time, so no second (J,)
+    column is held.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.subtract(totals, acc)
+        for a in range(0, len(out), _CHUNK):
+            out[a:a + _CHUNK] *= np.exp(-log_B[a:a + _CHUNK])
+    return out
 
 
 def feynman_kac_estimate(

@@ -7,26 +7,31 @@ splitmix64-style finalizer, mapping the state to a uniform in (0,1),
 and applying the inverse normal CDF.  Because nothing is sequential,
 the output is bit-identical however the work is chunked or threaded,
 and path block [0, J') of a larger batch equals the smaller batch.
-Threads split the path axis through :func:`for_path_blocks`; each block
-hashes its paths in sub-blocks of ``_SUB_BLOCK`` draws, so its transient
-memory stays a few MB.
+Threads split the path axis through :func:`for_path_blocks`.  A block
+hashes its paths once, then draws one node's increments at a time in
+sub-blocks of at most ``_SUB_BLOCK`` draws, so its transient memory
+stays a few MB.
 
 Every consumer reads the batch one node at a time, so ``X`` and ``dW``
 are stored node-major, as (N+1, J, d) and (N, J, d) arrays, and exposed
 as their (J, N+1, d) and (J, N, d) transposed views: ``X[:, n]`` and
-``dW[:, n]`` are contiguous (J, d) blocks.  A batch read back by
-:func:`load_batch` is a path-major view of the file instead; it holds
-the same values and is only slower to walk.
+``dW[:, n]`` are contiguous (J, d) blocks.  Only the backward sweeps and
+``paths.bin`` read ``dW``; a batch simulated without keeping it holds an
+empty (J, 0, d) ``dW``.  A batch read back by :func:`load_batch` is a
+path-major view of the file instead; it holds the same values and is
+only slower to walk.
 
 States evolve by the explicit Euler step
-``X_{n+1} = X_n + mu(X_n) dt + sigma(X_n) dW_n``.  Where every
-``sigma(X_n)`` of a step is diagonal, its noise is ``sigma_ii dW_i`` from
-the (J, d) diagonal view, with the bits of the matrix product, which only
-a ``sigma`` with an off-diagonal entry pays for.  When the problem has
-a box domain, a path is stopped at the first grid node strictly outside
-the open box and its state is frozen at that exit value for the rest of
-the grid; there is no intra-step (Brownian-bridge) exit correction, so
-boundary quantities carry an O(sqrt(dt)) monitoring bias.  Non-finite
+``X_{n+1} = X_n + mu(X_n) dt + sigma(X_n) dW_n``, each path block
+stepping its own paths with the node's draws it has just made.  Where
+every ``sigma(X_n)`` of a block's step is diagonal, its noise is
+``sigma_ii dW_i`` from the (J, d) diagonal view, with the bits of the
+matrix product, which only a ``sigma`` with an off-diagonal entry pays
+for.  When the problem has a box domain, a path is stopped at the first
+grid node strictly outside the open box and its state is frozen at that
+exit value for the rest of the grid; there is no intra-step
+(Brownian-bridge) exit correction, so boundary quantities carry an
+O(sqrt(dt)) monitoring bias.  Non-finite
 states abort the batch - clipping would silently corrupt convergence
 measurements.
 """
@@ -97,13 +102,20 @@ class TimeGrid:
 class PathBatch:
     grid: TimeGrid
     J: int
-    dW: np.ndarray          # (J, N, d) view of node-major (N, J, d) storage
+    dW: np.ndarray          # (J, N, d) view of node-major (N, J, d) storage; (J, 0, d) if not kept
     X: np.ndarray           # (J, N+1, d) view of node-major (N+1, J, d) storage
     stop_index: np.ndarray  # (J,) first node outside the domain, N if none
 
     @property
     def dim(self) -> int:
         return self.X.shape[2]
+
+    def increments(self) -> np.ndarray:
+        """``dW``; ConfigError when the batch was simulated without keeping it."""
+        if self.dW.shape[1] != self.grid.N:
+            raise ConfigError("the path batch holds no Brownian increments: "
+                              "simulate it with keep_increments=True")
+        return self.dW
 
 
 def _finalize(h: np.ndarray) -> np.ndarray:
@@ -117,31 +129,42 @@ def _finalize(h: np.ndarray) -> np.ndarray:
     return h
 
 
-def _normal_block(out: np.ndarray, seed: int, j0: int, scale: float) -> None:
-    """Fill ``out`` (N, count, d) with the N(0, scale^2) draws of paths [j0, j0+count)."""
-    N, count, d = out.shape
+def _path_states(seed: int, j0: int, j1: int) -> np.ndarray:
+    """The hashed (seed, path) state of each path in [j0, j1); every draw of a path extends it."""
     with np.errstate(over="ignore"):
         h_seed = _finalize(np.array([seed % 2**64], dtype=np.uint64) * _FOLD_SEED)
-        j = (np.arange(j0, j0 + count, dtype=np.uint64) + _U(1)) * _FOLD_PATH
-        h = _finalize(j ^ h_seed[0])
-        n = (np.arange(N, dtype=np.uint64) + _U(1)) * _FOLD_STEP
-        h = _finalize(n[:, None, None] ^ h[None, :, None])
-        i = (np.arange(d, dtype=np.uint64) + _U(1)) * _FOLD_COMP
-        h = _finalize(h ^ i)
-    # top 53 bits -> uniform strictly inside (0, 1), so ndtri stays finite
+        j = (np.arange(j0, j1, dtype=np.uint64) + _U(1)) * _FOLD_PATH
+        return _finalize(j ^ h_seed[0])
+
+
+def _to_normal(h: np.ndarray, out: np.ndarray, scale: float) -> None:
+    """Map the 64-bit states ``h`` to N(0, scale^2) draws in ``out``; shifts ``h`` in place."""
+    # The top 53 bits k give the uniform (k + 0.5) 2^-53, which rounds to
+    # exactly 1.0 at k = 2^53 - 1 alone; the clamp moves that one state to
+    # the largest double below 1, so every uniform lies strictly inside
+    # (0, 1) and ndtri stays finite.
     h >>= _U(11)
     np.add(h, 0.5, out=out)
     out *= 2.0**-53
+    np.minimum(out, 1.0 - 2.0**-53, out=out)
     ndtri(out, out=out)
     out *= scale
 
 
-def _fill_block(store: np.ndarray, seed: int, j0: int, j1: int, scale: float):
-    """Draw paths [j0, j1) of the node-major ``store`` (N, J, d), one sub-block at a time."""
-    N, _, d = store.shape
-    step = max(1, _SUB_BLOCK // (N * d))
-    for a in range(j0, j1, step):
-        _normal_block(store[:, a:min(a + step, j1)], seed, a, scale)
+def _draw_node(out: np.ndarray, states: np.ndarray, n: int, scale: float) -> None:
+    """Fill ``out`` (count, d) with step n's N(0, scale^2) draws of the paths hashed to ``states``.
+
+    At most ``_SUB_BLOCK`` draws are hashed at a time.
+    """
+    count, d = out.shape
+    rows = max(1, _SUB_BLOCK // d)
+    with np.errstate(over="ignore"):
+        node = (np.array([n], dtype=np.uint64) + _U(1)) * _FOLD_STEP
+        comps = (np.arange(d, dtype=np.uint64) + _U(1)) * _FOLD_COMP
+        for a in range(0, count, rows):
+            b = min(a + rows, count)
+            h = _finalize(states[a:b, None] ^ node)
+            _to_normal(_finalize(h ^ comps), out[a:b], scale)
 
 
 def for_path_blocks(J: int, threads: int, work: Callable[[int, int], object]) -> None:
@@ -177,7 +200,13 @@ def brownian_increments(grid: TimeGrid, J: int, d: int, seed: int, threads: int 
         raise ConfigError("J and d must be at least 1")
     store = np.empty((grid.N, J, d))
     scale = float(np.sqrt(grid.dt))
-    for_path_blocks(J, threads, lambda j0, j1: _fill_block(store, seed, j0, j1, scale))
+
+    def block(j0: int, j1: int) -> None:
+        states = _path_states(seed, j0, j1)
+        for n in range(grid.N):
+            _draw_node(store[n, j0:j1], states, n, scale)
+
+    for_path_blocks(J, threads, block)
     return store.transpose(1, 0, 2)
 
 
@@ -198,6 +227,26 @@ def _noise(vol, dw: np.ndarray) -> np.ndarray:
     return noise
 
 
+def _step(spec: ProblemSpec, x: np.ndarray, dw: np.ndarray, alive: np.ndarray, dt: float):
+    """Step the ``alive`` rows of ``x[:, 0]`` into ``x[:, 1]`` with the increments ``dw``.
+
+    Returns the first row whose new state is non-finite, leaving ``x[:, 1]``
+    unwritten, or None.  Its own function, so no column of the step
+    outlives it.
+    """
+    # A slice rather than a mask gather while every path is alive.
+    rows = slice(None) if alive.all() else alive
+    xa = x[rows, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = xa + spec.mu(xa) * dt
+        step += _noise(spec.sigma(xa), dw[rows])
+    finite = np.all(np.isfinite(step), axis=1)
+    if not finite.all():
+        return int(np.flatnonzero(alive)[np.argmin(finite)])
+    x[rows, 1] = step
+    return None
+
+
 def euler_simulate(
     spec: ProblemSpec,
     grid: TimeGrid,
@@ -205,6 +254,7 @@ def euler_simulate(
     J: int,
     seed: int,
     threads: int = 1,
+    keep_increments: bool = True,
 ) -> PathBatch:
     """Simulate J forward paths from x0 on the grid.
 
@@ -213,65 +263,82 @@ def euler_simulate(
     sentinel stop_index = N means the path ran to the horizon; an exit
     exactly at the final node is indistinguishable from termination,
     which is harmless because both pay g at the same state.
+
+    Each path block of :func:`for_path_blocks` draws its own increments
+    one node at a time, as it steps.  With ``keep_increments`` they are
+    stored as the batch's ``dW``; without, no node's draws outlive its
+    step and ``dW`` is an empty (J, 0, d) array, which the backward
+    sweeps and :func:`write_batch` refuse.  A non-finite state raises
+    NonFinite naming the earliest step and the lowest path at that step,
+    whatever the block layout.
     """
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
     if x0.shape[0] != spec.dim:
         raise DimensionMismatch(f"x0 must have length {spec.dim}")
     if not np.all(np.isfinite(x0)):
         raise NonFinite("x0 must be finite")
+    if J < 1:
+        raise ConfigError("J must be at least 1")
     d, N, dt = spec.dim, grid.N, grid.dt
-    dW = brownian_increments(grid, J, d, seed, threads)
-    X = np.empty((N + 1, J, d)).transpose(1, 0, 2)
-    X[:, 0] = x0
-    stop = np.full(J, N, dtype=np.int64)
+    scale = float(np.sqrt(dt))
     domain = spec.domain
-    if domain is not None:
-        alive = domain.contains_open(X[:, 0])
-        stop[~alive] = 0
-    else:
-        alive = np.ones(J, dtype=bool)
+    X = np.empty((N + 1, J, d)).transpose(1, 0, 2)
+    dW = np.empty((N if keep_increments else 0, J, d)).transpose(1, 0, 2)
+    stop = np.full(J, N, dtype=np.int64)
+    blowups = []  # (step, path) of each block's first non-finite state
 
-    for n in range(N):
-        X[:, n + 1] = X[:, n]
-        if not alive.any():
-            continue
-        # A slice rather than a mask gather while every path is alive.
-        rows = slice(None) if alive.all() else alive
-        xa = X[rows, n]
-        with np.errstate(over="ignore", invalid="ignore"):
-            drift = spec.mu(xa)
-            step = xa + drift * dt
-            step += _noise(spec.sigma(xa), dW[rows, n])
-        finite = np.all(np.isfinite(step), axis=1)
-        if not finite.all():
-            j_bad = int(np.flatnonzero(alive)[np.argmin(finite)])
-            raise NonFinite(f"non-finite state at path {j_bad}, step {n + 1}")
-        X[rows, n + 1] = step
+    def block(j0: int, j1: int) -> None:
+        states = _path_states(seed, j0, j1)
+        x, st = X[j0:j1], stop[j0:j1]
+        dw = None if keep_increments else np.empty((j1 - j0, d))
+        x[:, 0] = x0
         if domain is not None:
-            inside = domain.contains_open(X[:, n + 1])
-            newly_out = alive & ~inside
-            stop[newly_out] = n + 1
-            alive &= inside
+            alive = domain.contains_open(x[:, 0])
+            st[~alive] = 0
+        else:
+            alive = np.ones(j1 - j0, dtype=bool)
+        for n in range(N):
+            x[:, n + 1] = x[:, n]
+            live = alive.any()
+            if keep_increments:
+                dw = dW[j0:j1, n]
+            if keep_increments or live:
+                _draw_node(dw, states, n, scale)
+            if not live:
+                continue
+            bad = _step(spec, x[:, n:n + 2], dw, alive, dt)
+            if bad is not None:
+                blowups.append((n + 1, j0 + bad))
+                return
+            if domain is not None:
+                inside = domain.contains_open(x[:, n + 1])
+                st[alive & ~inside] = n + 1
+                alive &= inside
 
+    for_path_blocks(J, threads, block)
+    if blowups:
+        step, j_bad = min(blowups)
+        raise NonFinite(f"non-finite state at path {j_bad}, step {step}")
     return PathBatch(grid=grid, J=J, dW=dW, X=X, stop_index=stop)
 
 
-def batch_bytes(J: int, N: int, d: int) -> int:
-    """Bytes of a J-path, N-step, d-dimensional batch: X, dW and stop_index."""
-    return 8 * (J * (N + 1) * d + J * N * d + J)
+def batch_bytes(J: int, N: int, d: int, keep_increments: bool = True) -> int:
+    """Bytes of a J-path, N-step, d-dimensional batch: X, dW if kept, and stop_index."""
+    return 8 * (J * (N + 1) * d + (J * N * d if keep_increments else 0) + J)
 
 
 def write_batch(batch: PathBatch, fh) -> None:
     """Write the batch to the binary file ``fh`` as raw .npy records, one at a time.
 
     times (N+1,), X (J, N+1, d), dW (J, N, d), stop_index (J,), in that
-    order.  Raw records rather than an archive because zip headers embed
-    timestamps, which would break byte-identical reruns.  Each record is
+    order; a batch simulated without increments is refused with
+    ConfigError.  Raw records rather than an archive because zip headers
+    embed timestamps, which would break byte-identical reruns.  Each record is
     written C-ordered: at d = 1 the node-major X and dW views are
     F-contiguous, and ``np.save`` would otherwise write a Fortran-order
     record that :func:`load_batch` refuses.
     """
-    for arr in (batch.grid.times, batch.X, batch.dW, batch.stop_index):
+    for arr in (batch.grid.times, batch.X, batch.increments(), batch.stop_index):
         np.save(fh, np.ascontiguousarray(arr), allow_pickle=False)
 
 

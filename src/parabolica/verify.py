@@ -361,7 +361,8 @@ def verify_problem(
             f"problem {spec.name!r} has no analytic solution to verify against"
         )
     checks = []
-    nbytes = max((batch_bytes(residual_J, N, spec.dim) for N in residual_Ns), default=0)
+    nbytes = max((batch_bytes(residual_J, N, spec.dim, keep_increments=False)
+                  for N in residual_Ns), default=0)
 
     if spec.dim == 1:
         x0 = float(spec.x0_default[0])
@@ -397,7 +398,7 @@ def verify_problem(
     for N in residual_Ns:
         batch = euler_simulate(
             spec, TimeGrid(0.0, spec.horizon, int(N)), spec.x0_default, J=residual_J, seed=seed,
-            threads=threads,
+            threads=threads, keep_increments=False,
         )
         residuals = twobsde_residuals(spec, batch)
         aggregates[int(N)] = residuals["r1_aggregate"]

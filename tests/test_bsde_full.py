@@ -15,7 +15,7 @@ from parabolica.backward import (
     screen_driver,
     terminal_gradient,
 )
-from parabolica.errors import MissingGamma, NonFinite, SingularSigma
+from parabolica.errors import ConfigError, MissingGamma, NonFinite, SingularSigma
 from parabolica.regress import BasisSpec
 
 BASIS2 = BasisSpec(kind="polynomial", degree=2)
@@ -24,6 +24,16 @@ BASIS2 = BasisSpec(kind="polynomial", degree=2)
 def _simulate(spec, N, J, seed):
     grid = paths.TimeGrid(0.0, spec.horizon, N)
     return paths.euler_simulate(spec, grid, spec.x0_default, J=J, seed=seed)
+
+
+@pytest.mark.parametrize("solve", [backward_solve_semilinear, backward_solve_2bsde])
+def test_a_batch_without_increments_is_refused(solve):
+    spec = _drifting_martingale_spec()
+    grid = paths.TimeGrid(0.0, spec.horizon, 4)
+    batch = paths.euler_simulate(spec, grid, spec.x0_default, J=50, seed=1,
+                                 keep_increments=False)
+    with pytest.raises(ConfigError, match="no Brownian increments"):
+        solve(spec, batch, BASIS2, observe=lambda *args: None)
 
 
 def _drifting_martingale_spec(x0=0.7):

@@ -435,6 +435,26 @@ class TestArtifacts:
         summary = _summary(tmp_path)
         assert summary["value"] == np.mean(payoff)
 
+    @pytest.mark.parametrize("command, extra, keeps", [
+        ("solve-linear", {}, False),
+        ("solve-linear", {"dump_paths": True}, True),
+        ("simulate", {}, True),
+        ("solve-semilinear", {}, True),
+    ])
+    def test_only_a_run_that_reads_dw_keeps_it(self, tmp_path, monkeypatch, command, extra, keeps):
+        seen = []
+        simulate = cli.euler_simulate
+
+        def record(*args, **kwargs):
+            batch = simulate(*args, **kwargs)
+            seen.append(batch.dW.shape[1])
+            return batch
+
+        monkeypatch.setattr(cli, "euler_simulate", record)
+        cfg = dict(HEAT_LINEAR, scheme=cli._SUBCOMMANDS[command], **extra)
+        assert _run(tmp_path, command, cfg) == 0
+        assert seen == [4 if keeps else 0]
+
     def test_dump_paths_flag_on_a_solve_run(self, tmp_path):
         cfg = dict(HEAT_LINEAR, dump_paths=True)
         assert _run(tmp_path, "solve-linear", cfg) == 0
@@ -470,13 +490,14 @@ class TestVerifySubcommand:
         simulate = verify.euler_simulate
 
         def record(*args, **kwargs):
-            seen.append(kwargs.get("threads"))
+            seen.append((kwargs.get("threads"), kwargs.get("keep_increments")))
             return simulate(*args, **kwargs)
 
         monkeypatch.setattr(verify, "euler_simulate", record)
         cfg = {"problem": "heat", "scheme": "verify", "verify": self.SMALL}
         assert _run(tmp_path, "verify", cfg, threads=2) == 0
-        assert seen == [2, 2]
+        # The residuals read X and stop_index only, so no dW is kept.
+        assert seen == [(2, False), (2, False)]
 
     def test_failing_check_exits_3_but_writes_the_report(self, tmp_path):
         cfg = {
@@ -533,8 +554,9 @@ class TestVerifySubcommand:
         grid = verify.FdGrid.for_problem(model.catalog_get("heat"), -6.0, 6.0, 100_001)
         assert grid.N_fd == 86_805_557
         # The (N_fd + 1, M) surface and its truth stack, and the largest
-        # residual batch: X and dW of 10^4 paths over 128 steps, plus stop_index.
-        nbytes = 2 * 8 * (grid.N_fd + 1) * 100_001 + 8 * (10_000 * (129 + 128) + 10_000)
+        # residual batch: X of 10^4 paths over 128 steps and stop_index; the
+        # residuals read no dW, so none is kept.
+        nbytes = 2 * 8 * (grid.N_fd + 1) * 100_001 + 8 * (10_000 * 129 + 10_000)
         assert err.startswith("parabolica: exit=1 error=ConfigError "
                               f"detail=a verify run needs {nbytes} bytes")
 
@@ -775,10 +797,11 @@ class TestExitCodes:
         assert _run(tmp_path, "solve-linear", cfg) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        # X and dW of 1e7 paths over 1e5 steps, plus stop_index, then the
-        # linear pass's ten float columns and one boolean column.
+        # The run's 128 KiB fixed overhead; X of 1e7 paths over 1e5 steps
+        # and stop_index (no dW: the linear pass does not read it); then the
+        # linear pass's six float columns and 4 + d boolean ones.
         assert err.startswith("parabolica: exit=1 error=ConfigError detail=a linear run "
-                              "needs 16000970000000 bytes")
+                              "needs 8000690131072 bytes")
 
 
 class TestMemoryEstimate:
@@ -796,7 +819,7 @@ class TestMemoryEstimate:
         # At d = 1: two (Y, Z, Gamma) node columns, the step's design (two
         # columns of p = 3), and the step's 18 other columns, which
         # outnumber the QR's working copy of the design.
-        assert estimate(64) == batch + 8 * J * (2 * 3 + 2 * 3 + 18)
+        assert estimate(64) == cli._RUN_OVERHEAD_BYTES + batch + 8 * J * (2 * 3 + 2 * 3 + 18)
 
     def test_an_hjb_estimate_adds_the_control_column_and_the_node_arrays(self):
         spec = model.catalog_get("hjb_uncertain_vol")
@@ -808,7 +831,8 @@ class TestMemoryEstimate:
         # over G = 21 grid points, base (8 bytes) and the argmax mask with
         # its copy (1 byte each): the catalog control has no discount rate.
         G = 21
-        assert estimate == batch + 8 * J * (2 * 3 + 2 * 3 + 18) + 8 * J * 1 + (8 + 2) * G * J
+        assert estimate == (cli._RUN_OVERHEAD_BYTES + batch + 8 * J * (2 * 3 + 2 * 3 + 18)
+                            + 8 * J * 1 + (8 + 2) * G * J)
         # A discount rate adds beta and the objective over the grid.
         cfg["problem"] = self.X_DEPENDENT
         discounted = cli._array_bytes(cli.RunConfig.from_dict(cfg),
@@ -823,15 +847,28 @@ class TestMemoryEstimate:
                     "b": ["0.01*u[0]*x[0]"], "a": [["u[0]*x[0]"]]},
     }
 
+    LINEAR_D2 = {
+        "dim": 2, "horizon": 1.0, "mu": ["0.05*x[0]", "0.05*x[1]"],
+        "sigma": [["0.2*x[0]", "0.05*x[0]"], ["0", "0.2*x[1]"]],
+        "f": "-0.05*y", "g": "x[0]+x[1]", "x0": [1.0, 1.0],
+        "linear": {"alpha": "0", "beta": "-0.05"},
+    }
+
     @pytest.mark.parametrize("command, problem, J, N", [
         ("solve-hjb", "hjb_uncertain_vol", 4000, 16),
         ("solve-hjb", X_DEPENDENT, 4000, 16),
         ("solve-2bsde", "bsb_uncertain_vol", 4000, 16),
         ("solve-linear", "gbm_linear", 20_000, 4),
-    ], ids=["hjb-catalog", "hjb-x-dependent", "2bsde", "linear"])
+        ("solve-linear", "gbm_linear", 5000, 4),
+        ("solve-linear", "gbm_linear", 2000, 4),
+        ("solve-linear", LINEAR_D2, 20_000, 16),
+    ], ids=["hjb-catalog", "hjb-x-dependent", "2bsde", "linear", "linear-5e3", "linear-2e3",
+            "linear-d2"])
     def test_a_run_holds_at_most_its_estimate(self, tmp_path, command, problem, J, N):
         # The x-dependent control widens all four node terms to (G, J).
-        # At N = 4 the linear pass's working columns are half of its peak.
+        # At N = 4 the linear pass's working columns are half of its peak,
+        # and at J = 2e3 the run's fixed overhead is a third.  At d = 2
+        # Euler's full sigma outweighs the linear pass.
         cfg = {"problem": problem, "J": J, "N": N, "seed": 3}
         spec = (model.catalog_get(problem) if isinstance(problem, str)
                 else model.problem_from_dict(problem))
@@ -851,7 +888,7 @@ class TestMemoryEstimate:
         J, N = 20_000, 32
         cfg = {"problem": "gbm_linear", "scheme": "simulate", "J": J, "N": N, "seed": 4}
         estimate = cli._array_bytes(cli.RunConfig.from_dict(cfg), model.catalog_get("gbm_linear"))
-        assert estimate == paths.batch_bytes(J, N, 1) + 8 * J * (N + 1)
+        assert estimate == cli._RUN_OVERHEAD_BYTES + paths.batch_bytes(J, N, 1) + 8 * J * (N + 1)
         tracemalloc.start()
         try:
             assert _run(tmp_path, "simulate", cfg, threads=2) == 0

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from parabolica import paths
 from parabolica.errors import (
@@ -126,6 +127,17 @@ class TestIncrements:
                 got = brownian_increments(grid, 41, d, seed=21, threads=threads)
                 np.testing.assert_array_equal(got, want[d])
 
+    def test_the_top_hash_state_maps_to_a_finite_draw(self):
+        # The top 2^11 states give k = 2^53 - 1, whose (k + 0.5) 2^-53
+        # rounds to 1.0; it becomes the largest double below 1.  The next
+        # state down keeps its own uniform.
+        h = np.array([2**64 - 1, 2**64 - 2**11, 2**64 - 2**11 - 1], dtype=np.uint64)
+        out = np.empty(3)
+        paths._to_normal(h, out, 2.0)
+        assert np.all(np.isfinite(out))
+        assert out[0] == out[1] == 2.0 * ndtri(1.0 - 2.0**-53)
+        assert out[2] == 2.0 * ndtri((2.0**53 - 2) * 2.0**-53)
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_transient_memory_is_a_few_mb(self, threads):
         # Hashing the 1.28e6 draws in one block would take about 30 MB of
@@ -196,6 +208,34 @@ class TestEuler:
         )
         with pytest.raises(NonFinite, match=r"path \d+, step \d+"):
             euler_simulate(spec, TimeGrid(0.0, 1.0, 8), [20.0], 2, seed=0)
+
+    def test_blowup_location_does_not_depend_on_threads(self):
+        # dX = X^3 dt + 1.5 dW from 0: each path blows up at its own step.
+        # The reference steps every path to the end and takes the earliest
+        # step, then the lowest path at it: paths 4 and 7 at step 22.  Path
+        # 0 blows up at step 25, so the first of three blocks fails three
+        # steps late, and the other two tie at step 22.
+        spec = ProblemSpec(
+            dim=1, horizon=1.0,
+            mu=lambda x: x**3,
+            sigma=lambda x: np.full((len(x), 1, 1), 1.5),
+            f=lambda t, x, y, z, gamma: np.zeros(len(x)),
+            g=lambda x: x[:, 0],
+        )
+        grid, J, seed = TimeGrid(0.0, 1.0, 32), 9, 22
+        dw = brownian_increments(grid, J, 1, seed)[:, :, 0]
+        x, first = np.zeros(J), np.full(J, grid.N + 1)
+        with np.errstate(all="ignore"):
+            for n in range(grid.N):
+                x = x + x**3 * grid.dt + 1.5 * dw[:, n]
+                first[~np.isfinite(x) & (first > grid.N)] = n + 1
+        step = int(first.min())
+        path = int(np.argmax(first == step))
+        assert (step, path) == (22, 4) and first[0] == 25 and first[7] == 22
+        for threads in (1, 2, 3):
+            with pytest.raises(NonFinite) as info:
+                euler_simulate(spec, grid, [0.0], J, seed=seed, threads=threads)
+            assert str(info.value) == f"non-finite state at path {path}, step {step}"
 
 
 class TestDiagonalNoise:
@@ -328,6 +368,20 @@ class TestLayout:
         batch = self._batch(d)
         held = batch.X.nbytes + batch.dW.nbytes + batch.stop_index.nbytes
         assert paths.batch_bytes(257, 8, d) == held
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_a_batch_without_increments_has_the_same_paths(self, d, threads):
+        kept = self._batch(d)
+        lean = euler_simulate(layout_spec(d), TimeGrid(0.0, 1.0, 8), np.zeros(d), 257,
+                              seed=11, threads=threads, keep_increments=False)
+        np.testing.assert_array_equal(lean.X, kept.X)
+        np.testing.assert_array_equal(lean.stop_index, kept.stop_index)
+        assert lean.dW.shape == (257, 0, d)
+        held = lean.X.nbytes + lean.dW.nbytes + lean.stop_index.nbytes
+        assert paths.batch_bytes(257, 8, d, keep_increments=False) == held
+        with pytest.raises(ConfigError, match="no Brownian increments"):
+            write_batch(lean, io.BytesIO())
 
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("d", [1, 2])

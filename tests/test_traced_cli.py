@@ -127,4 +127,4 @@ def test_threaded_traced_runs_repeat_their_span_counts(tmp_path):
         run_dir.mkdir()
         counts.append(_counts(_traced_run(run_dir, "solve-linear", config, threads=2))[0])
     assert counts[0] == counts[1]
-    assert counts[0]["paths.brownian_increments"] == 1
+    assert counts[0]["paths.euler_simulate"] == 1
