@@ -317,8 +317,8 @@ def euler_simulate(
 
     for_path_blocks(J, threads, block)
     if blowups:
-        step, j_bad = min(blowups)
-        raise NonFinite(f"non-finite state at path {j_bad}, step {step}")
+        n_bad, j_bad = min(blowups)
+        raise NonFinite(f"non-finite state at path {j_bad}, step {n_bad}")
     return PathBatch(grid=grid, J=J, dW=dW, X=X, stop_index=stop)
 
 
