@@ -93,6 +93,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import hjb, regress
 from .errors import ConfigError, GammaDependence, NonFinite, SingularSigma
@@ -145,7 +146,7 @@ def screen_driver(spec: ProblemSpec, gamma_free: bool) -> None:
     """
     name = spec.name or "<anonymous>"
     samples, d = 16, spec.dim
-    rng = np.random.default_rng(0)
+    rng = default_rng(0)
     x0 = spec.x0_default
     scale = 1.0 + float(np.max(np.abs(x0)))
     times = rng.uniform(0.0, spec.horizon, size=8)

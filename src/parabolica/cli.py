@@ -69,7 +69,7 @@ from .errors import (
     SingularSigma,
 )
 from .linear_fk import Estimate, LinearCoefficients, feynman_kac_estimate, pathwise_remainders
-from .paths import TimeGrid, batch_bytes, euler_simulate, write_batch
+from .paths import TimeGrid, batch_bytes, draw_bytes, euler_simulate, write_batch
 from .regress import BasisSpec, basis_size
 
 __all__ = ["RunConfig", "main"]
@@ -138,6 +138,9 @@ _THREADS_VAR = "PARABOLICA_THREADS"
 # Held by every run whatever J and N: the argument parser (about 50 KB),
 # the config, the problem's callables and the worker pool.
 _RUN_OVERHEAD_BYTES = 128 << 10
+# What each worker of a pool adds, its thread and task bookkeeping
+# (measured at about 1.9 KB from 2 to 64 workers).
+_WORKER_BYTES = 2 << 10
 # glibc's mallopt parameters (malloc.h).
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
@@ -320,52 +323,63 @@ def _keeps_increments(config: RunConfig) -> bool:
 
 
 def _array_bytes(config: RunConfig, spec) -> int:
-    """Bytes of the arrays a run holds at once, from J, N, d and the scheme.
+    """Bytes of the arrays a run holds at once, from J, N, d, the scheme and the worker count.
 
-    ``_RUN_OVERHEAD_BYTES`` for what does not grow with J or N; the path
-    batch (X, stop_index, and dW where the run reads it: a backward sweep
-    or ``paths.bin``); and the C-ordered copy of X (its largest record)
-    that writing ``paths.bin`` makes.  A linear run holds the larger of
-    two working sets, per path: Euler's hash state, dW and the step's
-    sigma, noise and new state (1 + 3d + d^2 columns); and the linear
-    pass's six, the functional's totals, the accumulators ``acc`` and
-    ``log_B``, one remainder and the two columns of its ``steps.csv``
-    error.  Where a domain can stop paths, gathering the live rows adds
-    d columns to the linear pass and 2d to Euler.  Besides, up to 4 + d
-    boolean flags per path.  A backward step frees its own arrays on
-    return; within it, per path: node n's and node n-1's (Y, Z, Gamma)
-    columns and the design (basis matrix and Q, p columns each), then
-    the larger of the QR's working copy (p) and the rest: sigma, its
+    ``_RUN_OVERHEAD_BYTES`` for what does not grow with J or N, and
+    ``_WORKER_BYTES`` for each worker of a pool (``min(threads, J)`` of
+    them, none on one thread); the path batch (X, stop_index, and dW where
+    the run reads it: a backward sweep or ``paths.bin``); then the larger
+    of two phases' working sets.  Euler's, per path: the hash state, the
+    node's dW when the batch does not keep it, and the larger of the
+    draw's scratch (:func:`paths.draw_bytes`) and the step's sigma, noise
+    and new state (d^2 + 2d columns).  The later phases', counted
+    together: the C-ordered copy of X (its largest record) that writing
+    ``paths.bin`` makes, and the scheme's own pass.  A linear run's pass
+    holds six columns per path, the functional's totals, the accumulators
+    ``acc`` and ``log_B``, one remainder and the two columns of its
+    ``steps.csv`` error.  Where a domain can stop paths, gathering the
+    live rows adds d columns to the linear pass and 2d to Euler's step.
+    Besides, up to 4 + d boolean flags per path.  A backward step frees its
+    own arrays on return; within it, per path: node n's and node n-1's (Y,
+    Z, Gamma) columns and the design (basis matrix and Q, p columns each),
+    then the larger of the QR's working copy (p) and the rest: sigma, its
     inverse and mu; the Gamma target, fit and unsymmetrized solve
-    (semilinear: the zero Hessian); sigma sigma'; the Z fit; and ten
-    value columns (Y fit, mu'z, half trace, last Picard correction,
-    pathwise functional, five for the driver).  An hjb node
-    adds its k control columns and, over the G grid points, its (G, J)
-    ``base``, a (G, J) boolean mask and the copy ``np.argmax`` makes of
-    it, and, with a discount rate, the (G, J) ``beta`` and objective.
-    Both passes stream their nodes, so neither adds a (J, N+1) term.
+    (semilinear: the zero Hessian); sigma sigma'; the Z fit; and ten value
+    columns (Y fit, mu'z, half trace, last Picard correction, pathwise
+    functional, five for the driver).  An hjb node adds its k control
+    columns and, over the G grid points, its (G, J) ``base``, a (G, J)
+    boolean mask and the copy ``np.argmax`` makes of it, and, with a
+    discount rate, the (G, J) ``beta`` and objective.  Both passes stream
+    their nodes, so neither adds a (J, N+1) term.
     """
     J, N, d = config.J, config.N, spec.dim
-    total = _RUN_OVERHEAD_BYTES + batch_bytes(J, N, d, _keeps_increments(config))
+    keeps = _keeps_increments(config)
+    workers = min(config.threads, J)
+    total = _RUN_OVERHEAD_BYTES + batch_bytes(J, N, d, keeps)
+    if workers > 1:
+        total += _WORKER_BYTES * workers
+    gathered = 0 if spec.domain is None else d
+    euler = 8 * J * (1 + (0 if keeps else d)) + max(8 * J * (d * d + 2 * d + 2 * gathered),
+                                                    draw_bytes(J, d, config.threads))
+    later = 0
     if config.dump_paths or config.scheme == "simulate":
-        total += 8 * J * (N + 1) * d
+        later += 8 * J * (N + 1) * d
     if config.scheme == "linear":
-        gathered = 0 if spec.domain is None else d
-        columns = max(6 + gathered, 1 + 3 * d + d * d + 2 * gathered)
-        total += 8 * J * columns + (4 + d) * J
+        later += 8 * J * (6 + gathered)
+        total += (4 + d) * J
     if config.scheme in ("semilinear", "full_2bsde", "hjb"):
         p = basis_size(config.basis, d)
         if config.scheme == "semilinear":
             node, rest = 1 + d, 4 * d * d + 2 * d + 10
         else:
             node, rest = 1 + d + d * d, 6 * d * d + 2 * d + 10
-        total += 8 * J * (2 * node + 2 * p + max(p, rest))
+        later += 8 * J * (2 * node + 2 * p + max(p, rest))
     if config.scheme == "hjb":
         cp = spec.control
         G = cp.resolution ** cp.control_dim
         floats = 1 if cp.beta is None else 3
-        total += 8 * J * cp.control_dim + (floats * 8 + 2) * G * J
-    return total
+        later += 8 * J * cp.control_dim + (floats * 8 + 2) * G * J
+    return total + max(euler, later)
 
 
 def _execute(config: RunConfig):

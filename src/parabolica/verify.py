@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .errors import (
     CflViolation,
@@ -302,6 +301,9 @@ class RateEstimate:
 
 def estimate_rate(errors: Sequence) -> RateEstimate:
     """Least-squares slope of log e against log h with a 95% half-width."""
+    # Imported here, so that only this function loads scipy.
+    from scipy.special import stdtrit
+
     arr = np.asarray(list(errors), dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
         raise DegenerateInput("rate estimation needs at least 3 (h, e) pairs")

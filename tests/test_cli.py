@@ -854,29 +854,32 @@ class TestMemoryEstimate:
         "linear": {"alpha": "0", "beta": "-0.05"},
     }
 
-    @pytest.mark.parametrize("command, problem, J, N", [
-        ("solve-hjb", "hjb_uncertain_vol", 4000, 16),
-        ("solve-hjb", X_DEPENDENT, 4000, 16),
-        ("solve-2bsde", "bsb_uncertain_vol", 4000, 16),
-        ("solve-linear", "gbm_linear", 20_000, 4),
-        ("solve-linear", "gbm_linear", 5000, 4),
-        ("solve-linear", "gbm_linear", 2000, 4),
-        ("solve-linear", LINEAR_D2, 20_000, 16),
+    @pytest.mark.parametrize("command, problem, J, N, threads", [
+        ("solve-hjb", "hjb_uncertain_vol", 4000, 16, 2),
+        ("solve-hjb", X_DEPENDENT, 4000, 16, 2),
+        ("solve-2bsde", "bsb_uncertain_vol", 4000, 16, 2),
+        ("solve-linear", "gbm_linear", 20_000, 4, 2),
+        ("solve-linear", "gbm_linear", 5000, 4, 2),
+        ("solve-linear", "gbm_linear", 2000, 4, 2),
+        ("solve-linear", LINEAR_D2, 20_000, 16, 2),
+        ("solve-linear", "gbm_linear", 64, 1, 16),
     ], ids=["hjb-catalog", "hjb-x-dependent", "2bsde", "linear", "linear-5e3", "linear-2e3",
-            "linear-d2"])
-    def test_a_run_holds_at_most_its_estimate(self, tmp_path, command, problem, J, N):
+            "linear-d2", "linear-64-t16"])
+    def test_a_run_holds_at_most_its_estimate(self, tmp_path, command, problem, J, N, threads):
         # The x-dependent control widens all four node terms to (G, J).
         # At N = 4 the linear pass's working columns are half of its peak,
         # and at J = 2e3 the run's fixed overhead is a third.  At d = 2
-        # Euler's full sigma outweighs the linear pass.
+        # Euler's full sigma outweighs the linear pass.  At J = 64 on 16
+        # workers the pool is most of the run.
         cfg = {"problem": problem, "J": J, "N": N, "seed": 3}
         spec = (model.catalog_get(problem) if isinstance(problem, str)
                 else model.problem_from_dict(problem))
         scheme = cli._SUBCOMMANDS[command]
-        estimate = cli._array_bytes(cli.RunConfig.from_dict(cfg, scheme=scheme), spec)
+        config = cli.RunConfig.from_dict(cfg, scheme=scheme, threads=threads)
+        estimate = cli._array_bytes(config, spec)
         tracemalloc.start()
         try:
-            assert _run(tmp_path, command, cfg, threads=2) == 0
+            assert _run(tmp_path, command, cfg, threads=threads) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -997,14 +1000,17 @@ class TestModuleEntryPoint:
         assert sub == inproc
 
     def test_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats costs about a second and tens of MB on every start;
-        # jsonschema (with attrs, referencing and rpds) tens of ms.
+        # scipy.stats costs about a second and tens of MB on every start,
+        # scipy.special about 0.25 s and 24 MB; jsonschema (with attrs,
+        # referencing and rpds) tens of ms.
         proc = subprocess.run(
             [
                 sys.executable,
                 "-c",
                 "import sys, parabolica.cli; "
                 "sys.exit(', '.join(m for m in sys.argv[1:] if m in sys.modules) or None)",
+                "scipy",
+                "scipy.special",
                 "scipy.stats",
                 "jsonschema",
             ],
@@ -1013,3 +1019,24 @@ class TestModuleEntryPoint:
             timeout=120,
         )
         assert proc.returncode == 0, f"imported: {proc.stderr}"
+
+    def test_a_run_leaves_scipy_unloaded(self, tmp_path):
+        # The inverse normal CDF is the package's own: only verify loads scipy.
+        cfg = _write_config(tmp_path, {"problem": "hjb_uncertain_vol", "J": 200, "N": 4})
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys; from parabolica import cli; "
+                "code = cli.main(['solve-hjb', '--config', sys.argv[1], '--out', sys.argv[2]]); "
+                "sys.exit(code or ', '.join(m for m in ('scipy', 'scipy.special') "
+                "if m in sys.modules) or None)",
+                cfg,
+                str(tmp_path / "out"),
+            ],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, f"exit {proc.returncode}, imported: {proc.stderr}"
+        assert (tmp_path / "out" / "summary.json").exists()

@@ -2,11 +2,12 @@
 
 import hashlib
 import io
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from parabolica import paths
 from parabolica.errors import (
@@ -150,6 +151,164 @@ class TestIncrements:
         finally:
             tracemalloc.stop()
         assert peak < out.nbytes + 4 * 2**20
+
+
+def cephes_ndtri(u: float, log) -> float:
+    """Cephes ``ndtri`` of one uniform in (0, 1), line by line from the C, with ``log`` as its log."""
+
+    def polevl(x, coef):
+        ans = coef[0]
+        for c in coef[1:]:
+            ans = ans * x + c
+        return ans
+
+    def p1evl(x, coef):
+        ans = x + coef[0]
+        for c in coef[1:]:
+            ans = ans * x + c
+        return ans
+
+    y, negate = u, True
+    if y > 1.0 - paths._EXP_M2:
+        y, negate = 1.0 - y, False
+    if y > paths._EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        x = y + y * (y2 * polevl(y2, paths._P0) / p1evl(y2, paths._Q0))
+        return x * paths._S2PI
+    x = math.sqrt(-2.0 * log(y))
+    x0 = x - log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * polevl(z, paths._P1) / p1evl(z, paths._Q1)
+    else:
+        x1 = z * polevl(z, paths._P2) / p1evl(z, paths._Q2)
+    x = x0 - x1
+    return -x if negate else x
+
+
+def numpy_log(v: float) -> float:
+    return float(np.log(v))
+
+
+def kernel_ndtri(u) -> np.ndarray:
+    """The package's inverse normal CDF of the uniforms ``u``."""
+    out = np.array(u, dtype=np.float64)
+    paths._ndtri(out, np.empty_like(out))
+    return out
+
+
+class TestInverseCdf:
+    """The in-package Cephes ``ndtri`` against scipy's, which runs the same algorithm.
+
+    The two differ only where numpy's vectorized ``log`` and the C
+    library's, which scipy calls, round a tail's logarithm differently.
+    """
+
+    @pytest.fixture(scope="class")
+    def lattice(self):
+        # 2^20 of the generator's own states and the uniforms it maps them to.
+        h = paths._path_states(7, 0, 1 << 20)
+        u = np.minimum(((h >> np.uint64(11)) + 0.5) * 2.0**-53, 1.0 - 2.0**-53)
+        out = np.empty_like(u)
+        paths._to_normal(h, out, 1.0)
+        central = (u > paths._EXP_M2) & (u <= 1.0 - paths._EXP_M2)
+        return u, out, central
+
+    def test_central_draws_are_scipys_to_the_bit(self, lattice):
+        u, got, central = lattice
+        assert central.sum() > 700_000
+        np.testing.assert_array_equal(got[central], ndtri(u[central]))
+
+    def test_tail_draws_differ_from_scipy_only_through_the_log(self, lattice):
+        # Each tail draw that differs is reproduced by the C transcription
+        # run with the C library's log and with numpy's, and those logs
+        # differ at y or at x = sqrt(-2 log y).
+        u, got, central = lattice
+        u, got = u[~central], got[~central]
+        want = ndtri(u)
+        assert u.size > 250_000
+        differ = np.flatnonzero(got != want)
+        assert differ.size < 1e-3 * u.size
+        for k in differ:
+            v = float(u[k])
+            assert cephes_ndtri(v, math.log) == want[k]
+            assert cephes_ndtri(v, numpy_log) == got[k]
+            y = min(v, 1.0 - v)
+            x = math.sqrt(-2.0 * math.log(y))
+            assert numpy_log(y) != math.log(y) or numpy_log(x) != math.log(x)
+
+    EDGES = [
+        2.0**-54,  # the lattice's smallest uniform, on P2/Q2 (x >= 8)
+        np.nextafter(math.exp(-32), 0.0), math.exp(-32), np.nextafter(math.exp(-32), 1.0),
+        np.nextafter(paths._EXP_M2, 0.0), paths._EXP_M2, np.nextafter(paths._EXP_M2, 1.0),
+        np.nextafter(1.0 - paths._EXP_M2, 0.0), 1.0 - paths._EXP_M2,
+        np.nextafter(1.0 - paths._EXP_M2, 1.0),
+        1.0 - 2.0**-53,  # the lattice's largest uniform, on P2/Q2
+    ]
+
+    @pytest.mark.parametrize("u", EDGES)
+    def test_branch_edges_match_scipy_where_the_logs_agree(self, u):
+        u = float(u)
+        got = kernel_ndtri([u])[0]
+        assert got == cephes_ndtri(u, numpy_log)
+        y = min(u, 1.0 - u)
+        if y > paths._EXP_M2 or all(numpy_log(v) == math.log(v)
+                                    for v in (y, math.sqrt(-2.0 * math.log(y)))):
+            assert got == ndtri(u)
+
+    def test_the_smallest_uniform_takes_the_far_tail_rational(self):
+        assert math.sqrt(-2.0 * math.log(2.0**-54)) >= 8.0
+
+    def test_one_half_maps_to_positive_zero(self):
+        got = kernel_ndtri([0.5])[0]
+        assert got == 0.0 and not np.signbit(got)
+
+
+class TestRngAudit:
+    """Fixed-seed checks of N(0, 1) draws against the null distribution.
+
+    Each bound is a quantile of its statistic for independent standard
+    normals, not a value read off this generator's draws.
+    """
+
+    # Under independence a sample correlation r of n pairs is about
+    # N(0, 1/n): four standard deviations.
+    @staticmethod
+    def _bound(n):
+        return 4.0 / np.sqrt(n)
+
+    def test_kolmogorov_smirnov_on_a_million_draws(self):
+        z = np.sort(brownian_increments(TimeGrid(0.0, 1.0, 1), 1 << 20, 1, seed=2024).ravel())
+        n = z.size
+        cdf = ndtr(z)
+        d = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+        # Kolmogorov's limit law: P(sqrt(n) D > 1.95) is about 1e-3.
+        assert np.sqrt(n) * d <= 1.95
+
+    def test_neighbouring_draws_are_uncorrelated(self):
+        # Neighbours in each counter, the draws and their squares.
+        grid = TimeGrid(0.0, 8.0, 8)  # dt = 1
+        z = brownian_increments(grid, 1 << 14, 3, seed=11)
+        pairs = {
+            "path j, j+1": (z[:-1], z[1:]),
+            "step n, n+1": (z[:, :-1], z[:, 1:]),
+            "component i, i+1": (z[..., :-1], z[..., 1:]),
+            "seed s, s+1": (z, brownian_increments(grid, 1 << 14, 3, seed=12)),
+        }
+        for name, (a, b) in pairs.items():
+            for power in (1, 2):
+                r = np.corrcoef((a**power).ravel(), (b**power).ravel())[0, 1]
+                assert abs(r) <= self._bound(a.size), (name, power, r)
+
+    def test_components_have_the_identity_covariance(self):
+        z = brownian_increments(TimeGrid(0.0, 8.0, 8), 1 << 15, 3, seed=5).reshape(-1, 3)
+        n = len(z)
+        cov = np.cov(z, rowvar=False)
+        off = cov[~np.eye(3, dtype=bool)]
+        assert np.all(np.abs(off) <= self._bound(n)), cov
+        # A sample variance of n standard normals has variance about 2/n.
+        assert np.all(np.abs(np.diag(cov) - 1.0) <= 4.0 * np.sqrt(2.0 / n)), cov
 
 
 class TestEuler:
