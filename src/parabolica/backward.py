@@ -93,6 +93,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+# numpy loads np.random on first use; importing it here keeps that load
+# (about 1 MB) out of the run that screens a driver.
 from numpy.random import default_rng
 
 from . import hjb, regress

@@ -136,10 +136,10 @@ _CONFIG_KEYS = {
 _CONFIG = _object(_CONFIG_KEYS, "config")
 _THREADS_VAR = "PARABOLICA_THREADS"
 # Held by every run whatever J and N: the argument parser (about 50 KB),
-# the config, the problem's callables and the worker pool.
+# the config, the problem's callables and the worker pool's fixed part.
 _RUN_OVERHEAD_BYTES = 128 << 10
-# What each worker of a pool adds, its thread and task bookkeeping
-# (measured at about 1.9 KB from 2 to 64 workers).
+# Each worker of a pool, its thread and task bookkeeping: a run's peak
+# grew by about 1.9 KB a worker from 2 to 64 workers.
 _WORKER_BYTES = 2 << 10
 # glibc's mallopt parameters (malloc.h).
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -323,34 +323,35 @@ def _keeps_increments(config: RunConfig) -> bool:
 
 
 def _array_bytes(config: RunConfig, spec) -> int:
-    """Bytes of the arrays a run holds at once, from J, N, d, the scheme and the worker count.
+    """Bytes of the arrays a run holds at once, from J, N, d, the scheme and the threads.
 
     ``_RUN_OVERHEAD_BYTES`` for what does not grow with J or N, and
-    ``_WORKER_BYTES`` for each worker of a pool (``min(threads, J)`` of
-    them, none on one thread); the path batch (X, stop_index, and dW where
-    the run reads it: a backward sweep or ``paths.bin``); then the larger
-    of two phases' working sets.  Euler's, per path: the hash state, the
-    node's dW when the batch does not keep it, and the larger of the
-    draw's scratch (:func:`paths.draw_bytes`) and the step's sigma, noise
-    and new state (d^2 + 2d columns).  The later phases', counted
+    ``_WORKER_BYTES`` for each of the ``min(threads, J)`` workers of a
+    pool (one thread runs none); the path batch (X, stop_index, and dW
+    where the run reads it: a backward sweep or ``paths.bin``); then the
+    larger of two phases' working sets.  Euler's, per path: the hash
+    state, the node's dW where the batch does not keep it, and the larger
+    of the draw's scratch (:func:`paths.draw_bytes`) and the step's sigma,
+    noise and new state (d^2 + 2d columns).  The later phases', counted
     together: the C-ordered copy of X (its largest record) that writing
-    ``paths.bin`` makes, and the scheme's own pass.  A linear run's pass
-    holds six columns per path, the functional's totals, the accumulators
+    ``paths.bin`` makes, and the scheme's own pass.  A linear pass holds
+    six columns per path, the functional's totals, the accumulators
     ``acc`` and ``log_B``, one remainder and the two columns of its
     ``steps.csv`` error.  Where a domain can stop paths, gathering the
     live rows adds d columns to the linear pass and 2d to Euler's step.
-    Besides, up to 4 + d boolean flags per path.  A backward step frees its
-    own arrays on return; within it, per path: node n's and node n-1's (Y,
-    Z, Gamma) columns and the design (basis matrix and Q, p columns each),
-    then the larger of the QR's working copy (p) and the rest: sigma, its
-    inverse and mu; the Gamma target, fit and unsymmetrized solve
-    (semilinear: the zero Hessian); sigma sigma'; the Z fit; and ten value
-    columns (Y fit, mu'z, half trace, last Picard correction, pathwise
-    functional, five for the driver).  An hjb node adds its k control
-    columns and, over the G grid points, its (G, J) ``base``, a (G, J)
-    boolean mask and the copy ``np.argmax`` makes of it, and, with a
-    discount rate, the (G, J) ``beta`` and objective.  Both passes stream
-    their nodes, so neither adds a (J, N+1) term.
+    Besides, a linear run holds up to 4 + d boolean flags per path.  A
+    backward step frees its own arrays on return; within it, per path:
+    node n's and node n-1's (Y, Z, Gamma) columns and the design (basis
+    matrix and Q, p columns each), then the larger of the QR's working
+    copy (p) and the rest: sigma, its inverse and mu; the Gamma target,
+    fit and unsymmetrized solve (semilinear: the zero Hessian); sigma
+    sigma'; the Z fit; and ten value columns (Y fit, mu'z, half trace,
+    last Picard correction, pathwise functional, five for the driver).  An
+    hjb node adds its k control columns and, over the G grid points, its
+    (G, J) ``base``, a (G, J) boolean mask and the copy ``np.argmax``
+    makes of it, and, with a discount rate, the (G, J) ``beta`` and
+    objective.  Both passes stream their nodes, so neither adds a (J, N+1)
+    term.
     """
     J, N, d = config.J, config.N, spec.dim
     keeps = _keeps_increments(config)

@@ -173,7 +173,10 @@ def _path_states(seed: int, j0: int, j1: int) -> np.ndarray:
 
 
 def _ratio(x: np.ndarray, p, q, out: np.ndarray, den: np.ndarray) -> None:
-    """``out = x P(x) / Q(x)`` in Cephes' ``polevl``/``p1evl`` order, Q monic; ``den`` is scratch."""
+    """``out = x P(x) / Q(x)`` for a monic Q, in Cephes' ``polevl``/``p1evl`` order.
+
+    ``den`` is scratch of ``out``'s shape.
+    """
     np.multiply(x, p[0], out=out)
     for c in p[1:-1]:
         out += c
@@ -188,13 +191,14 @@ def _ratio(x: np.ndarray, p, q, out: np.ndarray, den: np.ndarray) -> None:
 
 
 def _ndtri(u: np.ndarray, work: np.ndarray) -> None:
-    """Cephes ``ndtri`` of the uniforms ``u``, in (0, 1), in place; ``work`` is float scratch of u's shape.
+    """Cephes ``ndtri`` of the uniforms ``u`` in (0, 1), in place.
 
-    The centre's formula runs over the whole slab, then the tails, gathered
-    by index into one compressed array (a boolean gather and scatter cost
-    five times as much), overwrite their places.  An upper-tail
-    ``1 - u`` is below exp(-2), so the tails are where Cephes' second test
-    ``y > exp(-2)`` fails.
+    ``work`` is float scratch of ``u``'s shape.  The centre's formula runs
+    over the whole slab, then the tails, gathered by index into one
+    compressed array (a boolean gather and scatter cost five times as
+    much), overwrite their places.  An upper-tail ``1 - u`` is below
+    exp(-2), so the tails are where Cephes' second test ``y > exp(-2)``
+    fails.
     """
     tail = u > 1.0 - _EXP_M2
     tail |= u <= _EXP_M2
@@ -218,9 +222,9 @@ def _ndtri(u: np.ndarray, work: np.ndarray) -> None:
     x = np.log(t)
     x /= t
     np.subtract(t, x, out=x)
-    far = ~(t < 8.0)
+    far = t >= 8.0
     np.divide(1.0, t, out=t)
-    x1 = num.reshape(-1)[:t.size]
+    x1 = num.reshape(-1)[:t.size]  # the centre's buffers serve the tails
     _ratio(t, _P1, _Q1, x1, den.reshape(-1)[:t.size])
     if far.any():
         z = t[far]
@@ -259,7 +263,7 @@ def _draw_node(out: np.ndarray, states: np.ndarray, n: int, scale: float) -> Non
         for a in range(0, count, rows):
             b = min(a + rows, count)
             h = _finalize(states[a:b, None] ^ node)
-            h = _finalize(h ^ comps)
+            h = _finalize(h ^ comps)  # frees the (rows, 1) state before the inverse CDF
             _to_normal(h, out[a:b], scale)
 
 

@@ -863,14 +863,16 @@ class TestMemoryEstimate:
         ("solve-linear", "gbm_linear", 2000, 4, 2),
         ("solve-linear", LINEAR_D2, 20_000, 16, 2),
         ("solve-linear", "gbm_linear", 64, 1, 16),
+        ("simulate", "gbm_linear", 20_000, 1, 2),
     ], ids=["hjb-catalog", "hjb-x-dependent", "2bsde", "linear", "linear-5e3", "linear-2e3",
-            "linear-d2", "linear-64-t16"])
+            "linear-d2", "linear-64-t16", "simulate-n1"])
     def test_a_run_holds_at_most_its_estimate(self, tmp_path, command, problem, J, N, threads):
         # The x-dependent control widens all four node terms to (G, J).
         # At N = 4 the linear pass's working columns are half of its peak,
         # and at J = 2e3 the run's fixed overhead is a third.  At d = 2
         # Euler's full sigma outweighs the linear pass.  At J = 64 on 16
-        # workers the pool is most of the run.
+        # workers the pool is most of the run.  A one-step simulate run's
+        # peak is Euler's draw, not its record copy.
         cfg = {"problem": problem, "J": J, "N": N, "seed": 3}
         spec = (model.catalog_get(problem) if isinstance(problem, str)
                 else model.problem_from_dict(problem))
@@ -1020,23 +1022,30 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, f"imported: {proc.stderr}"
 
-    def test_a_run_leaves_scipy_unloaded(self, tmp_path):
+    def test_runs_leave_scipy_unloaded(self, tmp_path):
         # The inverse normal CDF is the package's own: only verify loads scipy.
-        cfg = _write_config(tmp_path, {"problem": "hjb_uncertain_vol", "J": 200, "N": 4})
+        runs = [("solve-hjb", "hjb_uncertain_vol"), ("solve-2bsde", "bsb_uncertain_vol"),
+                ("solve-semilinear", "semilinear_exp"), ("solve-linear", "gbm_linear"),
+                ("simulate", "gbm_linear")]
+        argv = []
+        for command, problem in runs:
+            cfg = _write_config(tmp_path, {"problem": problem, "J": 200, "N": 4}, f"{command}.json")
+            argv += [command, cfg, str(tmp_path / command)]
         proc = subprocess.run(
             [
                 sys.executable,
                 "-c",
-                "import sys; from parabolica import cli; "
-                "code = cli.main(['solve-hjb', '--config', sys.argv[1], '--out', sys.argv[2]]); "
-                "sys.exit(code or ', '.join(m for m in ('scipy', 'scipy.special') "
-                "if m in sys.modules) or None)",
-                cfg,
-                str(tmp_path / "out"),
+                "import sys; from parabolica import cli; a = sys.argv[1:]; "
+                "codes = [cli.main([a[i], '--config', a[i + 1], '--out', a[i + 2]]) "
+                "for i in range(0, len(a), 3)]; "
+                "sys.exit(any(codes) and f'exit codes {codes}' or ', '.join("
+                "m for m in ('scipy', 'scipy.special') if m in sys.modules) or None)",
+                *argv,
             ],
             capture_output=True,
             text=True,
             timeout=120,
         )
-        assert proc.returncode == 0, f"exit {proc.returncode}, imported: {proc.stderr}"
-        assert (tmp_path / "out" / "summary.json").exists()
+        assert proc.returncode == 0, f"imported: {proc.stderr}"
+        for command, _ in runs:
+            assert (tmp_path / command / "summary.json").exists()
