@@ -58,7 +58,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import model, verify
+from . import __version__, model, verify
 from .backward import backward_solve_2bsde, backward_solve_semilinear, screen_driver
 from .errors import (
     CflViolation,
@@ -68,7 +68,14 @@ from .errors import (
     RegressionFailure,
     SingularSigma,
 )
-from .linear_fk import Estimate, LinearCoefficients, feynman_kac_estimate, pathwise_remainders
+# feynman_kac_estimate is not called here; perfbench/traced_cli.py wraps it by
+# its name in this module.
+from .linear_fk import (  # noqa: F401
+    Estimate,
+    LinearCoefficients,
+    feynman_kac_estimate,
+    pathwise_remainders,
+)
 from .paths import TimeGrid, batch_bytes, draw_bytes, euler_simulate, write_batch
 from .regress import BasisSpec, basis_size
 
@@ -276,6 +283,7 @@ class _StepRows:
 
     def __init__(self, spec, batch, with_z: bool = False, with_gamma: bool = False):
         self._batch = batch
+        self._times = batch.grid.times
         self._analytic = spec.analytic_v
         d = batch.dim
         header = ["n", "t", "mean_Y"]
@@ -290,7 +298,7 @@ class _StepRows:
 
     def __call__(self, n: int, y, z=None, gamma=None) -> None:
         d = self._batch.dim
-        t_n = self._batch.grid.times[n]
+        t_n = self._times[n]
         row = [str(n), _fmt(t_n), _fmt(y.mean())]
         if self._analytic is not None:
             err = y - self._analytic.value(t_n, self._batch.X[:, n])
@@ -335,10 +343,11 @@ def _array_bytes(config: RunConfig, spec) -> int:
     noise and new state (d^2 + 2d columns).  The later phases', counted
     together: the C-ordered copy of X (its largest record) that writing
     ``paths.bin`` makes, and the scheme's own pass.  A linear pass holds
-    six columns per path, the functional's totals, the accumulators
-    ``acc`` and ``log_B``, one remainder and the two columns of its
-    ``steps.csv`` error.  Where a domain can stop paths, gathering the
-    live rows adds d columns to the linear pass and 2d to Euler's step.
+    four columns per path, the functional's totals, one remainder and the
+    two columns of its ``steps.csv`` error, and one more for each term it
+    has: the accumulator ``acc`` with alpha, ``log_B`` with beta.  Where a
+    domain can stop paths, gathering the live rows adds d columns to the
+    linear pass and 2d to Euler's step.
     Besides, a linear run holds up to 4 + d boolean flags per path.  A
     backward step frees its own arrays on return; within it, per path:
     node n's and node n-1's (Y, Z, Gamma) columns and the design (basis
@@ -366,7 +375,8 @@ def _array_bytes(config: RunConfig, spec) -> int:
     if config.dump_paths or config.scheme == "simulate":
         later += 8 * J * (N + 1) * d
     if config.scheme == "linear":
-        later += 8 * J * (6 + gathered)
+        terms = sum(term is not None for term in spec.linear_parts)
+        later += 8 * J * (4 + terms + gathered)
         total += (4 + d) * J
     if config.scheme in ("semilinear", "full_2bsde", "hjb"):
         p = basis_size(config.basis, d)
@@ -425,11 +435,11 @@ def _execute(config: RunConfig):
     if config.scheme == "simulate":
         est = Estimate.of(np.asarray(spec.g(batch.X[:, -1]), dtype=np.float64))
     elif config.scheme == "linear":
-        est = feynman_kac_estimate(coeffs, batch, config.threads)
-        # Per-node rows from the realized remainders of the path functional,
-        # whose cross-sectional means trace the value along the grid.
+        # One pass: per-node rows from the realized remainders of the path
+        # functional, whose cross-sectional means trace the value along the
+        # grid, and the estimate from the functional itself.
         rows = _StepRows(spec, batch)
-        pathwise_remainders(coeffs, batch, rows, config.threads)
+        est = pathwise_remainders(coeffs, batch, rows, config.threads)
         artifacts["steps.csv"] = rows.csv()
     else:  # semilinear, full_2bsde or hjb; Gamma is None for semilinear
         semilinear = config.scheme == "semilinear"
@@ -448,17 +458,6 @@ def _execute(config: RunConfig):
     if config.dump_paths or config.scheme == "simulate":
         artifacts["paths.bin"] = lambda fh: write_batch(batch, fh)
     return 0, est.value, est.stderr, report, artifacts
-
-
-def _build_version() -> str:
-    try:
-        from importlib import metadata
-
-        return metadata.version("parabolica")
-    except Exception:
-        from . import __version__
-
-        return __version__
 
 
 def _write_artifacts(out_dir: str, artifacts: dict) -> None:
@@ -553,7 +552,7 @@ def main(argv=None) -> int:
         "environment": {
             "runtime_seconds": time.perf_counter() - started,
             "host": platform.node(),
-            "build": _build_version(),
+            "build": __version__,
         },
     }
     summary.update(report)

@@ -6,10 +6,10 @@ the solution has the stochastic representation
     v(t, x) = E[ integral_t^T B(t, s) alpha(s, X_s) ds  +  B(t, T) g(X_T) ],
 
 with discount factor ``B(t, s) = exp(integral_t^s beta(r, X_r) dr)`` along the
-simulated diffusion.  :func:`feynman_kac_estimate` evaluates the discretized
-functional on a :class:`~parabolica.paths.PathBatch` and averages across paths;
-:func:`pathwise_remainders` streams each node's per-path tail of the same
-functional to a caller-supplied observer.
+simulated diffusion.  :func:`pathwise_remainders` evaluates the discretized
+functional on a :class:`~parabolica.paths.PathBatch`, streams each node's
+per-path tail of it to a caller-supplied observer and returns the average
+across paths; :func:`feynman_kac_estimate` returns the average alone.
 
 Quadrature convention: both integrals use left-endpoint Riemann sums on the
 batch's time grid, matching the first-order bias of the Euler scheme that
@@ -20,8 +20,15 @@ dyadic grid discounts with no accumulation error at all.
 One node loop advances the accumulators for both functions: it yields the
 (J,) pair ``(A_n, log B_n)`` at each node and never stores a history, so
 neither function holds a (J, N+1) array.  The tails need the path totals
-before the first node, so :func:`pathwise_remainders` forms the totals and
-then replays the loop once.
+before the first node, so :func:`pathwise_remainders` forms the totals once,
+averages them and then replays the loop once.
+
+A term that is zero by construction is absent: ``alpha`` or ``beta`` may be
+None, and is then never evaluated.  Without ``alpha`` there is no ``A_n``,
+without ``beta`` no ``log B_n``, and the functional and its tails skip the
+source and the discount.  The bits are those of a zero term: the functional
+starts from ``+0.0`` as the zero source integral does, and ``x - (+0.0)``
+and ``x * exp(-0.0)`` are ``x`` for every double.
 
 Paths that leave the problem domain contribute ``B(t, theta) * g(X_theta)``
 and their source integral stops at the exit node; the frozen post-exit states
@@ -33,14 +40,14 @@ Threads split the path axis only, through
 whatever the block layout (the coefficient callables are pointwise in the
 path row, true of everything this package constructs), and the final mean is
 numpy's pairwise reduction over one array -- so results are bit-stable across
-``threads`` settings.  A non-finite functional is reported at the first such
-path of the batch, whatever the block layout.
+``threads`` settings.  A non-finite functional (or tail) is reported at the
+first such path of the batch, whatever the block layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -61,15 +68,16 @@ _CHUNK = 1 << 13
 
 @dataclass(frozen=True, eq=False)
 class LinearCoefficients:
-    """Source and discount terms of a linear generator.
+    """Terminal payout, source and discount terms of a linear generator.
 
-    ``alpha`` and ``beta`` map ``(t, x)`` with ``x`` of shape ``(J, d)`` to a
-    ``(J,)`` array; ``g`` is the terminal payout ``x -> (J,)``.
+    ``g`` is the terminal payout ``x -> (J,)``; ``alpha`` and ``beta`` map
+    ``(t, x)`` with ``x`` of shape ``(J, d)`` to a ``(J,)`` array.  Either
+    left None is identically zero and never evaluated.
     """
 
-    alpha: Callable[[float, np.ndarray], np.ndarray]
-    beta: Callable[[float, np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
+    alpha: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+    beta: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
 
     @classmethod
     def from_spec(cls, spec: ProblemSpec) -> "LinearCoefficients":
@@ -85,7 +93,7 @@ class LinearCoefficients:
                 "feynman_kac_estimate only applies to linear generators"
             )
         alpha, beta = spec.linear_parts
-        return cls(alpha=alpha, beta=beta, g=spec.g)
+        return cls(g=spec.g, alpha=alpha, beta=beta)
 
 
 @dataclass(frozen=True)
@@ -113,19 +121,23 @@ def _accumulate(coeffs: LinearCoefficients, X: np.ndarray, stop: np.ndarray, gri
     """Yield ``(acc, log_B)`` at nodes 0..N for the paths of ``X``.
 
     ``acc`` is each path's discounted source integral and ``log_B`` its
-    log discount, both accumulated over the steps before the node.  The
-    same two arrays are updated in place between yields, so a consumer
-    reads a node's values before asking for the next.  A path accrues
-    while ``stop > n``; a full slice replaces the mask while every path is
-    alive, and once none is alive both arrays stay frozen.  ``X`` holds
-    at least one path.
+    log discount, both accumulated over the steps before the node; each
+    is None when its term (``alpha``, ``beta``) is absent.  The same
+    arrays are updated in place between yields, so a consumer reads a
+    node's values before asking for the next.  A path accrues while
+    ``stop > n``; a full slice replaces the mask while every path is
+    alive, and once none is alive the arrays stay frozen.  ``X`` holds at
+    least one path.
     """
     times = grid.times
     dt = grid.dt
-    acc = np.zeros(len(X))
-    log_B = np.zeros(len(X))
-    # Every path is alive before node min(stop) and none from max(stop) on.
+    acc = None if coeffs.alpha is None else np.zeros(len(X))
+    log_B = None if coeffs.beta is None else np.zeros(len(X))
+    # Every path is alive before node min(stop) and none from max(stop) on;
+    # with neither term there is nothing to accrue.
     first, last = int(stop.min()), int(stop.max())
+    if acc is None and log_B is None:
+        last = 0
     for n in range(grid.N):
         yield acc, log_B
         if n >= last:
@@ -137,35 +149,45 @@ def _accumulate(coeffs: LinearCoefficients, X: np.ndarray, stop: np.ndarray, gri
 
 
 def _advance(coeffs: LinearCoefficients, t: float, dt: float, xn: np.ndarray, rows,
-             acc: np.ndarray, log_B: np.ndarray) -> None:
+             acc: Optional[np.ndarray], log_B: Optional[np.ndarray]) -> None:
     """Accrue one step of the paths ``rows`` at state ``xn`` into ``acc`` and ``log_B``.
 
     Its own function, so no step column outlives it; alpha's columns are
-    freed before beta is evaluated.
+    freed before beta is evaluated.  An absent term is skipped.
     """
-    a_n = np.asarray(coeffs.alpha(t, xn), dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # exp(log_B) * a_n * dt, evaluated left to right in one buffer.
-        source = np.exp(log_B[rows])
-        source *= a_n
-        source *= dt
-        acc[rows] += source
-    del a_n, source
-    b_n = np.asarray(coeffs.beta(t, xn), dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        log_B[rows] += b_n * dt
+    if acc is not None:
+        a_n = np.asarray(coeffs.alpha(t, xn), dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if log_B is None:  # the discount exp(+0.0) * a_n is a_n
+                source = a_n * dt
+            else:  # exp(log_B) * a_n * dt, evaluated left to right in one buffer
+                source = np.exp(log_B[rows])
+                source *= a_n
+                source *= dt
+            acc[rows] += source
+        del a_n, source
+    if log_B is not None:
+        b_n = np.asarray(coeffs.beta(t, xn), dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_B[rows] += b_n * dt
 
 
 def _block_functional(
     coeffs: LinearCoefficients, batch: PathBatch, j0: int, j1: int
 ) -> np.ndarray:
-    """Per-path discounted functional for paths ``j0:j1`` of the batch."""
+    """Per-path discounted functional for paths ``j0:j1`` of the batch.
+
+    ``acc + exp(log_B) * payout``, with ``+0.0`` for an absent ``acc`` and
+    no discount for an absent ``log_B``.
+    """
     X = batch.X[j0:j1]
     for acc, log_B in _accumulate(coeffs, X, batch.stop_index[j0:j1], batch.grid):
         pass
     payout = np.asarray(coeffs.g(X[:, batch.grid.N]), dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        return acc + np.exp(log_B) * payout
+        if log_B is not None:
+            payout = np.exp(log_B) * payout
+        return (0.0 if acc is None else acc) + payout
 
 
 def _functional(coeffs: LinearCoefficients, batch: PathBatch, threads: int) -> np.ndarray:
@@ -190,8 +212,8 @@ def pathwise_remainders(
     batch: PathBatch,
     observe: Callable[[int, np.ndarray], object],
     threads: int = 1,
-) -> None:
-    """Stream the per-path tails of the discounted functional, node by node.
+) -> Estimate:
+    """Stream the per-path tails of the discounted functional; return its average.
 
     Calls ``observe(n, R_n)`` for n = 0..N, where ``R_n`` is a fresh
     contiguous (J,) array holding each path's remaining functional from
@@ -202,16 +224,17 @@ def pathwise_remainders(
 
     The conditional mean of R_n given the node-n state is the solution
     value there, so the means of the stream trace the value along the
-    grid; ``R_0`` is the functional of :func:`feynman_kac_estimate` bit
-    for bit.  Stopped paths carry frozen discount and reward, so their
-    remainder is constant (equal to the exit payoff) from the exit node
-    onward.
+    grid; ``R_0`` is the functional bit for bit, and the returned
+    :class:`Estimate` is :func:`feynman_kac_estimate`'s.  Stopped paths
+    carry frozen discount and reward, so their remainder is constant
+    (equal to the exit payoff) from the exit node onward.
 
-    The totals ``A_N + B_N g(X_N)`` come first, from the path-block
-    pass of :func:`feynman_kac_estimate`; one replay of the accumulation
-    then forms each node's remainders, so memory stays O(J) whatever N
-    is.  After the replay, NonFinite names the first path with a
-    non-finite remainder at any node.
+    The totals ``A_N + B_N g(X_N)`` come first, from one path-block pass;
+    one replay of the accumulation then forms each node's remainders, so
+    memory stays O(J) whatever N is.  After the replay, NonFinite names
+    the first path with a non-finite remainder at any node; node 0's
+    remainder is the functional, so a non-finite functional is among
+    them.
     """
     totals = _functional(coeffs, batch, threads)
     bad = np.zeros(batch.J, dtype=bool)
@@ -223,18 +246,22 @@ def pathwise_remainders(
         observe(n, remainder)
         del remainder  # so the next one is not formed beside it
     _raise_at_first(bad)
+    return Estimate.of(totals)
 
 
-def _remainder(totals: np.ndarray, acc: np.ndarray, log_B: np.ndarray) -> np.ndarray:
+def _remainder(totals: np.ndarray, acc: Optional[np.ndarray],
+               log_B: Optional[np.ndarray]) -> np.ndarray:
     """``(totals - acc) * exp(-log_B)`` in one fresh buffer, bit for bit.
 
-    The discount is formed ``_CHUNK`` paths at a time, so no second (J,)
-    column is held.
+    An absent ``acc`` skips the subtraction and an absent ``log_B`` the
+    discount.  The discount is formed ``_CHUNK`` paths at a time, so no
+    second (J,) column is held.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.subtract(totals, acc)
-        for a in range(0, len(out), _CHUNK):
-            out[a:a + _CHUNK] *= np.exp(-log_B[a:a + _CHUNK])
+        out = totals.copy() if acc is None else np.subtract(totals, acc)
+        if log_B is not None:
+            for a in range(0, len(out), _CHUNK):
+                out[a:a + _CHUNK] *= np.exp(-log_B[a:a + _CHUNK])
     return out
 
 
@@ -244,6 +271,9 @@ def feynman_kac_estimate(
     threads: int = 1,
 ) -> Estimate:
     """Average the discounted path functional over a simulated batch.
+
+    :func:`pathwise_remainders` returns the same estimate while it
+    streams the tails; this is the call for the average alone.
 
     The batch must have been simulated under the same drift and diffusion the
     linear problem declares; this function only sees the stored paths and

@@ -15,7 +15,8 @@ states of shape ``(J, d)`` and return per-path arrays:
     g(x), dg(x)           -> (J,), (J, d)
 
 ``linear_parts`` and ``control`` are structured forms of ``f``: the
-``(alpha, beta)`` split the linear scheme reads, and the
+``(alpha, beta)`` split the linear scheme reads (either None when that
+term is zero), and the
 :class:`~parabolica.hjb.ControlProblem` an HJB generator was assembled
 from (set only by ``hjb.as_problem``), which control extraction reads.
 
@@ -175,7 +176,8 @@ class ProblemSpec:
     dg: Optional[Callable] = None
     analytic_v: Optional[AnalyticSolution] = None
     domain: Optional[Box] = None          # None means the whole space
-    linear_parts: Optional[tuple[Callable, Callable]] = None  # (alpha, beta), each (t, x) -> (J,)
+    # (alpha, beta), each (t, x) -> (J,) or None where the term is zero
+    linear_parts: Optional[tuple[Optional[Callable], Optional[Callable]]] = None
     control: Optional[ControlProblem] = None  # the control problem f was assembled from
     name: Optional[str] = None
     x0_default: np.ndarray = field(default=None)  # type: ignore[assignment]
@@ -262,7 +264,7 @@ def _heat() -> ProblemSpec:
         g=lambda x: x[:, 0] ** 2,
         dg=lambda x: 2.0 * x,
         analytic_v=_quadratic(T, a=1.0, h=1.0),
-        linear_parts=(_const_rows(0.0), _const_rows(0.0)),
+        linear_parts=(None, None),
         name="heat",
         x0_default=np.array([0.0]),
     )
@@ -281,7 +283,7 @@ def _discount_bond() -> ProblemSpec:
         g=lambda x: np.ones(len(x)),
         dg=lambda x: np.zeros_like(x),
         analytic_v=_quadratic(T, b=1.0, kappa=-r),
-        linear_parts=(_const_rows(0.0), _const_rows(-r)),
+        linear_parts=(None, _const_rows(-r)),
         name="discount_bond",
         x0_default=np.array([1.0]),
     )
@@ -305,7 +307,7 @@ def _gbm_linear() -> ProblemSpec:
         g=lambda x: x[:, 0] ** 2,
         dg=lambda x: 2.0 * x,
         analytic_v=_quadratic(T, a=1.0, rho=growth_rate),
-        linear_parts=(_const_rows(0.0), _const_rows(-r)),
+        linear_parts=(None, _const_rows(-r)),
         name="gbm_linear",
         x0_default=np.array([1.0]),
     )
@@ -389,7 +391,7 @@ def _boundary_heat() -> ProblemSpec:
         dg=lambda x: np.ones_like(x),
         analytic_v=analytic(),
         domain=Box(np.array([-1.0]), np.array([2.0])),
-        linear_parts=(_const_rows(0.0), _const_rows(0.0)),
+        linear_parts=(None, None),
         name="boundary_heat",
         x0_default=np.array([0.5]),
     )
@@ -526,7 +528,8 @@ def problem_from_dict(obj: dict) -> ProblemSpec:
     Keys: ``dim``, ``horizon``, ``mu``, ``sigma``, ``g`` and ``f`` (or a
     ``control`` block, see :func:`~parabolica.hjb.control_problem_from_dict`);
     optional ``dg``, ``domain`` (``{"lower": [...], "upper": [...]}``),
-    ``linear`` (``{"alpha": ..., "beta": ...}``) and ``x0``.
+    ``linear`` (``{"alpha": ..., "beta": ...}``, each term None, so zero,
+    when omitted) and ``x0``.
     docs/expr-grammar.md tables each coefficient's variables and shape; a
     missing, unknown or malformed key, another variable or a wrong nesting
     or width raises ConfigError here, before anything is simulated.
@@ -563,12 +566,16 @@ def problem_from_dict(obj: dict) -> ProblemSpec:
                      read_key(domain, "upper", _floats, "domain"))
 
     lin = read_key(obj, "linear", default=None)
+    linear_parts = None
     if lin is not None:
         known_keys(lin, ("alpha", "beta"), "linear")
-    linear_parts = None if lin is None else tuple(
-        _expr.coefficient(read_key(lin, key, where="linear"), d, ("t", "x"), 0, f"linear {key}")
-        for key in ("alpha", "beta")
-    )
+        terms = [(key, read_key(lin, key, where="linear", default=None))
+                 for key in ("alpha", "beta")]
+        linear_parts = tuple(
+            None if source is None
+            else _expr.coefficient(source, d, ("t", "x"), 0, f"linear {key}")
+            for key, source in terms
+        )
 
     x0_default = read_key(obj, "x0", _floats, default=None)
 

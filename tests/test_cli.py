@@ -9,10 +9,12 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import parabolica
 from parabolica import backward, cli, hjb, model, paths, regress, verify
 from parabolica.errors import ConfigError
 
@@ -723,7 +725,7 @@ class TestExitCodes:
     CONTROL = {"control_dim": 1, "lower": [0.1], "upper": [0.2], "a": [["u[0]*x[0]"]]}
 
     @pytest.mark.parametrize("key, problem", [
-        ("alpha", dict(INLINE, linear={"beta": "0"})),
+        ("alpha", dict(INLINE, linear={"alpha": ["0"], "beta": "0"})),
         ("lower", dict(INLINE, domain={"upper": [2.0]})),
         ("growth", dict(INLINE, growth={"q": 1})),
         ("dim", dict(INLINE, dim="one")),
@@ -798,10 +800,11 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         # The run's 128 KiB fixed overhead; X of 1e7 paths over 1e5 steps
-        # and stop_index (no dW: the linear pass does not read it); then the
-        # linear pass's six float columns and 4 + d boolean ones.
+        # and stop_index (no dW: the linear pass does not read it); then
+        # Euler's five float columns, which outnumber the four of a linear
+        # pass with neither alpha nor beta; and 4 + d boolean ones.
         assert err.startswith("parabolica: exit=1 error=ConfigError detail=a linear run "
-                              "needs 8000690131072 bytes")
+                              "needs 8000610131072 bytes")
 
 
 class TestMemoryEstimate:
@@ -859,13 +862,14 @@ class TestMemoryEstimate:
         ("solve-hjb", X_DEPENDENT, 4000, 16, 2),
         ("solve-2bsde", "bsb_uncertain_vol", 4000, 16, 2),
         ("solve-linear", "gbm_linear", 20_000, 4, 2),
+        ("solve-linear", "heat", 20_000, 4, 2),
         ("solve-linear", "gbm_linear", 5000, 4, 2),
         ("solve-linear", "gbm_linear", 2000, 4, 2),
         ("solve-linear", LINEAR_D2, 20_000, 16, 2),
         ("solve-linear", "gbm_linear", 64, 1, 16),
         ("simulate", "gbm_linear", 20_000, 1, 2),
-    ], ids=["hjb-catalog", "hjb-x-dependent", "2bsde", "linear", "linear-5e3", "linear-2e3",
-            "linear-d2", "linear-64-t16", "simulate-n1"])
+    ], ids=["hjb-catalog", "hjb-x-dependent", "2bsde", "linear", "linear-heat", "linear-5e3",
+            "linear-2e3", "linear-d2", "linear-64-t16", "simulate-n1"])
     def test_a_run_holds_at_most_its_estimate(self, tmp_path, command, problem, J, N, threads):
         # The x-dependent control widens all four node terms to (G, J).
         # At N = 4 the linear pass's working columns are half of its peak,
@@ -1024,6 +1028,8 @@ class TestModuleEntryPoint:
 
     def test_runs_leave_scipy_unloaded(self, tmp_path):
         # The inverse normal CDF is the package's own: only verify loads scipy.
+        # The build version is the package's own too, so importlib.metadata
+        # (about 15 ms with email, csv and more) stays unloaded.
         runs = [("solve-hjb", "hjb_uncertain_vol"), ("solve-2bsde", "bsb_uncertain_vol"),
                 ("solve-semilinear", "semilinear_exp"), ("solve-linear", "gbm_linear"),
                 ("simulate", "gbm_linear")]
@@ -1039,7 +1045,8 @@ class TestModuleEntryPoint:
                 "codes = [cli.main([a[i], '--config', a[i + 1], '--out', a[i + 2]]) "
                 "for i in range(0, len(a), 3)]; "
                 "sys.exit(any(codes) and f'exit codes {codes}' or ', '.join("
-                "m for m in ('scipy', 'scipy.special') if m in sys.modules) or None)",
+                "m for m in ('scipy', 'scipy.special', 'importlib.metadata') "
+                "if m in sys.modules) or None)",
                 *argv,
             ],
             capture_output=True,
@@ -1049,3 +1056,12 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, f"imported: {proc.stderr}"
         for command, _ in runs:
             assert (tmp_path / command / "summary.json").exists()
+
+    def test_the_build_version_is_the_project_version(self, tmp_path):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            version = tomllib.load(fh)["project"]["version"]
+        assert parabolica.__version__ == version
+        assert _run(tmp_path, "solve-linear", HEAT_LINEAR) == 0
+        assert _summary(tmp_path)["environment"]["build"] == version

@@ -1,11 +1,13 @@
 """Tests for the linear Monte Carlo estimator."""
 
+import itertools
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from parabolica import model, paths
+from parabolica import cli, model, paths
 from parabolica.errors import ConfigError, NonFinite
 from parabolica.linear_fk import (
     Estimate,
@@ -270,7 +272,7 @@ def _remainders(coeffs, batch, threads=1):
         assert column.shape == (batch.J,) and column.flags.c_contiguous
         columns.append(column.copy())
 
-    assert pathwise_remainders(coeffs, batch, observe, threads) is None
+    assert pathwise_remainders(coeffs, batch, observe, threads) == feynman_kac_estimate(coeffs, batch)
     assert len(columns) == batch.grid.N + 1
     return np.stack(columns, axis=1)
 
@@ -373,3 +375,70 @@ class TestPathwiseRemainders:
                 tracemalloc.stop()
             assert len(means) == N + 1
         assert peaks[256] <= 1.5 * peaks[16]
+
+
+def _zero_rows(t, x):
+    return np.full(len(x), 0.0)
+
+
+class TestAbsentTerms:
+    """An absent (None) alpha or beta gives the bits of a zero closure."""
+
+    @pytest.mark.parametrize("name", ["heat", "discount_bond", "gbm_linear", "boundary_heat"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_catalog_none_terms_equal_zero_closures(self, name, threads):
+        spec = model.catalog_get(name)
+        batch = _simulate(spec, N=16, J=3001, seed=12)
+        if name == "boundary_heat":
+            assert np.any(batch.stop_index < 16)
+        absent = LinearCoefficients.from_spec(spec)
+        assert absent.alpha is None
+        zero = LinearCoefficients(g=spec.g, alpha=_zero_rows, beta=absent.beta or _zero_rows)
+        assert zero.beta is not None
+        got = [(feynman_kac_estimate(c, batch, threads), _remainders(c, batch, threads))
+               for c in (absent, zero)]
+        assert got[0][0] == got[1][0]
+        assert got[0][1].tobytes() == got[1][1].tobytes()
+
+    @pytest.mark.parametrize("alpha_zero, beta_zero", itertools.product([False, True], repeat=2))
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_negative_zero_payoff_starts_from_positive_zero(self, alpha_zero, beta_zero,
+                                                                threads):
+        # The zero source integral is +0.0, and +0.0 + -0.0 is +0.0: the
+        # functional of a -0.0 payout is +0.0 with or without the terms.
+        heat = model.catalog_get("heat")
+        batch = _simulate(heat, N=8, J=501, seed=4)
+
+        def g(x):
+            return np.where(x[:, 0] < 0.0, -0.0, x[:, 0])
+
+        assert np.any(np.signbit(g(batch.X[:, -1])))
+        reference = LinearCoefficients(g=g, alpha=_zero_rows, beta=_zero_rows)
+        coeffs = LinearCoefficients(g=g, alpha=_zero_rows if alpha_zero else None,
+                                    beta=_zero_rows if beta_zero else None)
+        remainders = _remainders(coeffs, batch, threads)
+        assert not np.any(np.signbit(remainders[:, 0]))
+        assert remainders.tobytes() == _remainders(reference, batch, threads).tobytes()
+        assert (feynman_kac_estimate(coeffs, batch, threads)
+                == feynman_kac_estimate(reference, batch, threads))
+
+    def test_an_inline_linear_block_may_omit_a_zero_term(self, tmp_path):
+        problem = {
+            "dim": 1, "horizon": 1.0, "mu": ["0.05*x[0]"], "sigma": [["0.2*x[0]"]],
+            "f": "0.05*y", "g": "x[0]^2", "x0": [1.0],
+        }
+        outputs = []
+        for k, linear in enumerate([{"alpha": "0", "beta": "-0.05"}, {"beta": "-0.05"}]):
+            spec = model.problem_from_dict(dict(problem, linear=linear))
+            assert (spec.linear_parts[0] is None) == ("alpha" not in linear)
+            config = tmp_path / f"config{k}.json"
+            config.write_text(json.dumps({"problem": dict(problem, linear=linear),
+                                          "N": 8, "J": 2000, "seed": 2}))
+            out = tmp_path / f"out{k}"
+            assert cli.main(["solve-linear", "--config", str(config), "--out", str(out),
+                             "--threads", "2"]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            summary.pop("environment")
+            summary["config"].pop("problem")
+            outputs.append((summary, (out / "steps.csv").read_bytes()))
+        assert outputs[0] == outputs[1]

@@ -128,3 +128,11 @@ def test_threaded_traced_runs_repeat_their_span_counts(tmp_path):
         counts.append(_counts(_traced_run(run_dir, "solve-linear", config, threads=2))[0])
     assert counts[0] == counts[1]
     assert counts[0]["paths.euler_simulate"] == 1
+
+
+def test_a_linear_run_forms_its_functional_in_one_traced_pass(tmp_path):
+    # The estimate comes back from the pass that streams the steps.csv rows.
+    calls = _traced_runs_repeat_the_untraced_run(
+        tmp_path, "solve-linear", {"problem": "gbm_linear", "N": 8, "J": 2000, "seed": 1})
+    assert calls["linear_fk.pathwise_remainders"] == 1
+    assert "linear_fk.feynman_kac_estimate" not in calls
