@@ -26,9 +26,10 @@ averages them and then replays the loop once.
 A term that is zero by construction is absent: ``alpha`` or ``beta`` may be
 None, and is then never evaluated.  Without ``alpha`` there is no ``A_n``,
 without ``beta`` no ``log B_n``, and the functional and its tails skip the
-source and the discount.  The bits are those of a zero term: the functional
-starts from ``+0.0`` as the zero source integral does, and ``x - (+0.0)``
-and ``x * exp(-0.0)`` are ``x`` for every double.
+source and the discount.  The bits are those of a zero term wherever the
+discount factor is finite (a zero source times an infinite discount is
+NaN): the functional starts from ``+0.0`` as the zero source integral
+does, and ``x - (+0.0)`` and ``x * exp(-0.0)`` are ``x`` for every double.
 
 Paths that leave the problem domain contribute ``B(t, theta) * g(X_theta)``
 and their source integral stops at the exit node; the frozen post-exit states
@@ -175,11 +176,7 @@ def _advance(coeffs: LinearCoefficients, t: float, dt: float, xn: np.ndarray, ro
 def _block_functional(
     coeffs: LinearCoefficients, batch: PathBatch, j0: int, j1: int
 ) -> np.ndarray:
-    """Per-path discounted functional for paths ``j0:j1`` of the batch.
-
-    ``acc + exp(log_B) * payout``, with ``+0.0`` for an absent ``acc`` and
-    no discount for an absent ``log_B``.
-    """
+    """Per-path discounted functional for paths ``j0:j1`` of the batch."""
     X = batch.X[j0:j1]
     for acc, log_B in _accumulate(coeffs, X, batch.stop_index[j0:j1], batch.grid):
         pass

@@ -569,12 +569,10 @@ def problem_from_dict(obj: dict) -> ProblemSpec:
     linear_parts = None
     if lin is not None:
         known_keys(lin, ("alpha", "beta"), "linear")
-        terms = [(key, read_key(lin, key, where="linear", default=None))
-                 for key in ("alpha", "beta")]
         linear_parts = tuple(
-            None if source is None
-            else _expr.coefficient(source, d, ("t", "x"), 0, f"linear {key}")
-            for key, source in terms
+            None if lin.get(key) is None
+            else _expr.coefficient(lin[key], d, ("t", "x"), 0, f"linear {key}")
+            for key in ("alpha", "beta")
         )
 
     x0_default = read_key(obj, "x0", _floats, default=None)
