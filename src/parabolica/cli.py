@@ -277,8 +277,8 @@ class _StepRows:
     node's (J,) values ``y`` and, when the run estimates them, its (J, d)
     ``z`` and (J, d, d) ``gamma``; ``with_z`` and ``with_gamma`` fix the
     header before the first row.  Rows are kept by node and written in
-    node order, so the linear stream (nodes 0..N) and the backward sweep
-    (N..0) both feed it.
+    node order, whatever order the nodes come in; the linear stream and
+    the backward sweep both run N..0.
     """
 
     def __init__(self, spec, batch, with_z: bool = False, with_gamma: bool = False):
@@ -343,11 +343,13 @@ def _array_bytes(config: RunConfig, spec) -> int:
     noise and new state (d^2 + 2d columns).  The later phases', counted
     together: the C-ordered copy of X (its largest record) that writing
     ``paths.bin`` makes, and the scheme's own pass.  A linear pass holds
-    four columns per path, the functional's totals, one remainder and the
-    two columns of its ``steps.csv`` error, and one more for each term it
-    has: the accumulator ``acc`` with alpha, ``log_B`` with beta.  Where a
-    domain can stop paths, gathering the live rows adds d columns to the
-    linear pass and 2d to Euler's step.
+    the payout and one column per term it has (the log discount with
+    beta, the source tail with alpha), and at once the larger of a node's
+    three columns (its remainder and the two of its ``steps.csv`` error)
+    and a step's three (a coefficient, its product with dt and a term's
+    gathered rows).  Where a domain can stop paths, gathering the live
+    rows adds d columns to a linear step, which a pass with neither term
+    never takes, and 2d to Euler's step.
     Besides, a linear run holds up to 4 + d boolean flags per path.  A
     backward step frees its own arrays on return; within it, per path:
     node n's and node n-1's (Y, Z, Gamma) columns and the design (basis
@@ -376,7 +378,7 @@ def _array_bytes(config: RunConfig, spec) -> int:
         later += 8 * J * (N + 1) * d
     if config.scheme == "linear":
         terms = sum(term is not None for term in spec.linear_parts)
-        later += 8 * J * (4 + terms + gathered)
+        later += 8 * J * (4 + terms + (gathered if terms else 0))
         total += (4 + d) * J
     if config.scheme in ("semilinear", "full_2bsde", "hjb"):
         p = basis_size(config.basis, d)
@@ -439,7 +441,7 @@ def _execute(config: RunConfig):
         # functional, whose cross-sectional means trace the value along the
         # grid, and the estimate from the functional itself.
         rows = _StepRows(spec, batch)
-        est = pathwise_remainders(coeffs, batch, rows, config.threads)
+        est = pathwise_remainders(coeffs, batch, rows)
         artifacts["steps.csv"] = rows.csv()
     else:  # semilinear, full_2bsde or hjb; Gamma is None for semilinear
         semilinear = config.scheme == "semilinear"

@@ -13,36 +13,38 @@ across paths; :func:`feynman_kac_estimate` returns the average alone.
 
 Quadrature convention: both integrals use left-endpoint Riemann sums on the
 batch's time grid, matching the first-order bias of the Euler scheme that
-produced the paths.  The running discount is accumulated additively in log
-space (``B_n = exp(sum_{m<n} beta_m * dt)``), so a constant ``beta`` on a
-dyadic grid discounts with no accumulation error at all.
+produced the paths.  One backward loop over the nodes forms each path's
+remainder from the next, as a linear BSDE's explicit solution does:
 
-One node loop advances the accumulators for both functions: it yields the
-(J,) pair ``(A_n, log B_n)`` at each node and never stores a history, so
-neither function holds a (J, N+1) array.  The tails need the path totals
-before the first node, so :func:`pathwise_remainders` forms the totals once,
-averages them and then replays the loop once.
+    R_n = exp(L_n) g(X_N) + S_n,   L_n = L_{n+1} + beta_n dt,
+    S_n = alpha_n dt + exp(beta_n dt) S_{n+1},   L_N = S_N = 0.
+
+The payout's discount stays additive in log space, so a constant ``beta``
+on a dyadic grid discounts with no accumulation error at all; the source
+tail is discounted a step at a time.  No remainder is divided by a
+discount, so a discount below ``exp``'s range leaves it finite, and the
+loop keeps (J,) columns only: neither function holds a (J, N+1) array.
 
 A term that is zero by construction is absent: ``alpha`` or ``beta`` may be
-None, and is then never evaluated.  Without ``alpha`` there is no ``A_n``,
-without ``beta`` no ``log B_n``, and the functional and its tails skip the
-source and the discount.  The bits are those of a zero term wherever the
-discount factor is finite (a zero source times an infinite discount is
-NaN): the functional starts from ``+0.0`` as the zero source integral
-does, and ``x - (+0.0)`` and ``x * exp(-0.0)`` are ``x`` for every double.
+None, and is then never evaluated.  Without ``alpha`` there is no ``S_n``,
+and ``+0.0`` is added in its place; without ``beta`` there is no ``L_n``.
+The bits are those of a zero term wherever ``exp(beta_n dt)`` is finite (a
+zero source tail times an infinite discount is NaN): a zero ``alpha`` keeps
+``S_n = +0.0``, which is what is added without one, and ``exp(0.0) * x`` is
+``x`` for every double.  So a ``-0.0`` payout gives ``+0.0`` either way.
 
 Paths that leave the problem domain contribute ``B(t, theta) * g(X_theta)``
 and their source integral stops at the exit node; the frozen post-exit states
 stored by the simulator make the terminal payout come out right without any
 special casing here.
 
-Threads split the path axis only, through
+:func:`feynman_kac_estimate` splits the path axis over threads through
 :func:`~parabolica.paths.for_path_blocks`.  Per-path values are identical
 whatever the block layout (the coefficient callables are pointwise in the
 path row, true of everything this package constructs), and the final mean is
 numpy's pairwise reduction over one array -- so results are bit-stable across
-``threads`` settings.  A non-finite functional (or tail) is reported at the
-first such path of the batch, whatever the block layout.
+``threads`` settings and equal :func:`pathwise_remainders`'.  A non-finite
+functional (or tail) is reported at the first such path of the batch.
 """
 
 from __future__ import annotations
@@ -62,10 +64,6 @@ __all__ = [
     "feynman_kac_estimate",
     "pathwise_remainders",
 ]
-
-# Paths per slice of a remainder's discount: 64 KB of temporaries.
-_CHUNK = 1 << 13
-
 
 @dataclass(frozen=True, eq=False)
 class LinearCoefficients:
@@ -91,7 +89,7 @@ class LinearCoefficients:
             name = spec.name or "<anonymous>"
             raise ConfigError(
                 f"problem {name!r} declares no linear coefficients; "
-                "feynman_kac_estimate only applies to linear generators"
+                "the linear scheme only applies to linear generators"
             )
         alpha, beta = spec.linear_parts
         return cls(g=spec.g, alpha=alpha, beta=beta)
@@ -118,84 +116,56 @@ class Estimate:
         return cls(value=float(np.mean(samples)), stderr=stderr, J=J)
 
 
-def _accumulate(coeffs: LinearCoefficients, X: np.ndarray, stop: np.ndarray, grid):
-    """Yield ``(acc, log_B)`` at nodes 0..N for the paths of ``X``.
+def _tails(coeffs: LinearCoefficients, X: np.ndarray, stop: np.ndarray, grid,
+           observe: Optional[Callable[[int, np.ndarray], object]] = None) -> np.ndarray:
+    """The module notes' recursion over the paths of ``X``, nodes N..0; returns ``R_0``.
 
-    ``acc`` is each path's discounted source integral and ``log_B`` its
-    log discount, both accumulated over the steps before the node; each
-    is None when its term (``alpha``, ``beta``) is absent.  The same
-    arrays are updated in place between yields, so a consumer reads a
-    node's values before asking for the next.  A path accrues while
-    ``stop > n``; a full slice replaces the mask while every path is
-    alive, and once none is alive the arrays stay frozen.  ``X`` holds at
-    least one path.
+    A path accrues at node n while ``stop > n``; a full slice replaces
+    the mask while every path is alive.  ``observe(n, R_n)`` gets each
+    node's fresh (J,) column, if given; without it only ``R_0`` is
+    formed.  ``X`` holds at least one path.
     """
-    times = grid.times
-    dt = grid.dt
-    acc = None if coeffs.alpha is None else np.zeros(len(X))
-    log_B = None if coeffs.beta is None else np.zeros(len(X))
+    N, dt, times = grid.N, grid.dt, grid.times
+    payout = np.asarray(coeffs.g(X[:, N]), dtype=np.float64)
+    L = None if coeffs.beta is None else np.zeros(len(X))
+    S = None if coeffs.alpha is None else np.zeros(len(X))
     # Every path is alive before node min(stop) and none from max(stop) on;
     # with neither term there is nothing to accrue.
-    first, last = int(stop.min()), int(stop.max())
-    if acc is None and log_B is None:
-        last = 0
-    for n in range(grid.N):
-        yield acc, log_B
-        if n >= last:
-            continue
-        # A slice rather than a mask gather while every path is alive.
-        rows = slice(None) if n < first else stop > n
-        _advance(coeffs, times[n], dt, X[rows, n], rows, acc, log_B)
-    yield acc, log_B
-
-
-def _advance(coeffs: LinearCoefficients, t: float, dt: float, xn: np.ndarray, rows,
-             acc: Optional[np.ndarray], log_B: Optional[np.ndarray]) -> None:
-    """Accrue one step of the paths ``rows`` at state ``xn`` into ``acc`` and ``log_B``.
-
-    Its own function, so no step column outlives it; alpha's columns are
-    freed before beta is evaluated.  An absent term is skipped.
-    """
-    if acc is not None:
-        a_n = np.asarray(coeffs.alpha(t, xn), dtype=np.float64)
+    first = int(stop.min())
+    last = 0 if L is None and S is None else int(stop.max())
+    for n in range(N, -1, -1):
         with np.errstate(over="ignore", invalid="ignore"):
-            if log_B is None:  # the discount exp(+0.0) * a_n is a_n
-                source = a_n * dt
-            else:  # exp(log_B) * a_n * dt, evaluated left to right in one buffer
-                source = np.exp(log_B[rows])
-                source *= a_n
-                source *= dt
-            acc[rows] += source
-        del a_n, source
-    if log_B is not None:
-        b_n = np.asarray(coeffs.beta(t, xn), dtype=np.float64)
-        with np.errstate(over="ignore", invalid="ignore"):
-            log_B[rows] += b_n * dt
-
-
-def _block_functional(
-    coeffs: LinearCoefficients, batch: PathBatch, j0: int, j1: int
-) -> np.ndarray:
-    """Per-path discounted functional for paths ``j0:j1`` of the batch."""
-    X = batch.X[j0:j1]
-    for acc, log_B in _accumulate(coeffs, X, batch.stop_index[j0:j1], batch.grid):
-        pass
-    payout = np.asarray(coeffs.g(X[:, batch.grid.N]), dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if log_B is not None:
-            payout = np.exp(log_B) * payout
-        return (0.0 if acc is None else acc) + payout
-
-
-def _functional(coeffs: LinearCoefficients, batch: PathBatch, threads: int) -> np.ndarray:
-    """The per-path functional of the whole batch, computed in path blocks."""
-    values = np.empty(batch.J)
-
-    def block(j0: int, j1: int) -> None:
-        values[j0:j1] = _block_functional(coeffs, batch, j0, j1)
-
-    for_path_blocks(batch.J, threads, block)
-    return values
+            if n < last:
+                # A slice rather than a mask gather while every path is alive.
+                rows = slice(None) if n < first else stop > n
+                xn = X[rows, n]
+                b_dt = s = None
+                if L is not None:
+                    b_dt = np.asarray(coeffs.beta(times[n], xn), dtype=np.float64) * dt
+                    L[rows] += b_dt
+                if S is not None:
+                    s = np.asarray(coeffs.alpha(times[n], xn), dtype=np.float64) * dt
+                    if b_dt is None:
+                        s += S[rows]
+                    else:  # exp(beta_n dt) S_{n+1}, formed in beta's buffer
+                        np.exp(b_dt, out=b_dt)
+                        b_dt *= S[rows]
+                        s += b_dt
+                    S[rows] = s
+                del xn, b_dt, s  # so no step column is held beside the remainder
+            if observe is None and n > 0:
+                continue  # the estimate alone reads R_0 only
+            if L is None:
+                R = payout + (0.0 if S is None else S)
+            else:
+                R = np.exp(L)
+                R *= payout
+                R += 0.0 if S is None else S
+        if observe is not None:
+            observe(n, R)
+        if n == 0:
+            return R
+        del R  # so it is not held beside the next node's step
 
 
 def _raise_at_first(bad: np.ndarray) -> None:
@@ -208,58 +178,40 @@ def pathwise_remainders(
     coeffs: LinearCoefficients,
     batch: PathBatch,
     observe: Callable[[int, np.ndarray], object],
-    threads: int = 1,
 ) -> Estimate:
     """Stream the per-path tails of the discounted functional; return its average.
 
-    Calls ``observe(n, R_n)`` for n = 0..N, where ``R_n`` is a fresh
+    Calls ``observe(n, R_n)`` for n = N..0, where ``R_n`` is a fresh
     contiguous (J,) array holding each path's remaining functional from
-    node n on, deflated back to node n: with A_n the accumulated
-    discounted running reward and B_n the discount factor,
+    node n on, discounted back to node n:
 
-        R_n = (A_N + B_N g(X_N) - A_n) / B_n.
+        R_n = alpha_n dt + exp(beta_n dt) R_{n+1},    R_N = g(X_N),
+
+    formed as ``exp(L_n) g(X_N) + S_n`` (see the module notes).
 
     The conditional mean of R_n given the node-n state is the solution
     value there, so the means of the stream trace the value along the
-    grid; ``R_0`` is the functional bit for bit, and the returned
-    :class:`Estimate` is :func:`feynman_kac_estimate`'s.  Stopped paths
-    carry frozen discount and reward, so their remainder is constant
-    (equal to the exit payoff) from the exit node onward.
+    grid.  ``R_0`` is the functional, and the returned :class:`Estimate`
+    is :func:`feynman_kac_estimate`'s; the observer reads the columns and
+    does not write them.  Stopped paths accrue nothing from their exit
+    node on, so their remainder there is constant and equal to the exit
+    payoff.
 
-    The totals ``A_N + B_N g(X_N)`` come first, from one path-block pass;
-    one replay of the accumulation then forms each node's remainders, so
-    memory stays O(J) whatever N is.  After the replay, NonFinite names
-    the first path with a non-finite remainder at any node; node 0's
-    remainder is the functional, so a non-finite functional is among
-    them.
+    One backward pass over the nodes forms each remainder from the next,
+    so memory stays O(J) whatever N is.  After it, NonFinite names the
+    first path with a non-finite remainder at any node; the observer sees
+    no node from the first such remainder on.
     """
-    totals = _functional(coeffs, batch, threads)
     bad = np.zeros(batch.J, dtype=bool)
-    for n, (acc, log_B) in enumerate(
-        _accumulate(coeffs, batch.X, batch.stop_index, batch.grid)
-    ):
-        remainder = _remainder(totals, acc, log_B)
-        bad |= ~np.isfinite(remainder)
-        observe(n, remainder)
-        del remainder  # so the next one is not formed beside it
+
+    def check(n: int, R: np.ndarray) -> None:
+        np.logical_or(bad, ~np.isfinite(R), out=bad)
+        if not bad.any():  # the pass will raise; spare the observer the infinities
+            observe(n, R)
+
+    values = _tails(coeffs, batch.X, batch.stop_index, batch.grid, check)
     _raise_at_first(bad)
-    return Estimate.of(totals)
-
-
-def _remainder(totals: np.ndarray, acc: Optional[np.ndarray],
-               log_B: Optional[np.ndarray]) -> np.ndarray:
-    """``(totals - acc) * exp(-log_B)`` in one fresh buffer, bit for bit.
-
-    An absent ``acc`` skips the subtraction and an absent ``log_B`` the
-    discount.  The discount is formed ``_CHUNK`` paths at a time, so no
-    second (J,) column is held.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = totals.copy() if acc is None else np.subtract(totals, acc)
-        if log_B is not None:
-            for a in range(0, len(out), _CHUNK):
-                out[a:a + _CHUNK] *= np.exp(-log_B[a:a + _CHUNK])
-    return out
+    return Estimate.of(values)
 
 
 def feynman_kac_estimate(
@@ -276,6 +228,11 @@ def feynman_kac_estimate(
     linear problem declares; this function only sees the stored paths and
     cannot check that, so it is the caller's contract.
     """
-    values = _functional(coeffs, batch, threads)
+    values = np.empty(batch.J)
+
+    def block(j0: int, j1: int) -> None:
+        values[j0:j1] = _tails(coeffs, batch.X[j0:j1], batch.stop_index[j0:j1], batch.grid)
+
+    for_path_blocks(batch.J, threads, block)
     _raise_at_first(~np.isfinite(values))
     return Estimate.of(values)

@@ -659,7 +659,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("parabolica: exit=2 error=SingularSigma detail=")
 
-    def test_overflowing_source_is_a_numeric_failure(self, tmp_path, capsys):
+    def test_overflowing_source_is_a_numeric_failure(self, tmp_path, capsys, recwarn):
         cfg = {
             "problem": {
                 "dim": 1,
@@ -677,6 +677,8 @@ class TestExitCodes:
         }
         assert _run(tmp_path, "solve-linear", cfg) == 2
         assert "error=NonFinite" in capsys.readouterr().err
+        # A numpy warning would be a second stderr line.
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_driver_non_finite_early_in_the_horizon_fails_at_the_screen(self, tmp_path, capsys):
         cfg = {
@@ -857,6 +859,12 @@ class TestMemoryEstimate:
         "linear": {"alpha": "0", "beta": "-0.05"},
     }
 
+    LINEAR_BOX = {
+        "dim": 1, "horizon": 1.0, "mu": ["0"], "sigma": [["1"]], "f": "0", "g": "x[0]^2",
+        "x0": [0.0], "domain": {"lower": [-1.0], "upper": [1.0]},
+        "linear": {"alpha": "0.5*x[0]", "beta": "-0.1*x[0]^2"},
+    }
+
     @pytest.mark.parametrize("command, problem, J, N, threads", [
         ("solve-hjb", "hjb_uncertain_vol", 4000, 16, 2),
         ("solve-hjb", X_DEPENDENT, 4000, 16, 2),
@@ -866,17 +874,19 @@ class TestMemoryEstimate:
         ("solve-linear", "gbm_linear", 5000, 4, 2),
         ("solve-linear", "gbm_linear", 2000, 4, 2),
         ("solve-linear", LINEAR_D2, 20_000, 16, 2),
+        ("solve-linear", LINEAR_BOX, 20_000, 16, 2),
         ("solve-linear", "gbm_linear", 64, 1, 16),
         ("simulate", "gbm_linear", 20_000, 1, 2),
     ], ids=["hjb-catalog", "hjb-x-dependent", "2bsde", "linear", "linear-heat", "linear-5e3",
-            "linear-2e3", "linear-d2", "linear-64-t16", "simulate-n1"])
+            "linear-2e3", "linear-d2", "linear-box", "linear-64-t16", "simulate-n1"])
     def test_a_run_holds_at_most_its_estimate(self, tmp_path, command, problem, J, N, threads):
         # The x-dependent control widens all four node terms to (G, J).
         # At N = 4 the linear pass's working columns are half of its peak,
         # and at J = 2e3 the run's fixed overhead is a third.  At d = 2
         # Euler's full sigma outweighs the linear pass.  At J = 64 on 16
-        # workers the pool is most of the run.  A one-step simulate run's
-        # peak is Euler's draw, not its record copy.
+        # workers the pool is most of the run.  In a box, an x-dependent
+        # alpha and beta are evaluated on the gathered live rows.  A
+        # one-step simulate run's peak is Euler's draw, not its record copy.
         cfg = {"problem": problem, "J": J, "N": N, "seed": 3}
         spec = (model.catalog_get(problem) if isinstance(problem, str)
                 else model.problem_from_dict(problem))

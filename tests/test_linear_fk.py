@@ -12,6 +12,7 @@ from parabolica.errors import ConfigError, NonFinite
 from parabolica.linear_fk import (
     Estimate,
     LinearCoefficients,
+    _tails,
     feynman_kac_estimate,
     pathwise_remainders,
 )
@@ -98,6 +99,25 @@ class TestDiscounting:
         )
         assert est.value == np.exp(-0.1)
         assert est.stderr == 0.0
+
+
+    def test_a_discount_past_the_exp_range_gives_true_remainders(self, tmp_path):
+        # beta = -800 over T = 1: the deflator of a remainder formed by
+        # division, e^{+800}, overflows; each remainder formed from the
+        # next is e^{-800 (T - t_n)}, 0.0 at node 0.
+        problem = {"dim": 1, "horizon": 1.0, "mu": ["0"], "sigma": [["1"]],
+                   "f": "800*y", "g": "1", "x0": [0.0], "linear": {"beta": "-800"}}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"problem": problem, "N": 16, "J": 64, "seed": 1}))
+        out = tmp_path / "out"
+        assert cli.main(["solve-linear", "--config", str(config), "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["value"] == 0.0
+        rows = np.loadtxt(out / "steps.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert np.all(np.isfinite(rows[:, 2]))
+        exact = np.exp(-800.0 * (1.0 - rows[:, 1]))
+        normal = exact >= np.finfo(np.float64).tiny
+        assert normal.sum() >= 14
+        np.testing.assert_allclose(rows[normal, 2], exact[normal], rtol=1e-12, atol=0)
 
 
 class TestHeatValue:
@@ -264,18 +284,21 @@ class TestErrors:
 
 
 def _remainders(coeffs, batch, threads=1):
-    """The streamed remainders stacked into a (J, N+1) matrix, node order checked."""
+    """The streamed remainders stacked into a (J, N+1) matrix, node order N..0 checked.
+
+    ``threads`` is the path-block split of the estimate the stream's is checked against.
+    """
     columns = []
 
     def observe(n, column):
-        assert n == len(columns)
+        assert n == batch.grid.N - len(columns)
         assert column.shape == (batch.J,) and column.flags.c_contiguous
         columns.append(column.copy())
 
-    estimate = pathwise_remainders(coeffs, batch, observe, threads)
-    assert estimate == feynman_kac_estimate(coeffs, batch)
+    estimate = pathwise_remainders(coeffs, batch, observe)
+    assert estimate == feynman_kac_estimate(coeffs, batch, threads)
     assert len(columns) == batch.grid.N + 1
-    return np.stack(columns, axis=1)
+    return np.stack(columns[::-1], axis=1)
 
 
 class TestPathwiseRemainders:
@@ -345,19 +368,30 @@ class TestPathwiseRemainders:
     def test_non_finite_tail_names_the_first_such_path(self):
         heat = model.catalog_get("heat")
         batch = _simulate(heat, N=8, J=6, seed=0)
-        # Path 3 has a finite functional, but its deflator exp(-log B)
-        # overflows from node 2 on (0 * inf); path 5's payoff is NaN, so its
-        # functional is non-finite already at node 0.
+        dt = batch.grid.dt
+        # Path 3 grows by e^800 a step from node 1 on, so its tails overflow
+        # at nodes 1..7, and the first step discounts by e^-10000, so its
+        # functional is 0.0; path 5's payoff is NaN, so its functional is
+        # non-finite already at node 0.
         coeffs = LinearCoefficients(
-            alpha=lambda t, x: np.zeros(len(x)),
             beta=lambda t, x: np.where(
-                np.arange(len(x)) == 3, -1e308 if t > 0 else 0.0, 0.0
+                np.arange(len(x)) == 3, (800.0 if t > 0 else -1e4) / dt, 0.0
             ),
             g=lambda x: np.where(np.arange(len(x)) == 5, np.nan, 1.0),
         )
-        for threads in (1, 2):
-            with pytest.raises(NonFinite, match=r"at path 3$"):
-                pathwise_remainders(coeffs, batch, lambda n, r: None, threads)
+        tails = {}
+        _tails(coeffs, batch.X, batch.stop_index, batch.grid, lambda n, r: tails.update({n: r[3]}))
+        assert tails[0] == 0.0
+        assert all(tails[n] == np.inf for n in range(1, 8))
+        # Path 5 is non-finite from node N on, so the observer sees no node.
+        seen = []
+        with pytest.raises(NonFinite, match=r"at path 3$"):
+            pathwise_remainders(coeffs, batch, lambda n, r: seen.append(n))
+        assert seen == []
+        # The estimate alone checks the functional only.  (These callables
+        # read the row index, so they hold only for one path block.)
+        with pytest.raises(NonFinite, match=r"at path 5$"):
+            feynman_kac_estimate(coeffs, batch)
 
     def test_memory_does_not_grow_with_the_grid(self):
         # The parent held three (J, N+1) arrays, about 15x more at N = 256

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri
 
 from parabolica import paths
 from parabolica.errors import (
@@ -275,13 +275,27 @@ class TestRngAudit:
     def _bound(n):
         return 4.0 / np.sqrt(n)
 
+    @staticmethod
+    def _sorted_draws():
+        return np.sort(brownian_increments(TimeGrid(0.0, 1.0, 1), 1 << 20, 1, seed=2024).ravel())
+
     def test_kolmogorov_smirnov_on_a_million_draws(self):
-        z = np.sort(brownian_increments(TimeGrid(0.0, 1.0, 1), 1 << 20, 1, seed=2024).ravel())
+        z = self._sorted_draws()
         n = z.size
         cdf = ndtr(z)
         d = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
         # Kolmogorov's limit law: P(sqrt(n) D > 1.95) is about 1e-3.
         assert np.sqrt(n) * d <= 1.95
+
+    def test_anderson_darling_on_a_million_draws(self):
+        # Weighted towards the tails, where KS is weak.  With the mean and
+        # variance known, A^2 = -n - sum (2i - 1)/n [ln F(z_i) + ln(1 - F(z_{n+1-i}))]
+        # tends to sum Z_j^2 / (j (j + 1)), whose 0.1% point is about 5.9.
+        z = self._sorted_draws()
+        n = z.size
+        weights = np.arange(1, 2 * n, 2) / n
+        a2 = -n - np.sum(weights * (log_ndtr(z) + log_ndtr(-z[::-1])))
+        assert a2 <= 5.9
 
     def test_neighbouring_draws_are_uncorrelated(self):
         # Neighbours in each counter, the draws and their squares.
