@@ -40,9 +40,10 @@ Conventions used throughout:
   applied at all.
 
 Each step does its shared work once.  One :class:`regress.Design` (the
-standardized basis matrix and its thin QR factorization) serves the Gamma,
-Z and Y fits, each target block solved on its own against that factor so a
-block's bits do not depend on which other blocks are fitted; the fitted
+standardized basis matrix and its one factorization: the Gram matrix of a
+well-conditioned design, a thin QR of any other) serves the Gamma, Z and
+Y fits, each target block solved on its own against that factorization so
+a block's bits do not depend on which other blocks are fitted; the fitted
 values at the fit states are read off the basis matrix itself.  ``sigma``
 and ``mu`` are evaluated once, ``sigma`` is inverted once (a division when
 every matrix is diagonal, a batched inverse otherwise) for both the Z and

@@ -354,7 +354,10 @@ def _array_bytes(config: RunConfig, spec) -> int:
     backward step frees its own arrays on return; within it, per path:
     node n's and node n-1's (Y, Z, Gamma) columns and the design (basis
     matrix and Q, p columns each), then the larger of the QR's working
-    copy (p) and the rest: sigma, its inverse and mu; the Gamma target,
+    copy (p) and the rest.  Q and that copy are charged at every step
+    because any step's design may be factored by QR (an ill-conditioned
+    or rank-deficient one); a design solved by its Gram matrix holds
+    neither.  The rest: sigma, its inverse and mu; the Gamma target,
     fit and unsymmetrized solve (semilinear: the zero Hessian); sigma
     sigma'; the Z fit; and ten value columns (Y fit, mu'z, half trace,
     last Picard correction, pathwise functional, five for the driver).  An

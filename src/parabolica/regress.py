@@ -12,9 +12,13 @@ polynomial design matrix is built, which keeps it well conditioned far
 from the origin; coefficients live in standardized coordinates.
 
 :func:`design` builds the basis matrix of one set of states and factors
-it once by a thin QR; rank and condition come from the singular values
-of the small triangular factor.  :func:`fit` accepts either states or
-such a :class:`Design`, so several target blocks on the same states
+it once.  It forms the Gram matrix ``phi'phi`` and its eigenvalues; a
+design whose condition ``sqrt(lambda_max / lambda_min)`` is at most 1e3
+is solved by the normal equations, which then lose at most about
+``cond^2 * eps``, 2e-10 relative.  Every other design, the
+rank-deficient ones included, takes a thin QR whose triangle's singular
+values give the rank and condition.  :func:`fit` accepts either states
+or such a :class:`Design`, so several target blocks on the same states
 share one factorization while each is still solved on its own, and
 :func:`predict` at the design's states reuses its basis matrix.
 
@@ -49,6 +53,9 @@ __all__ = [
 ]
 
 _RANK_RETRY_RIDGE = 1e-8
+# Largest lambda_max / lambda_min of phi'phi solved by the normal equations:
+# cond(phi) <= 1e3, so they lose at most about 1e6 * eps.
+_GRAM_MAX_RATIO = 1e6
 
 
 @dataclass(frozen=True)
@@ -76,7 +83,6 @@ class RegressionFit:
     basis: BasisSpec
     dim: int
     coefficients: np.ndarray        # (p,) or (p, k), standardized coordinates
-    residual_rms: float
     condition_estimate: float
     rank_deficient: bool
     ridge_used: float
@@ -161,18 +167,21 @@ def _design(basis, x, *, x_mean, x_scale, box_min, box_max) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Design:
-    """Basis matrix of one set of states and its thin QR factorization.
+    """Basis matrix of one set of states and its one factorization.
 
-    Built by :func:`design`; every :func:`fit` handed the same design
-    solves against this one factor, and :func:`predict` at the design's
-    own states reuses ``phi`` instead of rebuilding it.
+    Built by :func:`design`.  A well-conditioned design keeps its Gram
+    matrix ``phi'phi`` and no ``q`` or ``r``; any other keeps the thin QR
+    factors and no ``gram``.  Every :func:`fit` handed the same design
+    solves against this one factorization, and :func:`predict` at the
+    design's own states reuses ``phi`` instead of rebuilding it.
     """
 
     basis: BasisSpec
     dim: int
     phi: np.ndarray                 # (J, p) basis functions at the states
-    q: np.ndarray                   # (J, p) orthonormal columns, phi = q @ r
-    r: np.ndarray                   # (p, p) upper triangular
+    gram: Optional[np.ndarray]      # (p, p) phi'phi on the Gram route
+    q: Optional[np.ndarray]         # (J, p) orthonormal columns, phi = q @ r
+    r: Optional[np.ndarray]         # (p, p) upper triangular
     condition_estimate: float
     rank_deficient: bool
     x_mean: Optional[np.ndarray] = None
@@ -184,11 +193,14 @@ class Design:
 def design(states, basis: BasisSpec) -> Design:
     """Standardize the states, build the basis matrix and factor it.
 
-    The rank and condition come from the singular values of ``r``, which
-    are those of the basis matrix: singular values below
-    ``s_max * max(J, p) * eps`` count as rank loss.  Raises
-    RegressionFailure when there are fewer samples than basis functions,
-    NonFinite on non-finite states.
+    The eigenvalues of ``gram = phi'phi`` are the squared singular values
+    of ``phi``.  When the smallest is positive and the ratio of the
+    largest to it is at most 1e6, the design keeps ``gram``, whose
+    condition is ``sqrt(lambda_max / lambda_min)``.  Otherwise ``phi`` is
+    factored by a thin QR, and the rank and condition come from the
+    singular values of ``r``: those below ``s_max * max(J, p) * eps``
+    count as rank loss.  Raises RegressionFailure when there are fewer
+    samples than basis functions, NonFinite on non-finite states.
     """
     x = _validate_states(states)
     J, d = x.shape
@@ -209,26 +221,23 @@ def design(states, basis: BasisSpec) -> Design:
 
     phi = _design(basis, x, x_mean=x_mean, x_scale=x_scale,
                   box_min=box_min, box_max=box_max)
-    q, r = np.linalg.qr(phi)
+    frame = dict(basis=basis, dim=d, phi=phi, x_mean=x_mean, x_scale=x_scale,
+                 box_min=box_min, box_max=box_max)
+    gram = phi.T @ phi
+    ev = np.linalg.eigvalsh(gram)
+    if ev[0] > 0 and ev[-1] <= _GRAM_MAX_RATIO * ev[0]:
+        return Design(gram=gram, q=None, r=None,
+                      condition_estimate=math.sqrt(ev[-1] / ev[0]),
+                      rank_deficient=False, **frame)
 
+    q, r = np.linalg.qr(phi)
     sv = np.linalg.svd(r, compute_uv=False)
     tol = sv[0] * max(J, p) * np.finfo(np.float64).eps if sv[0] > 0 else 0.0
     rank = int(np.sum(sv > tol))
     with np.errstate(divide="ignore"):
         condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-    return Design(
-        basis=basis,
-        dim=d,
-        phi=phi,
-        q=q,
-        r=r,
-        condition_estimate=condition,
-        rank_deficient=rank < p,
-        x_mean=x_mean,
-        x_scale=x_scale,
-        box_min=box_min,
-        box_max=box_max,
-    )
+    return Design(gram=None, q=q, r=r, condition_estimate=condition,
+                  rank_deficient=rank < p, **frame)
 
 
 def fit(states, targets, basis: BasisSpec) -> RegressionFit:
@@ -246,8 +255,8 @@ def fit(states, targets, basis: BasisSpec) -> RegressionFit:
             raise RegressionFailure("design was built for another basis")
     else:
         dsg = design(states, basis)
-    # Contiguous, so q'y takes one matmul kernel whatever the target's
-    # layout: a strided column fits to the bits of its contiguous copy.
+    # Contiguous, so phi'y or q'y takes one matmul kernel whatever the
+    # target's layout: a strided column fits to the bits of its copy.
     y = np.ascontiguousarray(targets, dtype=np.float64)
     squeeze = y.ndim == 1
     if squeeze:
@@ -256,24 +265,33 @@ def fit(states, targets, basis: BasisSpec) -> RegressionFit:
         raise DimensionMismatch("states and targets disagree on sample count")
     if not np.all(np.isfinite(y)):
         raise NonFinite("targets contain non-finite entries")
-    p = dsg.r.shape[1]
+    p = dsg.phi.shape[1]
 
-    # With phi = q r, ||phi c - y||^2 = ||r c - q'y||^2 + (a term free of c),
-    # so the p x p triangle stands in for the J x p design.
-    A, B = dsg.r, dsg.q.T @ y
     ridge = basis.ridge
     if ridge == 0.0 and dsg.rank_deficient:
         ridge = _RANK_RETRY_RIDGE
-    if ridge > 0.0:
-        # Penalize by row augmentation.  The constant column of the
-        # polynomial basis is exempt, which pins the fitted mean to the
-        # sample mean for any ridge strength.
-        penalized = np.arange(1 if basis.kind == "polynomial" else 0, p)
-        aug = np.zeros((len(penalized), p))
-        aug[np.arange(len(penalized)), penalized] = np.sqrt(ridge)
-        A = np.vstack([A, aug])
-        B = np.vstack([B, np.zeros((len(penalized), y.shape[1]))])
-    coef, *_ = np.linalg.lstsq(A, B, rcond=None)
+    # The constant column of the polynomial basis is never penalized,
+    # which pins the fitted mean to the sample mean for any ridge strength.
+    penalized = np.arange(1 if basis.kind == "polynomial" else 0, p)
+    if dsg.gram is not None:
+        # The normal equations (phi'phi + ridge I_pen) c = phi'y, where
+        # I_pen is the identity on the penalized columns.
+        A = dsg.gram
+        if ridge > 0.0:
+            A = A.copy()
+            A[penalized, penalized] += ridge
+        coef = np.linalg.solve(A, dsg.phi.T @ y)
+    else:
+        # With phi = q r, ||phi c - y||^2 = ||r c - q'y||^2 + (a term free
+        # of c), so the p x p triangle stands in for the J x p design; the
+        # ridge appends sqrt(ridge) I_pen rows.
+        A, B = dsg.r, dsg.q.T @ y
+        if ridge > 0.0:
+            aug = np.zeros((len(penalized), p))
+            aug[np.arange(len(penalized)), penalized] = np.sqrt(ridge)
+            A = np.vstack([A, aug])
+            B = np.vstack([B, np.zeros((len(penalized), y.shape[1]))])
+        coef, *_ = np.linalg.lstsq(A, B, rcond=None)
 
     if basis.kind == "piecewise_constant":
         # Bins that saw no data predict the global mean instead of 0.
@@ -283,12 +301,10 @@ def fit(states, targets, basis: BasisSpec) -> RegressionFit:
     if not np.all(np.isfinite(coef)):
         raise NonFinite("regression produced non-finite coefficients")
 
-    residual_rms = float(np.sqrt(np.mean((dsg.phi @ coef - y) ** 2)))
     return RegressionFit(
         basis=basis,
         dim=dsg.dim,
         coefficients=coef[:, 0] if squeeze else coef,
-        residual_rms=residual_rms,
         condition_estimate=dsg.condition_estimate,
         rank_deficient=dsg.rank_deficient,
         ridge_used=ridge,

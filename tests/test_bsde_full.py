@@ -476,7 +476,7 @@ class TestWorkCounts:
 
     def test_two_bsde_solve_evaluates_sigma_and_factors_once_per_step(self, monkeypatch):
         base = model.catalog_get("bsb_uncertain_vol")
-        calls = {"sigma": 0, "mu": 0, "design": 0, "qr": 0}
+        calls = {"sigma": 0, "mu": 0, "design": 0, "eigvalsh": 0, "qr": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -491,13 +491,17 @@ class TestWorkCounts:
         batch = _simulate(spec, N, 400, 2)
         assert calls["sigma"] == N and calls["mu"] == N  # one per Euler step
         monkeypatch.setattr(regress, "design", counted("design", regress.design))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
         monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
         backward_solve_2bsde(spec, batch, BASIS2, picard_iters=3)
         # Euler steps, the generator probe, then one per backward step.
         assert calls["sigma"] == N + 1 + N
         assert calls["mu"] == N + 1 + N
+        # Every design forms its Gram matrix's spectrum; only the first
+        # step's, where every path is at x0, is rank-deficient and takes QR.
         assert calls["design"] == N
-        assert calls["qr"] == N
+        assert calls["eigvalsh"] == N
+        assert calls["qr"] == 1
 
 
 class TestGeneralSigma:

@@ -103,7 +103,10 @@ class TestInvariants:
         rng = np.random.default_rng(8)
         x = rng.uniform(-2, 2, size=(120, 1))
         y = np.sin(2 * x[:, 0]) + 0.1 * rng.normal(size=120)
-        rms = [fit(x, y, BasisSpec(degree=q)).residual_rms for q in range(5)]
+        rms = []
+        for q in range(5):
+            residual = predict(fit(x, y, BasisSpec(degree=q)), x) - y
+            rms.append(np.sqrt(np.mean(residual**2)))
         for lo, hi in zip(rms[1:], rms[:-1]):
             assert lo <= hi + 1e-12
 
@@ -132,7 +135,6 @@ class TestInvariants:
         copied = fit(dsg, column.copy(), BasisSpec(degree=2))
         assert strided.coefficients.shape == (3,)
         np.testing.assert_array_equal(strided.coefficients, copied.coefficients)
-        assert strided.residual_rms == copied.residual_rms
 
     def test_condition_estimate_sane(self):
         rng = np.random.default_rng(10)
@@ -227,6 +229,72 @@ class TestPiecewiseConstant:
         assert top == pytest.approx(np.mean([0.85, 0.95]), abs=1e-12)
 
 
+def _near_collinear(x):
+    """States whose second coordinate nearly repeats the first: at degree 2, cond(phi) > 1e3."""
+    x = x.copy()
+    x[:, 1] = x[:, 0] + 0.03 * x[:, 1]
+    return x
+
+
+def _relative_error(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+class TestFactorizationRoutes:
+    """A well-conditioned design is solved by the normal equations, any other by QR."""
+
+    @pytest.mark.parametrize("d,q", list(itertools.product(range(1, 5), range(1, 4))))
+    def test_gram_route_matches_lstsq(self, d, q):
+        rng = np.random.default_rng(100 + 10 * d + q)
+        x = rng.normal(size=(2000, d)) * rng.uniform(0.5, 2.0, size=d) + rng.normal(size=d)
+        Y = np.sin(x.sum(axis=1))[:, None] + rng.normal(size=(2000, 3))
+        dsg = design(x, BasisSpec(degree=q))
+        assert dsg.gram is not None and dsg.q is None and dsg.r is None
+        assert dsg.condition_estimate <= 1e3
+        want, *_ = np.linalg.lstsq(dsg.phi, Y, rcond=None)
+        got = fit(dsg, Y, BasisSpec(degree=q)).coefficients
+        assert _relative_error(got, want) <= 1e-10
+
+    def test_ill_conditioned_design_takes_qr_and_matches_lstsq(self):
+        rng = np.random.default_rng(101)
+        x = _near_collinear(rng.normal(size=(2000, 2)))
+        y = np.cos(x[:, 0]) + rng.normal(size=2000)
+        basis = BasisSpec(degree=2)
+        dsg = design(x, basis)
+        assert dsg.gram is None and dsg.q is not None
+        assert 1e3 < dsg.condition_estimate < 1e6
+        assert not dsg.rank_deficient
+        want, *_ = np.linalg.lstsq(dsg.phi, y, rcond=None)
+        reg = fit(dsg, y, basis)
+        assert reg.ridge_used == 0.0
+        assert _relative_error(reg.coefficients, want) <= 1e-10
+
+    def test_states_all_at_one_point_take_qr_with_the_ridge_retry(self):
+        # The first backward step: every path is still at x0.
+        rng = np.random.default_rng(102)
+        x = np.tile([0.3, -1.2], (500, 1))
+        y = rng.normal(size=500)
+        basis = BasisSpec(degree=2)
+        dsg = design(x, basis)
+        assert dsg.gram is None and dsg.q is not None
+        assert dsg.rank_deficient
+        reg = fit(dsg, y, basis)
+        assert reg.ridge_used == 1e-8
+        np.testing.assert_allclose(predict(reg, dsg), y.mean(), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("ridge", [0.0, 1e-8, 1.0, 1e3])
+    def test_gram_route_preserves_the_mean_for_any_ridge(self, ridge):
+        rng = np.random.default_rng(103)
+        x = rng.normal(size=(3000, 3)) + 2.0
+        y = 5.0 + np.exp(x[:, 0]) - x[:, 1] * x[:, 2] + rng.normal(size=3000)
+        basis = BasisSpec(degree=3, ridge=ridge)
+        dsg = design(x, basis)
+        assert dsg.gram is not None
+        reg = fit(dsg, y, basis)
+        assert reg.ridge_used == ridge
+        assert predict(reg, dsg).mean() == pytest.approx(y.mean(), rel=0, abs=1e-12)
+
+
 def test_basis_size_formulas():
     assert basis_size(BasisSpec(degree=2), 1) == 3
     assert basis_size(BasisSpec(degree=2), 2) == 6
@@ -250,7 +318,6 @@ class TestSharedDesign:
         for target in (Y[:, 0], Y):
             a, b = fit(dsg, target, basis), fit(x, target, basis)
             np.testing.assert_array_equal(a.coefficients, b.coefficients)
-            assert a.residual_rms == b.residual_rms
             assert a.condition_estimate == b.condition_estimate
 
     def test_predict_on_the_design_reuses_its_basis_matrix(self):
@@ -262,14 +329,16 @@ class TestSharedDesign:
         np.testing.assert_array_equal(predict(reg, dsg), dsg.phi @ reg.coefficients)
         np.testing.assert_allclose(predict(reg, dsg), predict(reg, x), rtol=0, atol=1e-12)
 
-    def test_condition_and_rank_come_from_the_triangle(self):
-        rng = np.random.default_rng(16)
-        x = rng.normal(size=(400, 2))
+    @pytest.mark.parametrize("route", ["gram", "qr"])
+    def test_condition_is_that_of_the_basis_matrix(self, route):
+        x = np.random.default_rng(16).normal(size=(400, 2))
+        if route == "qr":
+            x = _near_collinear(x)
         dsg = design(x, BasisSpec(degree=2))
+        assert (dsg.gram is not None) == (route == "gram")
         sv = np.linalg.svd(dsg.phi, compute_uv=False)
         assert dsg.condition_estimate == pytest.approx(sv[0] / sv[-1], rel=1e-10)
         assert not dsg.rank_deficient
-        np.testing.assert_allclose(dsg.q @ dsg.r, dsg.phi, atol=1e-12)
 
     def test_foreign_designs_are_rejected(self):
         rng = np.random.default_rng(17)
