@@ -33,7 +33,7 @@ Reruns of one config are reproducible to the byte (``environment``
 aside) regardless of ``--threads``; the flag only changes how work is
 chunked.  Only this module resolves the worker count: ``--threads``,
 then the config's ``threads``, then ``PARABOLICA_THREADS``, then 1, each
-through the ``threads`` reader; library calls take an int, default 1.
+through the ``threads`` reader; of the library, only path simulation uses it.
 Likewise only ``main`` sets the process's allocator policy (glibc's
 mmap and trim thresholds, see ``_keep_temporaries_on_the_heap``).
 """

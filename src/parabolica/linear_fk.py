@@ -23,7 +23,7 @@ The payout's discount stays additive in log space, so a constant ``beta``
 on a dyadic grid discounts with no accumulation error at all; the source
 tail is discounted a step at a time.  No remainder is divided by a
 discount, so a discount below ``exp``'s range leaves it finite, and the
-loop keeps (J,) columns only: neither function holds a (J, N+1) array.
+loop keeps (J,) columns only: memory stays O(J) whatever N is.
 
 A term that is zero by construction is absent: ``alpha`` or ``beta`` may be
 None, and is then never evaluated.  Without ``alpha`` there is no ``S_n``,
@@ -37,14 +37,6 @@ Paths that leave the problem domain contribute ``B(t, theta) * g(X_theta)``
 and their source integral stops at the exit node; the frozen post-exit states
 stored by the simulator make the terminal payout come out right without any
 special casing here.
-
-:func:`feynman_kac_estimate` splits the path axis over threads through
-:func:`~parabolica.paths.for_path_blocks`.  Per-path values are identical
-whatever the block layout (the coefficient callables are pointwise in the
-path row, true of everything this package constructs), and the final mean is
-numpy's pairwise reduction over one array -- so results are bit-stable across
-``threads`` settings and equal :func:`pathwise_remainders`'.  A non-finite
-functional (or tail) is reported at the first such path of the batch.
 """
 
 from __future__ import annotations
@@ -56,7 +48,7 @@ import numpy as np
 
 from .errors import ConfigError, NonFinite
 from .model import ProblemSpec
-from .paths import PathBatch, for_path_blocks
+from .paths import PathBatch
 
 __all__ = [
     "LinearCoefficients",
@@ -116,21 +108,16 @@ class Estimate:
         return cls(value=float(np.mean(samples)), stderr=stderr, J=J)
 
 
-def _tails(coeffs: LinearCoefficients, X: np.ndarray, stop: np.ndarray, grid,
-           observe: Optional[Callable[[int, np.ndarray], object]] = None) -> np.ndarray:
-    """The module notes' recursion over the paths of ``X``, nodes N..0; returns ``R_0``.
-
-    A path accrues at node n while ``stop > n``; a full slice replaces
-    the mask while every path is alive.  ``observe(n, R_n)`` gets each
-    node's fresh (J,) column, if given; without it only ``R_0`` is
-    formed.  ``X`` holds at least one path.
-    """
+def _tails(coeffs: LinearCoefficients, batch: PathBatch,
+           observe: Callable[[int, np.ndarray], object]) -> np.ndarray:
+    """The module notes' recursion, observing each node's (J,) ``R_n``; returns ``R_0``."""
+    X, stop, grid = batch.X, batch.stop_index, batch.grid
     N, dt, times = grid.N, grid.dt, grid.times
     payout = np.asarray(coeffs.g(X[:, N]), dtype=np.float64)
     L = None if coeffs.beta is None else np.zeros(len(X))
     S = None if coeffs.alpha is None else np.zeros(len(X))
-    # Every path is alive before node min(stop) and none from max(stop) on;
-    # with neither term there is nothing to accrue.
+    # A path accrues at node n while stop > n: every path does before node
+    # min(stop) and none from max(stop) on.  Without either term none does.
     first = int(stop.min())
     last = 0 if L is None and S is None else int(stop.max())
     for n in range(N, -1, -1):
@@ -153,25 +140,16 @@ def _tails(coeffs: LinearCoefficients, X: np.ndarray, stop: np.ndarray, grid,
                         s += b_dt
                     S[rows] = s
                 del xn, b_dt, s  # so no step column is held beside the remainder
-            if observe is None and n > 0:
-                continue  # the estimate alone reads R_0 only
             if L is None:
                 R = payout + (0.0 if S is None else S)
             else:
                 R = np.exp(L)
                 R *= payout
                 R += 0.0 if S is None else S
-        if observe is not None:
-            observe(n, R)
+        observe(n, R)
         if n == 0:
             return R
         del R  # so it is not held beside the next node's step
-
-
-def _raise_at_first(bad: np.ndarray) -> None:
-    """Raise NonFinite naming the first path flagged in ``bad``, if any."""
-    if np.any(bad):
-        raise NonFinite(f"non-finite path functional at path {int(np.argmax(bad))}")
 
 
 def pathwise_remainders(
@@ -192,15 +170,13 @@ def pathwise_remainders(
     The conditional mean of R_n given the node-n state is the solution
     value there, so the means of the stream trace the value along the
     grid.  ``R_0`` is the functional, and the returned :class:`Estimate`
-    is :func:`feynman_kac_estimate`'s; the observer reads the columns and
-    does not write them.  Stopped paths accrue nothing from their exit
-    node on, so their remainder there is constant and equal to the exit
-    payoff.
+    is its average; the observer reads the columns and does not write
+    them.  Stopped paths accrue nothing from their exit node on, so their
+    remainder there is constant and equal to the exit payoff.
 
-    One backward pass over the nodes forms each remainder from the next,
-    so memory stays O(J) whatever N is.  After it, NonFinite names the
-    first path with a non-finite remainder at any node; the observer sees
-    no node from the first such remainder on.
+    After the pass, NonFinite names the first path with a non-finite
+    remainder at any node; the observer sees no node from the first such
+    remainder on.
     """
     bad = np.zeros(batch.J, dtype=bool)
 
@@ -209,30 +185,17 @@ def pathwise_remainders(
         if not bad.any():  # the pass will raise; spare the observer the infinities
             observe(n, R)
 
-    values = _tails(coeffs, batch.X, batch.stop_index, batch.grid, check)
-    _raise_at_first(bad)
+    values = _tails(coeffs, batch, check)
+    if bad.any():
+        raise NonFinite(f"non-finite path functional at path {int(np.argmax(bad))}")
     return Estimate.of(values)
 
 
-def feynman_kac_estimate(
-    coeffs: LinearCoefficients,
-    batch: PathBatch,
-    threads: int = 1,
-) -> Estimate:
-    """Average the discounted path functional over a simulated batch.
+def feynman_kac_estimate(coeffs: LinearCoefficients, batch: PathBatch) -> Estimate:
+    """:func:`pathwise_remainders`' average and non-finite rule, with no observer.
 
-    :func:`pathwise_remainders` returns the same estimate while it
-    streams the tails; this is the call for the average alone.
-
-    The batch must have been simulated under the same drift and diffusion the
-    linear problem declares; this function only sees the stored paths and
-    cannot check that, so it is the caller's contract.
+    The batch must have been simulated under the drift and diffusion the
+    linear problem declares; only the stored paths are seen here, so that
+    is the caller's contract.
     """
-    values = np.empty(batch.J)
-
-    def block(j0: int, j1: int) -> None:
-        values[j0:j1] = _tails(coeffs, batch.X[j0:j1], batch.stop_index[j0:j1], batch.grid)
-
-    for_path_blocks(batch.J, threads, block)
-    _raise_at_first(~np.isfinite(values))
-    return Estimate.of(values)
+    return pathwise_remainders(coeffs, batch, lambda n, R: None)

@@ -32,7 +32,7 @@ def test_criterion_1_linear_value(acceptance):
     started = time.perf_counter()
     heat = model.catalog_get("heat")
     batch = _simulate(heat, N=64, J=100_000, seed=11, threads=1)
-    est = feynman_kac_estimate(LinearCoefficients.from_spec(heat), batch, threads=1)
+    est = feynman_kac_estimate(LinearCoefficients.from_spec(heat), batch)
     elapsed = time.perf_counter() - started
 
     err = abs(est.value - 1.0)

@@ -1037,12 +1037,13 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, f"imported: {proc.stderr}"
 
     def test_runs_leave_scipy_unloaded(self, tmp_path):
-        # The inverse normal CDF is the package's own: only verify loads scipy.
+        # The inverse normal CDF is the package's own, and no subcommand calls
+        # verify.estimate_rate, the one library function that loads scipy.
         # The build version is the package's own too, so importlib.metadata
         # (about 15 ms with email, csv and more) stays unloaded.
         runs = [("solve-hjb", "hjb_uncertain_vol"), ("solve-2bsde", "bsb_uncertain_vol"),
                 ("solve-semilinear", "semilinear_exp"), ("solve-linear", "gbm_linear"),
-                ("simulate", "gbm_linear")]
+                ("simulate", "gbm_linear"), ("verify", "heat")]
         argv = []
         for command, problem in runs:
             cfg = _write_config(tmp_path, {"problem": problem, "J": 200, "N": 4}, f"{command}.json")

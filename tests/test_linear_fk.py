@@ -227,17 +227,12 @@ class TestStoppedPaths:
         f1 = dt * np.exp(-np.arange(4) * dt).sum() + np.exp(-4 * dt) * 0.25
         assert est.value == pytest.approx((f0 + f1) / 2.0, rel=1e-15)
 
-    def test_boundary_heat_value_and_thread_stability(self):
+    def test_boundary_heat_value(self):
         bh = model.catalog_get("boundary_heat")
         batch = _simulate(bh, N=32, J=20_000, seed=9)
-        coeffs = LinearCoefficients.from_spec(bh)
-        estimates = [
-            feynman_kac_estimate(coeffs, batch, threads=t) for t in (1, 2, 8)
-        ]
-        assert estimates[0].value == estimates[1].value == estimates[2].value
-        assert estimates[0].stderr == estimates[1].stderr == estimates[2].stderr
+        est = feynman_kac_estimate(LinearCoefficients.from_spec(bh), batch)
         # v(0, 0.5) = 0.5; the open-box exit detection carries O(sqrt(dt)) bias.
-        assert abs(estimates[0].value - 0.5) < 0.05
+        assert abs(est.value - 0.5) < 0.05
 
 
 class TestStderrScaling:
@@ -283,11 +278,8 @@ class TestErrors:
             feynman_kac_estimate(coeffs, batch)
 
 
-def _remainders(coeffs, batch, threads=1):
-    """The streamed remainders stacked into a (J, N+1) matrix, node order N..0 checked.
-
-    ``threads`` is the path-block split of the estimate the stream's is checked against.
-    """
+def _remainders(coeffs, batch):
+    """The streamed remainders stacked into a (J, N+1) matrix, node order N..0 checked."""
     columns = []
 
     def observe(n, column):
@@ -296,7 +288,7 @@ def _remainders(coeffs, batch, threads=1):
         columns.append(column.copy())
 
     estimate = pathwise_remainders(coeffs, batch, observe)
-    assert estimate == feynman_kac_estimate(coeffs, batch, threads)
+    assert estimate == feynman_kac_estimate(coeffs, batch)
     assert len(columns) == batch.grid.N + 1
     return np.stack(columns[::-1], axis=1)
 
@@ -380,7 +372,7 @@ class TestPathwiseRemainders:
             g=lambda x: np.where(np.arange(len(x)) == 5, np.nan, 1.0),
         )
         tails = {}
-        _tails(coeffs, batch.X, batch.stop_index, batch.grid, lambda n, r: tails.update({n: r[3]}))
+        _tails(coeffs, batch, lambda n, r: tails.update({n: r[3]}))
         assert tails[0] == 0.0
         assert all(tails[n] == np.inf for n in range(1, 8))
         # Path 5 is non-finite from node N on, so the observer sees no node.
@@ -388,9 +380,8 @@ class TestPathwiseRemainders:
         with pytest.raises(NonFinite, match=r"at path 3$"):
             pathwise_remainders(coeffs, batch, lambda n, r: seen.append(n))
         assert seen == []
-        # The estimate alone checks the functional only.  (These callables
-        # read the row index, so they hold only for one path block.)
-        with pytest.raises(NonFinite, match=r"at path 5$"):
+        # The estimate alone keeps the same rule.
+        with pytest.raises(NonFinite, match=r"at path 3$"):
             feynman_kac_estimate(coeffs, batch)
 
     def test_memory_does_not_grow_with_the_grid(self):
@@ -420,8 +411,7 @@ class TestAbsentTerms:
     """An absent (None) alpha or beta gives the bits of a zero closure."""
 
     @pytest.mark.parametrize("name", ["heat", "discount_bond", "gbm_linear", "boundary_heat"])
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_catalog_none_terms_equal_zero_closures(self, name, threads):
+    def test_catalog_none_terms_equal_zero_closures(self, name):
         spec = model.catalog_get(name)
         batch = _simulate(spec, N=16, J=3001, seed=12)
         if name == "boundary_heat":
@@ -429,15 +419,12 @@ class TestAbsentTerms:
         absent = LinearCoefficients.from_spec(spec)
         assert absent.alpha is None
         zero = LinearCoefficients(g=spec.g, alpha=_zero_rows, beta=absent.beta or _zero_rows)
-        got = [(feynman_kac_estimate(c, batch, threads), _remainders(c, batch, threads))
-               for c in (absent, zero)]
+        got = [(feynman_kac_estimate(c, batch), _remainders(c, batch)) for c in (absent, zero)]
         assert got[0][0] == got[1][0]
         assert got[0][1].tobytes() == got[1][1].tobytes()
 
     @pytest.mark.parametrize("alpha_zero, beta_zero", itertools.product([False, True], repeat=2))
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_a_negative_zero_payoff_starts_from_positive_zero(self, alpha_zero, beta_zero,
-                                                                threads):
+    def test_a_negative_zero_payoff_starts_from_positive_zero(self, alpha_zero, beta_zero):
         # The zero source integral is +0.0, and +0.0 + -0.0 is +0.0: the
         # functional of a -0.0 payout is +0.0 with or without the terms.
         heat = model.catalog_get("heat")
@@ -450,11 +437,10 @@ class TestAbsentTerms:
         reference = LinearCoefficients(g=g, alpha=_zero_rows, beta=_zero_rows)
         coeffs = LinearCoefficients(g=g, alpha=_zero_rows if alpha_zero else None,
                                     beta=_zero_rows if beta_zero else None)
-        remainders = _remainders(coeffs, batch, threads)
+        remainders = _remainders(coeffs, batch)
         assert not np.any(np.signbit(remainders[:, 0]))
-        assert remainders.tobytes() == _remainders(reference, batch, threads).tobytes()
-        assert (feynman_kac_estimate(coeffs, batch, threads)
-                == feynman_kac_estimate(reference, batch, threads))
+        assert remainders.tobytes() == _remainders(reference, batch).tobytes()
+        assert feynman_kac_estimate(coeffs, batch) == feynman_kac_estimate(reference, batch)
 
     def test_an_inline_linear_block_may_omit_a_zero_term(self, tmp_path):
         problem = {

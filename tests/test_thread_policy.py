@@ -1,8 +1,9 @@
 """One owner of the worker count and one splitter of the path axis.
 
 The CLI resolves the count (``--threads``, the config, ``PARABOLICA_THREADS``,
-1); every library function takes it as an int and hands the path axis to
-``paths.for_path_blocks``.  The CLI half is tested in ``test_cli.py``.
+1) and hands it to path simulation as an int; only path simulation splits
+the path axis, through ``paths.for_path_blocks``.  The CLI half is tested in
+``test_cli.py``.
 """
 
 import threading
@@ -73,4 +74,4 @@ def test_library_calls_never_read_the_threads_variable(monkeypatch):
     pathwise_remainders(coeffs, batch, lambda n, r: tails.append(r.copy()))
     assert len(tails) == grid.N + 1
     np.testing.assert_array_equal(tails[-1].mean(), est.value)
-    assert est == feynman_kac_estimate(coeffs, batch, threads=1)
+    assert est == pathwise_remainders(coeffs, batch, lambda n, r: None)
