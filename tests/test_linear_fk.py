@@ -34,10 +34,10 @@ def _deterministic_discount_spec():
     )
 
 
-def _simulate(spec, N, J, seed, T=None, x0=None):
+def _simulate(spec, N, J, seed, T=None, x0=None, threads=1):
     grid = paths.TimeGrid(0.0, T if T is not None else spec.horizon, N)
     start = spec.x0_default if x0 is None else np.asarray(x0, dtype=np.float64)
-    return paths.euler_simulate(spec, grid, start, J=J, seed=seed)
+    return paths.euler_simulate(spec, grid, start, J=J, seed=seed, threads=threads)
 
 
 class TestEstimateBasics:
@@ -408,12 +408,17 @@ def _zero_rows(t, x):
 
 
 class TestAbsentTerms:
-    """An absent (None) alpha or beta gives the bits of a zero closure."""
+    """An absent (None) alpha or beta gives the bits of a zero closure.
+
+    ``threads`` is the worker count of the path simulation, the one threaded
+    layer: the rule holds on a batch simulated at any count.
+    """
 
     @pytest.mark.parametrize("name", ["heat", "discount_bond", "gbm_linear", "boundary_heat"])
-    def test_catalog_none_terms_equal_zero_closures(self, name):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_catalog_none_terms_equal_zero_closures(self, name, threads):
         spec = model.catalog_get(name)
-        batch = _simulate(spec, N=16, J=3001, seed=12)
+        batch = _simulate(spec, N=16, J=3001, seed=12, threads=threads)
         if name == "boundary_heat":
             assert np.any(batch.stop_index < 16)
         absent = LinearCoefficients.from_spec(spec)
@@ -424,11 +429,13 @@ class TestAbsentTerms:
         assert got[0][1].tobytes() == got[1][1].tobytes()
 
     @pytest.mark.parametrize("alpha_zero, beta_zero", itertools.product([False, True], repeat=2))
-    def test_a_negative_zero_payoff_starts_from_positive_zero(self, alpha_zero, beta_zero):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_negative_zero_payoff_starts_from_positive_zero(self, alpha_zero, beta_zero,
+                                                                threads):
         # The zero source integral is +0.0, and +0.0 + -0.0 is +0.0: the
         # functional of a -0.0 payout is +0.0 with or without the terms.
         heat = model.catalog_get("heat")
-        batch = _simulate(heat, N=8, J=501, seed=4)
+        batch = _simulate(heat, N=8, J=501, seed=4, threads=threads)
 
         def g(x):
             return np.where(x[:, 0] < 0.0, -0.0, x[:, 0])
