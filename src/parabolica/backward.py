@@ -208,6 +208,8 @@ def _moved(fn, x: np.ndarray, *moves) -> np.ndarray:
     return np.asarray(fn(xs), dtype=np.float64)
 
 
+# An overflow in the differences is reported by the finiteness check.
+@np.errstate(over="ignore", invalid="ignore")
 def terminal_gradient(spec: ProblemSpec, X_T) -> tuple:
     """Gradient of the terminal condition per path.
 
@@ -241,6 +243,8 @@ def terminal_gradient(spec: ProblemSpec, X_T) -> tuple:
     return grad, kinked, used_fd
 
 
+# An overflow in the differences is reported by the finiteness check.
+@np.errstate(over="ignore", invalid="ignore")
 def terminal_hessian(spec: ProblemSpec, X_T) -> np.ndarray:
     """Hessian of the terminal condition per path, symmetrized.
 
@@ -497,11 +501,13 @@ def _sweep(
         observe(n - 1, y_n, z_n, g_n)
 
     fits.reverse()
+    with np.errstate(over="ignore", invalid="ignore"):  # Estimate refuses a non-finite mean
+        root = float(np.mean(y_n))
     return BackwardSolution(
         Y=None if history is None else history.Y,
         Z=None if history is None else history.Z,
         Gamma=None if history is None else history.Gamma,
-        root_value=Estimate(float(np.mean(y_n)), Estimate.of(pathwise).stderr, J),
+        root_value=Estimate(root, Estimate.of(pathwise).stderr, J),
         fits=tuple(fits),
         diagnostics={
             "terminal_gradient_fd": used_fd,

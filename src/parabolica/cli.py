@@ -428,6 +428,10 @@ def _execute(config: RunConfig):
     if config.scheme == "linear":
         coeffs = LinearCoefficients.from_spec(spec)
     elif config.scheme != "simulate":
+        p = basis_size(config.basis, spec.dim)
+        if config.J < p:
+            raise ConfigError(f"J = {config.J} paths cannot support the {p} basis "
+                              f"functions every backward step fits")
         screen_driver(spec, gamma_free=config.scheme == "semilinear")
 
     x0 = config.x0 if config.x0 is not None else spec.x0_default
@@ -475,7 +479,7 @@ def _write_artifacts(out_dir: str, artifacts: dict) -> None:
                 fh.write(blob)
 
 
-def _fail(exc: ParabolicaError) -> int:
+def _fail(exc: Exception) -> int:
     code = 2 if isinstance(exc, _NUMERIC_ERRORS) else 1
     detail = " ".join(str(exc).split())
     print(
@@ -568,8 +572,7 @@ def main(argv=None) -> int:
     try:
         _write_artifacts(args.out, artifacts)
     except OSError as exc:
-        print(f"parabolica: exit=1 error=OSError detail={exc}", file=sys.stderr)
-        return 1
+        return _fail(exc)
     return code
 
 

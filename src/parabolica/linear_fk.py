@@ -93,14 +93,20 @@ class Estimate:
 
     ``stderr`` is the sample standard deviation (ddof=1) of the per-path
     functional divided by sqrt(J); it is 0.0 when J == 1, where the sample
-    standard deviation is undefined.
+    standard deviation is undefined.  A non-finite value or stderr, such
+    as the moments of finite samples overflowing, raises NonFinite.
     """
 
     value: float
     stderr: float
     J: int
 
+    def __post_init__(self):
+        if not (np.isfinite(self.value) and np.isfinite(self.stderr)):
+            raise NonFinite(f"non-finite estimate: value {self.value}, stderr {self.stderr}")
+
     @classmethod
+    @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused on construction
     def of(cls, samples: np.ndarray) -> "Estimate":
         """The mean of the per-path ``samples`` with its CLT standard error."""
         J = len(samples)

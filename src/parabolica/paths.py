@@ -3,17 +3,16 @@
 Increments come from a counter-based generator: the normal draw for
 (path j, step n, component i) is a pure function of (seed, j, n, i),
 obtained by hashing the indices into a 64-bit state with a
-splitmix64-style finalizer, mapping the state to a uniform in (0,1),
-and applying the inverse normal CDF.  That CDF is a numpy port of Cephes
-``ndtri``, the algorithm ``scipy.special.ndtri`` runs, with its
-coefficients and operation order: its centre is scipy's to the bit, and
-a tail draw differs only where numpy's ``log`` and the C library's round
-differently.  Because nothing is sequential, the output is bit-identical
-however the work is chunked or threaded, and path block [0, J') of a
-larger batch equals the smaller batch.  Threads split the path axis
-through :func:`for_path_blocks`.  A block hashes its paths once, then
-draws one node's increments at a time in sub-blocks of at most
-``_SUB_BLOCK`` draws, so its transient memory stays a few MB.
+splitmix64-style finalizer and applying the Box-Muller transform to the
+state's two 32-bit words, read as uniforms in (0, 1).  Its bits rest on
+numpy's ``log``, ``sqrt`` and ``cos``, so they can differ between
+machines or numpy builds, never between runs of one build.  Because
+nothing is sequential, the output is bit-identical however the work is
+chunked or threaded, and path block [0, J') of a larger batch equals the
+smaller batch.  Threads split the path axis through
+:func:`for_path_blocks`.  A block hashes its paths once, then draws one
+node's increments at a time in sub-blocks of at most ``_SUB_BLOCK``
+draws, so its transient memory stays a few MB.
 
 Every consumer reads the batch one node at a time, so ``X`` and ``dW``
 are stored node-major, as (N+1, J, d) and (N, J, d) arrays, and exposed
@@ -71,42 +70,14 @@ _FOLD_SEED = _U(0x9E3779B185EBCA87)
 _FOLD_PATH = _U(0xC2B2AE3D27D4EB4F)
 _FOLD_STEP = _U(0x165667B19E3779F9)
 _FOLD_COMP = _U(0xD6E8FEB86659FD93)
-# Draws hashed per sub-block: its uint64 state and the inverse CDF's
+# Draws hashed per sub-block: its uint64 state and the transform's
 # temporaries (512 KB each, _SLAB_TEMPORARIES of them at once) stay in a
 # core's L2 cache, and they are all the transient memory a thread needs
 # to draw.  No bit depends on this size.
 _SUB_BLOCK = 1 << 16
-# Sub-block-sized arrays the inverse CDF holds at its peak: the hash state
-# (reused as y^2), the two polynomials, and the tails' indices, uniforms
-# and x0, which together fill less than one (the tails are about 27% of
-# the draws).
-_SLAB_TEMPORARIES = 4
-
-# Cephes ndtri (Moshier, Methods and Programs for Mathematical Functions,
-# 1989), the inverse normal CDF scipy.special runs, with its coefficients,
-# its Horner order and its branch tests.  P0/Q0 serve the centre
-# exp(-2) < u <= 1 - exp(-2) in y^2 = (u - 1/2)^2; P1/Q1 (x < 8) and
-# P2/Q2 (x >= 8) serve the tails in z = 1/x, x = sqrt(-2 log y), where y is
-# u or 1 - u.  Each Q's leading coefficient 1 is left out, as in Cephes.
-_EXP_M2 = 0.13533528323661269189
-_S2PI = 2.50662827463100050242
-_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
-       1.39312609387279679503e1, -1.23916583867381258016e0)
-_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
-       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
-       1.59056225126211695515e1, -1.18331621121330003142e0)
-_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
-       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
-       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
-_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
-       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
-       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
-       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
-       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
-_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
-       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
-       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+# Sub-block-sized arrays a draw holds at its peak: a node's hash, its extension
+# by component and a shift the finalizer forms (tracemalloc: 3.00 at d = 1).
+_SLAB_TEMPORARIES = 3
 
 
 @dataclass(frozen=True)
@@ -172,81 +143,25 @@ def _path_states(seed: int, j0: int, j1: int) -> np.ndarray:
         return _finalize(j ^ h_seed[0])
 
 
-def _ratio(x: np.ndarray, p, q, out: np.ndarray, den: np.ndarray) -> None:
-    """``out = x P(x) / Q(x)`` for a monic Q, in Cephes' ``polevl``/``p1evl`` order.
-
-    ``den`` is scratch of ``out``'s shape.
-    """
-    np.multiply(x, p[0], out=out)
-    for c in p[1:-1]:
-        out += c
-        out *= x
-    out += p[-1]
-    out *= x
-    np.add(x, q[0], out=den)
-    for c in q[1:]:
-        den *= x
-        den += c
-    out /= den
-
-
-def _ndtri(u: np.ndarray, work: np.ndarray) -> None:
-    """Cephes ``ndtri`` of the uniforms ``u`` in (0, 1), in place.
-
-    ``work`` is float scratch of ``u``'s shape.  The centre's formula runs
-    over the whole slab, then the tails, gathered by index into one
-    compressed array (a boolean gather and scatter cost five times as
-    much), overwrite their places.  An upper-tail ``1 - u`` is below
-    exp(-2), so the tails are where Cephes' second test ``y > exp(-2)``
-    fails.
-    """
-    tail = u > 1.0 - _EXP_M2
-    tail |= u <= _EXP_M2
-    tail = np.flatnonzero(tail)
-    t = u.take(tail)
-    upper = t > 1.0 - _EXP_M2
-    # The centre: (y + y y^2 P0(y^2) / Q0(y^2)) sqrt(2 pi) with y = u - 1/2.
-    np.subtract(u, 0.5, out=u)
-    np.multiply(u, u, out=work)
-    num, den = np.empty_like(u), np.empty_like(u)
-    _ratio(work, _P0, _Q0, num, den)
-    num *= u
-    u += num
-    u *= _S2PI
-    # The tails: x - log(x) / x - z P(z) / Q(z) with x = sqrt(-2 log y) and
-    # z = 1/x, negated where y is u rather than 1 - u.
-    np.subtract(1.0, t, out=t, where=upper)
-    np.log(t, out=t)
-    t *= -2.0
-    np.sqrt(t, out=t)
-    x = np.log(t)
-    x /= t
-    np.subtract(t, x, out=x)
-    far = t >= 8.0
-    np.divide(1.0, t, out=t)
-    x1 = num.reshape(-1)[:t.size]  # the centre's buffers serve the tails
-    _ratio(t, _P1, _Q1, x1, den.reshape(-1)[:t.size])
-    if far.any():
-        z = t[far]
-        x1f = np.empty_like(z)
-        _ratio(z, _P2, _Q2, x1f, np.empty_like(z))
-        x1[far] = x1f
-    x -= x1
-    np.negative(x, out=x, where=~upper)
-    u.put(tail, x)
-
-
 def _to_normal(h: np.ndarray, out: np.ndarray, scale: float) -> None:
-    """Map the 64-bit states ``h`` to N(0, scale^2) draws in ``out``; ``h`` is spent as scratch."""
-    # The top 53 bits k give the uniform (k + 0.5) 2^-53, which rounds to
-    # exactly 1.0 at k = 2^53 - 1 alone; the clamp moves that one state to
-    # the largest double below 1, so every uniform lies strictly inside
-    # (0, 1) and the inverse CDF stays finite.
-    h >>= _U(11)
+    """Map the 64-bit states ``h`` to N(0, scale^2) draws in ``out``; ``h`` is spent as scratch.
+
+    Box-Muller: each 32-bit word k gives a uniform (k + 1/2) 2^-32 strictly
+    inside (0, 1), the high word's u the radius sqrt(-2 ln u) and the low
+    word's the angle 2 pi u, so every |draw| / scale is at most sqrt(66 ln 2).
+    """
+    low = h & _U(0xFFFFFFFF)
+    h >>= _U(32)
     np.add(h, 0.5, out=out)
-    out *= 2.0**-53
-    np.minimum(out, 1.0 - 2.0**-53, out=out)
-    _ndtri(out, h.view(np.float64))
+    out *= 2.0**-32
+    np.log(out, out=out)
+    out *= -2.0
+    np.sqrt(out, out=out)
+    angle = h.view(np.float64)
+    np.add(low, 0.5, out=angle)
+    angle *= 2.0 * math.pi * 2.0**-32
+    np.cos(angle, out=angle)
+    out *= angle
     out *= scale
 
 
@@ -263,7 +178,7 @@ def _draw_node(out: np.ndarray, states: np.ndarray, n: int, scale: float) -> Non
         for a in range(0, count, rows):
             b = min(a + rows, count)
             h = _finalize(states[a:b, None] ^ node)
-            h = _finalize(h ^ comps)  # frees the (rows, 1) state before the inverse CDF
+            h = _finalize(h ^ comps)  # frees the (rows, 1) state before the transform
             _to_normal(h, out[a:b], scale)
 
 
@@ -431,8 +346,8 @@ def draw_bytes(J: int, d: int, threads: int) -> int:
     """Bytes of the scratch that drawing one node's (J, d) increments holds at once.
 
     Each of the ``min(threads, J)`` path blocks draws sub-blocks of at most
-    ``_SUB_BLOCK`` draws, and the inverse CDF holds ``_SLAB_TEMPORARIES``
-    sub-block-sized float arrays at its peak.
+    ``_SUB_BLOCK`` draws, and holds at most ``_SLAB_TEMPORARIES``
+    sub-block-sized arrays at once.
     """
     return 8 * _SLAB_TEMPORARIES * d * min(J, threads * max(1, _SUB_BLOCK // d))
 

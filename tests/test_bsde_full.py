@@ -707,8 +707,8 @@ class TestStream:
             # nodes fit on every path (fewer alive than basis functions) or
             # have none alive.
             spec = dataclasses.replace(TestNodeHamiltonians._domain_control_spec(),
-                                       domain=model.Box(np.array([0.9]), np.array([1.1])))
-            N, J, solve = 12, 60, backward_solve_2bsde
+                                       domain=model.Box(np.array([0.92]), np.array([1.08])))
+            N, J, solve = 16, 60, backward_solve_2bsde
         elif case == "boundary_heat":
             spec, N, J, solve = model.catalog_get(case), 16, 4000, backward_solve_semilinear
         else:

@@ -808,6 +808,63 @@ class TestExitCodes:
         assert err.startswith("parabolica: exit=1 error=ConfigError detail=a linear run "
                               "needs 8000610131072 bytes")
 
+    # A payoff of about 1e300 on every path: finite samples whose sample
+    # variance overflows.
+    HUGE = {"dim": 1, "horizon": 1, "mu": ["0"], "sigma": [["1"]], "g": "x[0]^2",
+            "dg": ["2*x[0]"], "f": "-0.5*gamma[0][0]", "linear": {}, "x0": [1e150]}
+
+    @pytest.mark.parametrize("command", ["simulate", "solve-linear", "solve-semilinear",
+                                         "solve-2bsde", "solve-hjb"])
+    def test_a_non_finite_estimate_exits_2_without_artifacts(self, tmp_path, capsys, recwarn,
+                                                             command):
+        problem = self.HUGE
+        if command == "solve-hjb":
+            problem = {k: v for k, v in self.HUGE.items() if k != "linear"}
+            problem.update(f=None, control=dict(self.CONTROL, a=[["u[0]"]]))
+        assert _run(tmp_path, command, {"problem": problem, "J": 100, "N": 4}) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("parabolica: exit=2 error=NonFinite detail=non-finite estimate: "
+                              "value ")
+        assert err.endswith("e+299, stderr inf\n")
+        assert not (tmp_path / "out").exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_an_overflowing_terminal_hessian_is_one_line(self, tmp_path, capsys, recwarn):
+        problem = {k: v for k, v in self.HUGE.items() if k != "dg"}
+        cfg = {"problem": dict(problem, x0=[1e154]), "J": 100, "N": 4}
+        assert _run(tmp_path, "solve-2bsde", cfg) == 2
+        err = capsys.readouterr().err
+        assert err == "parabolica: exit=2 error=NonFinite detail=non-finite terminal Hessian\n"
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("command, problem", [
+        ("solve-semilinear", "semilinear_exp"),
+        ("solve-2bsde", "bsb_uncertain_vol"),
+        ("solve-hjb", "hjb_uncertain_vol"),
+    ])
+    def test_fewer_paths_than_basis_functions_are_refused_before_simulating(
+        self, tmp_path, capsys, monkeypatch, command, problem
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("euler_simulate must not run")
+
+        monkeypatch.setattr(cli, "euler_simulate", never)
+        assert _run(tmp_path, command, {"problem": problem, "J": 2, "N": 4}) == 1
+        err = capsys.readouterr().err
+        assert err == ("parabolica: exit=1 error=ConfigError detail=J = 2 paths cannot support "
+                       "the 3 basis functions every backward step fits\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_an_artifact_write_failure_is_one_line_naming_its_type(self, tmp_path, capsys):
+        taken = tmp_path / "out"
+        taken.write_text("a file, not a directory")
+        assert _run(tmp_path, "solve-linear", HEAT_LINEAR) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("parabolica: exit=1 error=FileExistsError detail=")
+        assert taken.read_text() == "a file, not a directory"
+
 
 class TestMemoryEstimate:
     def test_a_backward_estimate_grows_with_the_grid_by_the_batch_only(self):
@@ -1037,7 +1094,7 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, f"imported: {proc.stderr}"
 
     def test_runs_leave_scipy_unloaded(self, tmp_path):
-        # The inverse normal CDF is the package's own, and no subcommand calls
+        # The normal draws are the package's own, and no subcommand calls
         # verify.estimate_rate, the one library function that loads scipy.
         # The build version is the package's own too, so importlib.metadata
         # (about 15 ms with email, csv and more) stays unloaded.
