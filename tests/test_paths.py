@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import math
 import tracemalloc
 
 import numpy as np
@@ -155,6 +156,83 @@ class TestIncrements:
         finally:
             tracemalloc.stop()
         assert peak < out.nbytes + 4 * 2**20
+
+
+def box_muller(h: int) -> float:
+    """The Box-Muller draw of one 64-bit state, in Python floats with the C library's log and cos."""
+    k, low = h >> 32, h & 0xFFFFFFFF
+    r = math.sqrt(-2.0 * math.log((k + 0.5) * 2.0**-32))
+    return r * math.cos((low + 0.5) * (2.0 * math.pi * 2.0**-32))
+
+
+def kernel_draws(h) -> np.ndarray:
+    """The package's N(0, 1) draws of the 64-bit states ``h``."""
+    h = np.array(h, dtype=np.uint64)
+    out = np.empty(h.shape)
+    paths._to_normal(h, out, 1.0)
+    return out
+
+
+def states(high, low) -> np.ndarray:
+    """The 64-bit states with high words ``high`` and low words ``low``."""
+    return (np.asarray(high, dtype=np.uint64) << np.uint64(32)) | np.asarray(low, dtype=np.uint64)
+
+
+class TestBoxMuller:
+    """The in-package transform against its formula and its symmetries.
+
+    numpy's vectorized ``log`` and ``cos`` may round differently from the C
+    library's, so the kernel and the scalar formula agree to a few ulps of
+    the radius, not to the bit.
+    """
+
+    # A few ulps of a draw's radius: r cos(theta) with r and cos each off by
+    # at most a couple of ulps.
+    ULPS = 8 * 2.0**-52
+
+    def test_draws_are_the_formula_on_the_generators_states(self):
+        h = paths._path_states(7, 0, 1 << 16)
+        got = kernel_draws(h)
+        want = np.array([box_muller(int(v)) for v in h])
+        radius = np.sqrt(-2.0 * np.log(((h >> np.uint64(32)) + 0.5) * 2.0**-32))
+        assert np.all(np.abs(got - want) <= self.ULPS * radius)
+
+    def test_a_half_turn_of_the_low_word_negates_the_draw(self):
+        # low and low + 2^31 put the angles pi apart, so every draw has its
+        # negative in the state space and the draws are symmetric about 0.
+        rng = np.random.default_rng(5)
+        high = rng.integers(0, 2**32, 4096, dtype=np.uint64)
+        low = rng.integers(0, 2**31, 4096, dtype=np.uint64)
+        a = kernel_draws(states(high, low))
+        b = kernel_draws(states(high, low + np.uint64(2**31)))
+        np.testing.assert_allclose(b, -a, rtol=0, atol=1e-13)
+
+    def test_mirrored_low_words_give_equal_draws(self):
+        # low and 2^32 - 1 - low give the angles theta and 2 pi - theta,
+        # whose cosines agree.
+        rng = np.random.default_rng(6)
+        high = rng.integers(0, 2**32, 4096, dtype=np.uint64)
+        low = rng.integers(0, 2**32, 4096, dtype=np.uint64)
+        a = kernel_draws(states(high, low))
+        b = kernel_draws(states(high, np.uint64(2**32 - 1) - low))
+        np.testing.assert_allclose(b, a, rtol=0, atol=1e-13)
+
+    def test_the_radius_falls_as_the_high_word_rises(self):
+        # With the low word 0 the angle is 2 pi 2^-33, whose cosine is all
+        # but 1: each draw is its radius, which falls strictly with k down
+        # to sqrt(-2 ln(1 - 2^-33)) > 0 at the top word.
+        high = [0, 1, 2, 3, 1000, 2**20, 2**31 - 1, 2**31, 2**32 - 3, 2**32 - 2, 2**32 - 1]
+        got = kernel_draws(states(high, [0] * len(high)))
+        assert got[0] == pytest.approx(SQRT_66_LN_2, rel=self.ULPS, abs=0)
+        assert np.all(np.diff(got) < 0) and got[-1] > 0
+
+    @pytest.mark.parametrize("scale", [0.25, 2.0**-7])
+    def test_scale_multiplies_every_draw(self, scale):
+        h = paths._path_states(11, 0, 4096)
+        unit = kernel_draws(h)
+        out = np.empty(h.shape)
+        paths._to_normal(h.copy(), out, scale)
+        np.testing.assert_array_equal(out, scale * unit)
 
 
 class TestRngAudit:
