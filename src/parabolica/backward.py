@@ -55,14 +55,15 @@ Gamma solves and the half-trace ``sum_i sigma_ii^2 gamma_ii``
 ``sigma sigma'`` is formed only for a ``sigma`` with an off-diagonal
 entry.  When the problem carries a control (``spec.control``), ``f`` is
 not called: the node's :class:`hjb.NodeHamiltonian` evaluates every grid
-control's coefficients once, into (G, J) arrays over the G grid
-controls: ``base`` and ``beta`` of ``H = base + beta*y``.  When the
-control problem has no discount rate (``beta`` is None), H does not
-depend on ``y``, so the node holds only ``base`` and its maximum, and
-every Picard sweep reads ``-max`` from them; otherwise each sweep forms
-``base + beta*y`` at its ``y``.  After ``Y`` is set the same object gives the
-node's mean maximizing control (``BackwardSolution.control_means``), so
-no second pass re-evaluates them.
+control's coefficients once, ``base`` and ``beta`` of ``H = base +
+beta*y``.  With a discount rate they fill (G, J) arrays over the G grid
+controls and each Picard sweep forms ``base + beta*y`` at its ``y``.
+When the control problem has none (``beta`` is None), H does not depend
+on ``y``: the node merges each control's ``base`` into a running (J,)
+maximum and first argmax as it goes, holds no (G, J) array, and every
+Picard sweep reads ``-max`` from it.  After ``Y`` is set the same object
+gives the node's mean maximizing control
+(``BackwardSolution.control_means``), so no second pass re-evaluates them.
 
 The sweep streams.  Each step is a function that builds node n-1's
 ``(Y, Z, Gamma)`` columns from node n's and frees the rest of what it

@@ -299,14 +299,17 @@ class _StepRows:
     def __call__(self, n: int, y, z=None, gamma=None) -> None:
         d = self._batch.dim
         t_n = self._times[n]
-        row = [str(n), _fmt(t_n), _fmt(y.mean())]
-        if self._analytic is not None:
-            err = y - self._analytic.value(t_n, self._batch.X[:, n])
-            row.append(_fmt(np.sqrt(np.mean(err * err))))
-        if z is not None:
-            row += [_fmt(z[:, k].mean()) for k in range(d)]
-        if gamma is not None:
-            row += [_fmt(gamma[:, a, b].mean()) for a in range(d) for b in range(d)]
+        # Means of finite columns near the top of the double range can
+        # overflow; a run that fails for it is reported by its own checks.
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = [str(n), _fmt(t_n), _fmt(y.mean())]
+            if self._analytic is not None:
+                err = y - self._analytic.value(t_n, self._batch.X[:, n])
+                row.append(_fmt(np.sqrt(np.mean(err * err))))
+            if z is not None:
+                row += [_fmt(z[:, k].mean()) for k in range(d)]
+            if gamma is not None:
+                row += [_fmt(gamma[:, a, b].mean()) for a in range(d) for b in range(d)]
         self._rows[n] = ",".join(row)
 
     def csv(self) -> bytes:
@@ -361,11 +364,15 @@ def _array_bytes(config: RunConfig, spec) -> int:
     fit and unsymmetrized solve (semilinear: the zero Hessian); sigma
     sigma'; the Z fit; and ten value columns (Y fit, mu'z, half trace,
     last Picard correction, pathwise functional, five for the driver).  An
-    hjb node adds its k control columns and, over the G grid points, its
-    (G, J) ``base``, a (G, J) boolean mask and the copy ``np.argmax``
-    makes of it, and, with a discount rate, the (G, J) ``beta`` and
-    objective.  Both passes stream their nodes, so neither adds a (J, N+1)
-    term.
+    hjb node adds its k control columns and, with a discount rate, over
+    the G grid points its (G, J) ``base``, ``beta`` and objective and a
+    (G, J) boolean mask with the copy ``np.argmax`` makes of it.  Without
+    one it holds no (G, J) array: its running maximum, the candidate
+    control's row, the mask and the grid index with its step buffer (of
+    the smallest unsigned type holding G - 1), and one control's
+    coefficient temporaries: ``a`` and, for the trace, ``a a'`` (d^2
+    columns each), ``b`` (d) and three value columns.  Both passes
+    stream their nodes, so neither adds a (J, N+1) term.
     """
     J, N, d = config.J, config.N, spec.dim
     keeps = _keeps_increments(config)
@@ -393,8 +400,12 @@ def _array_bytes(config: RunConfig, spec) -> int:
     if config.scheme == "hjb":
         cp = spec.control
         G = cp.resolution ** cp.control_dim
-        floats = 1 if cp.beta is None else 3
-        later += 8 * J * cp.control_dim + (floats * 8 + 2) * G * J
+        later += 8 * J * cp.control_dim
+        if cp.beta is None:
+            index = np.min_scalar_type(G - 1).itemsize
+            later += 8 * J * (2 + 2 * d * d + d + 3) + J * (1 + 2 * index)
+        else:
+            later += (3 * 8 + 2) * G * J
     return total + max(euler, later)
 
 

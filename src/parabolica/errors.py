@@ -77,7 +77,3 @@ class MissingAnalyticV(ParabolicaError):
 
 class CflViolation(ParabolicaError):
     """An explicit finite-difference grid violates its stability bound."""
-
-
-class DegenerateInput(ParabolicaError):
-    """Input data is too degenerate for the requested estimate."""

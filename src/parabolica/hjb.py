@@ -28,7 +28,9 @@ always coherent.  One kernel, shared by :func:`hamiltonian` and
 :class:`NodeHamiltonian`, evaluates each grid control's H as ``base +
 beta*y``, ``base = (alpha + b'z) + 1/2 Tr[a a' gamma]``.  A term that is
 zero by construction is absent (None) and costs nothing; without
-``beta``, H does not depend on ``y``.
+``beta``, H does not depend on ``y``, and a node reduces the grid to its
+running maximum and first argmax as it fills it, holding (J,) columns
+only.
 """
 
 from __future__ import annotations
@@ -133,30 +135,68 @@ def hamiltonian(cp: ControlProblem, t, x, y, z, gamma, u) -> np.ndarray:
         return base if beta is None else base + beta * np.asarray(y, dtype=np.float64)
 
 
+def _grid_max(cp: ControlProblem, t, x, z, gamma, grid) -> tuple:
+    """Per path, the maximum of H over ``grid`` and the first grid index attaining it.
+
+    For an H free of ``y``.  Each control's ``base`` fills one reused (J,)
+    row that is merged into the running maximum at once, so no (G, J)
+    array is held.  ``np.maximum`` row by row is the reduction ``np.max``
+    makes along the grid axis, with its bits, and the strict ``>`` keeps
+    the first of tied controls, as ``np.argmax`` does.  The index takes
+    the smallest unsigned type holding G - 1, whose multiply and maximum
+    cost a fraction of a float merge.  A column whose maximum is NaN
+    takes ``np.argmax``'s first NaN: those rows alone are evaluated again
+    over the grid, into a (G, rows) array.
+    """
+    J = len(x)
+    best, cand = np.empty(J), np.empty(J)
+    better = np.empty(J, dtype=bool)
+    codes = np.arange(len(grid), dtype=np.min_scalar_type(len(grid) - 1))
+    index, step = np.zeros(J, dtype=codes.dtype), np.empty(J, dtype=codes.dtype)
+    with np.errstate(invalid="ignore", over="ignore"):
+        _control_terms(cp, t, x, z, gamma, grid[0], best)
+        for g in range(1, len(grid)):
+            _control_terms(cp, t, x, z, gamma, grid[g], cand)
+            np.greater(cand, best, out=better)
+            np.multiply(better, codes[g], out=step)
+            np.maximum(index, step, out=index)
+            np.maximum(best, cand, out=best)
+        rows = np.flatnonzero(np.isnan(best))
+        if rows.size:
+            values = np.empty((len(grid), rows.size))
+            for g, u in enumerate(grid):
+                _control_terms(cp, t, x[rows], z[rows], gamma[rows], u, values[g])
+            index[rows] = np.argmax(values, axis=0)
+    return best, index
+
+
 class NodeHamiltonian:
     """H at every grid control for one batch of ``(t, x, z, gamma)``.
 
     Each grid control's ``base`` and ``beta`` (:func:`_control_terms`,
-    the kernel of :func:`hamiltonian`) are filled once, into (G, J)
-    arrays over the G grid controls; :meth:`f` and :meth:`argmax` form
-    ``base + beta*y`` at each ``y`` as :func:`hamiltonian` does, with its
-    bits.  Without ``cp.beta`` the node is y-free: it holds no ``beta``
-    array and keeps ``base`` and its column maximum, which every ``y``
-    reads.  There a ``y`` that is not all finite raises NonFinite from
-    :meth:`f` and :meth:`argmax`, as it would make a discounted node's
-    values NaN.
+    the kernel of :func:`hamiltonian`) are evaluated once per node, and
+    :meth:`f` and :meth:`argmax` give ``-max`` and the first maximizer of
+    ``base + beta*y`` with the bits of :func:`hamiltonian`.  With
+    ``cp.beta``, ``base`` and ``beta`` fill (G, J) arrays over the G grid
+    controls and each ``y`` forms its objective from them.  Without it
+    the node is y-free: it keeps only the per-path maximum of ``base``
+    and the first grid control attaining it, found as the grid is filled
+    (:func:`_grid_max`), which every ``y`` reads.  There a ``y`` that is
+    not all finite raises NonFinite from :meth:`f` and :meth:`argmax`, as
+    it would make a discounted node's values NaN.
     """
 
     def __init__(self, cp: ControlProblem, t, x, z, gamma):
         self.grid = cp.grid()
+        if cp.beta is None:
+            self._beta = None
+            self._best, self._index = _grid_max(cp, t, x, z, gamma, self.grid)
+            return
         self._base = base = np.empty((len(self.grid), len(x)))
-        self._beta = None if cp.beta is None else np.empty_like(base)
+        self._beta = np.empty_like(base)
         with np.errstate(invalid="ignore", over="ignore"):
             for g, u in enumerate(self.grid):
-                beta = _control_terms(cp, t, x, z, gamma, u, base[g])
-                if beta is not None:
-                    self._beta[g] = beta
-        self._best = np.max(base, axis=0) if self._beta is None else None
+                self._beta[g] = _control_terms(cp, t, x, z, gamma, u, base[g])
 
     def _values(self, y) -> np.ndarray:
         with np.errstate(invalid="ignore", over="ignore"):
@@ -164,18 +204,18 @@ class NodeHamiltonian:
             values += self._base
         return values
 
-    def _objective(self, y) -> tuple:
-        """The (G, J) objective at ``y`` and its column maximum."""
-        if self._beta is not None:
-            values = self._values(y)
-            return values, np.max(values, axis=0)
+    def _require_finite(self, y) -> None:
+        """A y-free node refuses a ``y`` that is not all finite."""
         if not np.all(np.isfinite(y)):
             raise NonFinite("control objective evaluated non-finite")
-        return self._base, self._best
 
     def f(self, y) -> np.ndarray:
         """``-max_u H(u)`` per path; raises NonFinite when a maximum is not finite."""
-        best = self._objective(y)[1]
+        if self._beta is None:
+            self._require_finite(y)
+            best = self._best
+        else:
+            best = np.max(self._values(y), axis=0)
         if not np.all(np.isfinite(best)):
             raise NonFinite("control objective evaluated non-finite")
         return -best
@@ -183,12 +223,16 @@ class NodeHamiltonian:
     def argmax(self, y) -> np.ndarray:
         """The first grid control attaining the maximum, per path: (J, control_dim).
 
-        The first row equal to a finite column maximum is the one
-        ``np.argmax`` picks, found on a boolean array in place of
-        ``np.argmax``'s transposed float copy; a column whose maximum is
-        NaN takes ``np.argmax``'s first NaN.
+        On a discounted node, the first row equal to a finite column
+        maximum is the one ``np.argmax`` picks, found on a boolean array
+        in place of ``np.argmax``'s transposed float copy; a column whose
+        maximum is NaN takes ``np.argmax``'s first NaN, on either node.
         """
-        values, best = self._objective(y)
+        if self._beta is None:
+            self._require_finite(y)
+            return self.grid[self._index]
+        values = self._values(y)
+        best = np.max(values, axis=0)
         if np.all(np.isfinite(best)):
             return self.grid[np.argmax(values == best, axis=0)]
         return self.grid[np.argmax(values, axis=0)]

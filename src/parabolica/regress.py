@@ -273,30 +273,32 @@ def fit(states, targets, basis: BasisSpec) -> RegressionFit:
     # The constant column of the polynomial basis is never penalized,
     # which pins the fitted mean to the sample mean for any ridge strength.
     penalized = np.arange(1 if basis.kind == "polynomial" else 0, p)
-    if dsg.gram is not None:
-        # The normal equations (phi'phi + ridge I_pen) c = phi'y, where
-        # I_pen is the identity on the penalized columns.
-        A = dsg.gram
-        if ridge > 0.0:
-            A = A.copy()
-            A[penalized, penalized] += ridge
-        coef = np.linalg.solve(A, dsg.phi.T @ y)
-    else:
-        # With phi = q r, ||phi c - y||^2 = ||r c - q'y||^2 + (a term free
-        # of c), so the p x p triangle stands in for the J x p design; the
-        # ridge appends sqrt(ridge) I_pen rows.
-        A, B = dsg.r, dsg.q.T @ y
-        if ridge > 0.0:
-            aug = np.zeros((len(penalized), p))
-            aug[np.arange(len(penalized)), penalized] = np.sqrt(ridge)
-            A = np.vstack([A, aug])
-            B = np.vstack([B, np.zeros((len(penalized), y.shape[1]))])
-        coef, *_ = np.linalg.lstsq(A, B, rcond=None)
-
-    if basis.kind == "piecewise_constant":
-        # Bins that saw no data predict the global mean instead of 0.
-        counts = dsg.phi.sum(axis=0)
-        coef[counts == 0] = y.mean(axis=0)
+    # Finite targets near the top of the double range can overflow the
+    # products; the coefficients' finiteness check below reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if dsg.gram is not None:
+            # The normal equations (phi'phi + ridge I_pen) c = phi'y, where
+            # I_pen is the identity on the penalized columns.
+            A = dsg.gram
+            if ridge > 0.0:
+                A = A.copy()
+                A[penalized, penalized] += ridge
+            coef = np.linalg.solve(A, dsg.phi.T @ y)
+        else:
+            # With phi = q r, ||phi c - y||^2 = ||r c - q'y||^2 + (a term free
+            # of c), so the p x p triangle stands in for the J x p design; the
+            # ridge appends sqrt(ridge) I_pen rows.
+            A, B = dsg.r, dsg.q.T @ y
+            if ridge > 0.0:
+                aug = np.zeros((len(penalized), p))
+                aug[np.arange(len(penalized)), penalized] = np.sqrt(ridge)
+                A = np.vstack([A, aug])
+                B = np.vstack([B, np.zeros((len(penalized), y.shape[1]))])
+            coef, *_ = np.linalg.lstsq(A, B, rcond=None)
+        if basis.kind == "piecewise_constant":
+            # Bins that saw no data predict the global mean instead of 0.
+            counts = dsg.phi.sum(axis=0)
+            coef[counts == 0] = y.mean(axis=0)
 
     if not np.all(np.isfinite(coef)):
         raise NonFinite("regression produced non-finite coefficients")

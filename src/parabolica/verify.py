@@ -1,10 +1,9 @@
 """Independent oracles for the backward solvers.
 
-Three instruments live here: a one-dimensional explicit finite-difference
+Two instruments live here: a one-dimensional explicit finite-difference
 solver for the terminal-value problem (monotone under its CFL bound, so it
-inherits a discrete comparison principle), a pathwise residual check that
-plugs an analytic solution into the discretized backward system, and a
-log-log rate fitter for convergence studies.
+inherits a discrete comparison principle), and a pathwise residual check
+that plugs an analytic solution into the discretized backward system.
 
 The residual check reconstructs the fourth process of the backward system
 as ``A = L Dv`` with ``L = d/dt + (1/2) Tr[sigma sigma' D^2]`` applied to
@@ -24,7 +23,6 @@ import numpy as np
 from .errors import (
     CflViolation,
     ConfigError,
-    DegenerateInput,
     DimensionMismatch,
     MissingAnalyticV,
     NonFinite,
@@ -35,9 +33,7 @@ from .paths import PathBatch, TimeGrid, batch_bytes, euler_simulate
 __all__ = [
     "FdGrid",
     "FdSolution",
-    "RateEstimate",
     "diffusion_slope",
-    "estimate_rate",
     "fd_solve_1d",
     "twobsde_residuals",
     "verify_problem",
@@ -286,45 +282,6 @@ def twobsde_residuals(spec: ProblemSpec, batch: PathBatch) -> dict:
         "r2_aggregate": math.sqrt(r2_sq_total / max(r2_count, 1)),
         "terminal_gap": terminal_gap,
     }
-
-
-# ---------------------------------------------------------------------------
-# rate estimation
-
-
-@dataclass(frozen=True)
-class RateEstimate:
-    slope: float
-    half_width: float
-    intercept: float
-
-
-def estimate_rate(errors: Sequence) -> RateEstimate:
-    """Least-squares slope of log e against log h with a 95% half-width."""
-    # Imported here, so that only this function loads scipy.
-    from scipy.special import stdtrit
-
-    arr = np.asarray(list(errors), dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
-        raise DegenerateInput("rate estimation needs at least 3 (h, e) pairs")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise DegenerateInput("step sizes and errors must be positive and finite")
-    log_h, log_e = np.log(arr[:, 0]), np.log(arr[:, 1])
-    if np.all(log_h == log_h[0]):
-        raise DegenerateInput("rate estimation needs at least two distinct step sizes")
-    # The centered-moment formulas of an ordinary least-squares line fit.
-    ssxm, ssxym, _, ssym = np.cov(log_h, log_e, bias=True).flat
-    slope = ssxym / ssxm
-    intercept = np.mean(log_e) - slope * np.mean(log_h)
-    if ssym == 0.0:
-        r = np.nan if ssxym == 0.0 else 0.0
-    else:
-        r = min(1.0, max(-1.0, ssxym / np.sqrt(ssxm * ssym)))
-    dof = arr.shape[0] - 2
-    stderr = np.sqrt((1.0 - r**2) * ssym / ssxm / dof)
-    quantile = float(stdtrit(dof, 0.975))
-    half = float(stderr) * quantile if np.isfinite(stderr) else 0.0
-    return RateEstimate(slope=float(slope), half_width=half, intercept=float(intercept))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from parabolica.backward import backward_solve_2bsde, backward_solve_semilinear,
 from parabolica.errors import ConfigError
 from parabolica.linear_fk import LinearCoefficients, feynman_kac_estimate
 from parabolica.regress import BasisSpec, fit, multi_indices, predict
-from parabolica.verify import FdGrid, estimate_rate, fd_solve_1d, twobsde_residuals
+from parabolica.verify import FdGrid, fd_solve_1d, twobsde_residuals
+from rate_fit import estimate_rate
 
 BASIS2 = BasisSpec(kind="polynomial", degree=2)
 

@@ -838,6 +838,26 @@ class TestExitCodes:
         assert err == "parabolica: exit=2 error=NonFinite detail=non-finite terminal Hessian\n"
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    # Finite per-path values whose sums overflow: about 1e308 on every path
+    # (a rank-deficient design, which regress factors by QR) and up to 1e307
+    # on paths spread around 0 (a well-conditioned one, solved by its Gram
+    # matrix).
+    OVERFLOWING_SUMS = {
+        "qr": dict(HUGE, x0=[1e154]),
+        "gram": dict(HUGE, g="1e307*exp(-x[0]^2)", dg=["-2*x[0]*(1e307*exp(-x[0]^2))"],
+                     x0=[0.0]),
+    }
+
+    @pytest.mark.parametrize("route", ["qr", "gram"])
+    @pytest.mark.parametrize("command", ["solve-linear", "solve-semilinear", "solve-2bsde"])
+    def test_overflowing_sums_are_one_line(self, tmp_path, capsys, recwarn, command, route):
+        cfg = {"problem": self.OVERFLOWING_SUMS[route], "J": 100, "N": 4}
+        assert _run(tmp_path, command, cfg) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("parabolica: exit=2 error=NonFinite detail=")
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("command, problem", [
         ("solve-semilinear", "semilinear_exp"),
         ("solve-2bsde", "bsb_uncertain_vol"),
@@ -889,17 +909,20 @@ class TestMemoryEstimate:
         cfg = {"problem": "hjb_uncertain_vol", "scheme": "hjb", "J": J, "N": N}
         estimate = cli._array_bytes(cli.RunConfig.from_dict(cfg), spec)
         batch = 8 * (J * (N + 1) * d + J * N * d + J)
+        step = cli._RUN_OVERHEAD_BYTES + batch + 8 * J * (2 * 3 + 2 * 3 + 18)
         # The 2BSDE step of d = 1 and p = 3, then the control column and,
-        # over G = 21 grid points, base (8 bytes) and the argmax mask with
-        # its copy (1 byte each): the catalog control has no discount rate.
+        # whatever G, the catalog control's y-free reduction: the running
+        # maximum, the candidate row and one control's temporaries (a and
+        # a a', b and three value columns) in floats, the mask, and the
+        # grid index with its step buffer in uint8, which holds G - 1 = 20.
+        assert estimate == step + 8 * J * 1 + 8 * J * (2 + 2 + 1 + 3) + J * (1 + 2)
+        # A discount rate holds base, beta and the objective over the
+        # G = 21 grid points, and the argmax mask with its copy.
         G = 21
-        assert estimate == (cli._RUN_OVERHEAD_BYTES + batch + 8 * J * (2 * 3 + 2 * 3 + 18)
-                            + 8 * J * 1 + (8 + 2) * G * J)
-        # A discount rate adds beta and the objective over the grid.
         cfg["problem"] = self.X_DEPENDENT
         discounted = cli._array_bytes(cli.RunConfig.from_dict(cfg),
                                       model.problem_from_dict(self.X_DEPENDENT))
-        assert discounted == estimate + 2 * 8 * G * J
+        assert discounted == step + 8 * J * 1 + (3 * 8 + 2) * G * J
 
     X_DEPENDENT = {
         "dim": 1, "horizon": 1.0, "mu": ["0"], "sigma": [["0.15*x[0]"]],
@@ -907,6 +930,16 @@ class TestMemoryEstimate:
         "control": {"control_dim": 1, "lower": [0.1], "upper": [0.2],
                     "alpha": "0.01*u[0]*x[0]^2", "beta": "-0.01*u[0]*x[0]^2",
                     "b": ["0.01*u[0]*x[0]"], "a": [["u[0]*x[0]"]]},
+    }
+
+    # A y-free control of two coordinates on a 21 x 21 grid (G = 441).
+    Y_FREE_K2 = {
+        "dim": 2, "horizon": 1.0, "mu": ["0", "0"],
+        "sigma": [["0.15*x[0]", "0"], ["0", "0.15*x[1]"]],
+        "g": "x[0]^2 + x[1]^2", "dg": ["2*x[0]", "2*x[1]"], "x0": [1.0, 1.0],
+        "control": {"control_dim": 2, "lower": [0.1, 0.1], "upper": [0.2, 0.2],
+                    "resolution": 21, "alpha": "0.01*u[0]*x[0]", "b": ["0.01*u[1]*x[0]", "0"],
+                    "a": [["u[0]*x[0]", "0"], ["0", "u[1]*x[1]"]]},
     }
 
     LINEAR_D2 = {
@@ -925,6 +958,7 @@ class TestMemoryEstimate:
     @pytest.mark.parametrize("command, problem, J, N, threads", [
         ("solve-hjb", "hjb_uncertain_vol", 4000, 16, 2),
         ("solve-hjb", X_DEPENDENT, 4000, 16, 2),
+        ("solve-hjb", Y_FREE_K2, 2000, 4, 2),
         ("solve-2bsde", "bsb_uncertain_vol", 4000, 16, 2),
         ("solve-linear", "gbm_linear", 20_000, 4, 2),
         ("solve-linear", "heat", 20_000, 4, 2),
@@ -934,10 +968,11 @@ class TestMemoryEstimate:
         ("solve-linear", LINEAR_BOX, 20_000, 16, 2),
         ("solve-linear", "gbm_linear", 64, 1, 16),
         ("simulate", "gbm_linear", 20_000, 1, 2),
-    ], ids=["hjb-catalog", "hjb-x-dependent", "2bsde", "linear", "linear-heat", "linear-5e3",
+    ], ids=["hjb-catalog", "hjb-x-dependent", "hjb-y-free-k2", "2bsde", "linear", "linear-heat", "linear-5e3",
             "linear-2e3", "linear-d2", "linear-box", "linear-64-t16", "simulate-n1"])
     def test_a_run_holds_at_most_its_estimate(self, tmp_path, command, problem, J, N, threads):
-        # The x-dependent control widens all four node terms to (G, J).
+        # The x-dependent control widens all four node terms to (G, J);
+        # the y-free one at G = 441 holds (J,) columns only.
         # At N = 4 the linear pass's working columns are half of its peak,
         # and at J = 2e3 the run's fixed overhead is a third.  At d = 2
         # Euler's full sigma outweighs the linear pass.  At J = 64 on 16
@@ -1094,8 +1129,8 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, f"imported: {proc.stderr}"
 
     def test_runs_leave_scipy_unloaded(self, tmp_path):
-        # The normal draws are the package's own, and no subcommand calls
-        # verify.estimate_rate, the one library function that loads scipy.
+        # The normal draws are the package's own, and the package does not
+        # depend on scipy; only the tests' oracles load it.
         # The build version is the package's own too, so importlib.metadata
         # (about 15 ms with email, csv and more) stays unloaded.
         runs = [("solve-hjb", "hjb_uncertain_vol"), ("solve-2bsde", "bsb_uncertain_vol"),

@@ -1,11 +1,13 @@
 """Tests for the control-problem generator and control extraction."""
 
+import dataclasses
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from parabolica import hjb
 from parabolica.backward import screen_driver
 from parabolica.errors import ConfigError, MissingGamma, NonFinite
 from parabolica.hjb import (
@@ -281,6 +283,70 @@ class TestYFreeNode:
         with pytest.raises(NonFinite, match="^control objective evaluated non-finite$"):
             node.f(y)
 
+    @pytest.mark.parametrize("resolution", [11, 21], ids=["G121", "G441"])
+    def test_a_fine_grid_matches_hamiltonian_bit_for_bit(self, resolution):
+        # The first four paths have x, z and gamma zero: every control ties there.
+        cp = dataclasses.replace(self.problem(), resolution=resolution)
+        x, y, z, gam = self.states(9)
+        x[:4], z[:4], gam[:4] = 0.0, 0.0, 0.0
+        node = NodeHamiltonian(cp, 0.3, x, z, gam)
+        ref_f, ref_u = self.reference(cp, x, y, z, gam)
+        np.testing.assert_array_equal(_bits(node.f(y)), _bits(ref_f))
+        np.testing.assert_array_equal(node.argmax(y), ref_u)
+        np.testing.assert_array_equal(ref_u[:4], np.broadcast_to(cp.grid()[0], (4, 2)))
+
+    @staticmethod
+    def special_table(G, seed):
+        """A (G, J) objective whose columns hold ties, signed zeros, infinities and NaNs."""
+        rng = np.random.default_rng(seed)
+        table = rng.normal(size=(G, 48))
+        table[:, 0] = 1.5                                          # all tie
+        table[:, 1] = rng.choice([0.0, -0.0], G)                   # signed zeros only
+        table[:, 2], table[0, 2] = 0.0, -0.0                       # -0, then +0
+        table[:, 3], table[0, 3] = -0.0, 0.0                       # +0, then -0
+        table[[G // 4, G // 2], 4] = 9.0                           # a tie for the maximum
+        table[G // 5, 5] = np.inf                                  # one +inf
+        table[[3, G - 2], 6] = np.inf                              # two, tied
+        table[:, 7] = -np.inf                                      # all -inf
+        table[: G // 2, 8] = -np.inf                               # -inf, then finite
+        table[0, 9] = np.nan                                       # NaN first
+        table[G // 2, 10] = np.nan                                 # NaN past the maximum
+        table[G - 1, 11] = np.nan                                  # NaN last
+        table[G // 3, 12], table[G // 2, 12] = np.inf, np.nan     # +inf, then NaN
+        table[:, 13] = np.nan                                      # all NaN
+        table[G // 3, 14], table[G // 2, 14] = np.nan, np.inf     # NaN, then +inf
+        return table
+
+    @pytest.mark.parametrize("G", [121, 441])
+    def test_special_columns_match_hamiltonian_bit_for_bit(self, monkeypatch, G):
+        # The kernel reads each control's row of a fixed table, by path
+        # id in x_0, so the merge sees values the coefficients cannot
+        # make, -0.0 among them.
+        cp = dataclasses.replace(self.problem(), resolution=int(round(G ** 0.5)))
+        table = self.special_table(G, G)
+        rows = {tuple(u): g for g, u in enumerate(cp.grid())}
+
+        def terms(cp, t, x, z, gamma, u, base):
+            base[...] = table[rows[tuple(u)], x[:, 0].astype(int)]
+
+        monkeypatch.setattr(hjb, "_control_terms", terms)
+        J = table.shape[1]
+        x, y = np.zeros((J, 2)), np.zeros(J)
+        x[:, 0] = np.arange(J)
+        z, gam = np.zeros((J, 2)), np.zeros((J, 2, 2))
+        node = NodeHamiltonian(cp, 0.3, x, z, gam)
+        with np.errstate(invalid="ignore"):
+            ref_f, ref_u = self.reference(cp, x, y, z, gam)
+        np.testing.assert_array_equal(ref_u, cp.grid()[np.argmax(table, axis=0)])
+        np.testing.assert_array_equal(node.argmax(y), ref_u)
+        with pytest.raises(NonFinite, match="^control objective evaluated non-finite$"):
+            node.f(y)
+        finite = np.flatnonzero(np.isfinite(ref_f))
+        assert len(finite) == J - 9
+        node = NodeHamiltonian(cp, 0.3, x[finite], z[finite], gam[finite])
+        np.testing.assert_array_equal(_bits(node.f(y[finite])), _bits(ref_f[finite]))
+        np.testing.assert_array_equal(node.argmax(y[finite]), ref_u[finite])
+
 
 class TestStateTerms:
     """base = (alpha + b'z) + 1/2 Tr[a a' gamma] has the einsums' bits, for diagonal and dense a."""
@@ -326,10 +392,12 @@ class TestStateTerms:
 
 
 class TestNodeMemory:
-    def test_a_y_free_node_holds_one_grid_array(self):
-        # base over the G grid controls and one control's (J,) temporaries
-        # at a time; a second (G, J) float array does not fit.
-        G, J = 21, 20_000
+    @pytest.mark.parametrize("G", [21, 441])
+    def test_a_y_free_node_holds_no_grid_array(self, G):
+        # The running maximum, the candidate row, the mask, the index with
+        # its step and one control's temporaries: a bound in J alone, which
+        # one (G, J) float array at G = 21 already exceeds.
+        J = 20_000
         cp = uncertain_volatility_control(resolution=G)
         rng = np.random.default_rng(0)
         x = rng.uniform(0.5, 1.5, size=(J, 1))
@@ -341,7 +409,7 @@ class TestNodeMemory:
         finally:
             tracemalloc.stop()
         assert node._beta is None
-        assert peak <= (8 + 1) * G * J + 8 * 8 * J
+        assert peak <= 8 * 8 * J
         y = rng.normal(size=J)
         np.testing.assert_array_equal(node.f(y), TestYFreeNode.reference(cp, x, y, z, gam)[0])
 
