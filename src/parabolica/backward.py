@@ -56,13 +56,14 @@ Gamma solves and the half-trace ``sum_i sigma_ii^2 gamma_ii``
 entry.  When the problem carries a control (``spec.control``), ``f`` is
 not called: the node's :class:`hjb.NodeHamiltonian` evaluates every grid
 control's coefficients once, ``base`` and ``beta`` of ``H = base +
-beta*y``.  With a discount rate they fill (G, J) arrays over the G grid
-controls and each Picard sweep forms ``base + beta*y`` at its ``y``.
-When the control problem has none (``beta`` is None), H does not depend
-on ``y``: the node merges each control's ``base`` into a running (J,)
-maximum and first argmax as it goes, holds no (G, J) array, and every
-Picard sweep reads ``-max`` from it.  After ``Y`` is set the same object
-gives the node's mean maximizing control
+beta*y``, and reduces the grid a control at a time to a running (J,)
+maximum and first argmax.  When the control problem has no discount
+rate (``beta`` is None), H does not depend on ``y``: the node reduces
+``base`` once as it goes, holds no (G, J) array, and every Picard sweep
+reads ``-max`` from it.  With one, ``base`` and ``beta`` fill (G, J)
+arrays over the G grid controls and each Picard sweep streams
+``beta*y + base`` at its ``y`` through the same reduction.  After ``Y``
+is set the same object gives the node's mean maximizing control
 (``BackwardSolution.control_means``), so no second pass re-evaluates them.
 
 The sweep streams.  Each step is a function that builds node n-1's

@@ -364,14 +364,13 @@ def _array_bytes(config: RunConfig, spec) -> int:
     fit and unsymmetrized solve (semilinear: the zero Hessian); sigma
     sigma'; the Z fit; and ten value columns (Y fit, mu'z, half trace,
     last Picard correction, pathwise functional, five for the driver).  An
-    hjb node adds its k control columns and, with a discount rate, over
-    the G grid points its (G, J) ``base``, ``beta`` and objective and a
-    (G, J) boolean mask with the copy ``np.argmax`` makes of it.  Without
-    one it holds no (G, J) array: its running maximum, the candidate
-    control's row, the mask and the grid index with its step buffer (of
-    the smallest unsigned type holding G - 1), and one control's
-    coefficient temporaries: ``a`` and, for the trace, ``a a'`` (d^2
-    columns each), ``b`` (d) and three value columns.  Both passes
+    hjb node adds its k control columns and its grid reduction: the
+    running maximum, the candidate control's row, the mask and the grid
+    index with its step buffer (of the smallest unsigned type holding
+    G - 1), and one control's coefficient temporaries: ``a`` and, for the
+    trace, ``a a'`` (d^2 columns each), ``b`` (d) and three value columns.
+    A discount rate adds the (G, J) ``base`` and ``beta`` over the G grid
+    points, which each ``y`` streams through that reduction.  Both passes
     stream their nodes, so neither adds a (J, N+1) term.
     """
     J, N, d = config.J, config.N, spec.dim
@@ -400,12 +399,10 @@ def _array_bytes(config: RunConfig, spec) -> int:
     if config.scheme == "hjb":
         cp = spec.control
         G = cp.resolution ** cp.control_dim
-        later += 8 * J * cp.control_dim
-        if cp.beta is None:
-            index = np.min_scalar_type(G - 1).itemsize
-            later += 8 * J * (2 + 2 * d * d + d + 3) + J * (1 + 2 * index)
-        else:
-            later += (3 * 8 + 2) * G * J
+        index = np.min_scalar_type(G - 1).itemsize
+        later += 8 * J * (cp.control_dim + 2 + 2 * d * d + d + 3) + J * (1 + 2 * index)
+        if cp.beta is not None:
+            later += 2 * 8 * G * J
     return total + max(euler, later)
 
 

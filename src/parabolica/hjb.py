@@ -27,10 +27,12 @@ in both the generator and the control extraction, so max and argmax are
 always coherent.  One kernel, shared by :func:`hamiltonian` and
 :class:`NodeHamiltonian`, evaluates each grid control's H as ``base +
 beta*y``, ``base = (alpha + b'z) + 1/2 Tr[a a' gamma]``.  A term that is
-zero by construction is absent (None) and costs nothing; without
-``beta``, H does not depend on ``y``, and a node reduces the grid to its
-running maximum and first argmax as it fills it, holding (J,) columns
-only.
+zero by construction is absent (None) and costs nothing.  A node
+reduces the grid to its running maximum and first argmax a control at a
+time, holding (J,) columns only besides its terms: without ``beta``, H
+does not depend on ``y`` and the grid is reduced once, as it is filled;
+with it, the (G, J) ``base`` and ``beta`` are kept and each ``y``
+streams ``beta*y + base`` through the same reduction.
 """
 
 from __future__ import annotations
@@ -135,37 +137,38 @@ def hamiltonian(cp: ControlProblem, t, x, y, z, gamma, u) -> np.ndarray:
         return base if beta is None else base + beta * np.asarray(y, dtype=np.float64)
 
 
-def _grid_max(cp: ControlProblem, t, x, z, gamma, grid) -> tuple:
-    """Per path, the maximum of H over ``grid`` and the first grid index attaining it.
+def _grid_max(fill: Callable, G: int, J: int) -> tuple:
+    """Per path, the maximum of H over G grid controls and the first index attaining it.
 
-    For an H free of ``y``.  Each control's ``base`` fills one reused (J,)
-    row that is merged into the running maximum at once, so no (G, J)
-    array is held.  ``np.maximum`` row by row is the reduction ``np.max``
-    makes along the grid axis, with its bits, and the strict ``>`` keeps
-    the first of tied controls, as ``np.argmax`` does.  The index takes
-    the smallest unsigned type holding G - 1, whose multiply and maximum
-    cost a fraction of a float merge.  A column whose maximum is NaN
-    takes ``np.argmax``'s first NaN: those rows alone are evaluated again
-    over the grid, into a (G, rows) array.
+    ``fill(g, out, rows)`` writes control g's H on the paths ``rows`` (a
+    slice of all J, or an index array) into ``out``.  Each control fills
+    one reused (J,) row that is merged into the running maximum at once,
+    so no (G, J) array is held.  ``np.maximum`` row by row is the
+    reduction ``np.max`` makes along the grid axis, with its bits, and
+    the strict ``>`` keeps the first of tied controls, as ``np.argmax``
+    does.  The index takes the smallest unsigned type holding G - 1,
+    whose multiply and maximum cost a fraction of a float merge.  A
+    column whose maximum is NaN takes ``np.argmax``'s first NaN: those
+    rows alone are filled again over the grid, into a (G, rows) array.
     """
-    J = len(x)
     best, cand = np.empty(J), np.empty(J)
     better = np.empty(J, dtype=bool)
-    codes = np.arange(len(grid), dtype=np.min_scalar_type(len(grid) - 1))
+    codes = np.arange(G, dtype=np.min_scalar_type(G - 1))
     index, step = np.zeros(J, dtype=codes.dtype), np.empty(J, dtype=codes.dtype)
+    every = slice(None)
     with np.errstate(invalid="ignore", over="ignore"):
-        _control_terms(cp, t, x, z, gamma, grid[0], best)
-        for g in range(1, len(grid)):
-            _control_terms(cp, t, x, z, gamma, grid[g], cand)
+        fill(0, best, every)
+        for g in range(1, G):
+            fill(g, cand, every)
             np.greater(cand, best, out=better)
             np.multiply(better, codes[g], out=step)
             np.maximum(index, step, out=index)
             np.maximum(best, cand, out=best)
         rows = np.flatnonzero(np.isnan(best))
         if rows.size:
-            values = np.empty((len(grid), rows.size))
-            for g, u in enumerate(grid):
-                _control_terms(cp, t, x[rows], z[rows], gamma[rows], u, values[g])
+            values = np.empty((G, rows.size))
+            for g in range(G):
+                fill(g, values[g], rows)
             index[rows] = np.argmax(values, axis=0)
     return best, index
 
@@ -176,46 +179,50 @@ class NodeHamiltonian:
     Each grid control's ``base`` and ``beta`` (:func:`_control_terms`,
     the kernel of :func:`hamiltonian`) are evaluated once per node, and
     :meth:`f` and :meth:`argmax` give ``-max`` and the first maximizer of
-    ``base + beta*y`` with the bits of :func:`hamiltonian`.  With
-    ``cp.beta``, ``base`` and ``beta`` fill (G, J) arrays over the G grid
-    controls and each ``y`` forms its objective from them.  Without it
-    the node is y-free: it keeps only the per-path maximum of ``base``
-    and the first grid control attaining it, found as the grid is filled
-    (:func:`_grid_max`), which every ``y`` reads.  There a ``y`` that is
-    not all finite raises NonFinite from :meth:`f` and :meth:`argmax`, as
-    it would make a discounted node's values NaN.
+    ``base + beta*y`` with the bits of :func:`hamiltonian`, both read
+    from one :func:`_grid_max` reduction.  Without ``cp.beta`` the node
+    is y-free: it reduces ``base`` as the grid is filled and keeps only
+    the per-path maximum and first maximizing control, which every ``y``
+    reads; there a ``y`` that is not all finite raises NonFinite from
+    :meth:`f` and :meth:`argmax`, as it would make a discounted node's
+    values NaN.  With ``cp.beta``, ``base`` and ``beta`` fill (G, J)
+    arrays over the G grid controls, and each ``y`` streams its
+    objective ``beta*y + base`` through the reduction a row at a time.
     """
 
     def __init__(self, cp: ControlProblem, t, x, z, gamma):
-        self.grid = cp.grid()
+        self.grid = grid = cp.grid()
         if cp.beta is None:
             self._beta = None
-            self._best, self._index = _grid_max(cp, t, x, z, gamma, self.grid)
+
+            def fill(g, out, rows):
+                _control_terms(cp, t, x[rows], z[rows], gamma[rows], grid[g], out)
+
+            self._best, self._index = _grid_max(fill, len(grid), len(x))
             return
-        self._base = base = np.empty((len(self.grid), len(x)))
+        self._base = base = np.empty((len(grid), len(x)))
         self._beta = np.empty_like(base)
         with np.errstate(invalid="ignore", over="ignore"):
-            for g, u in enumerate(self.grid):
+            for g, u in enumerate(grid):
                 self._beta[g] = _control_terms(cp, t, x, z, gamma, u, base[g])
 
-    def _values(self, y) -> np.ndarray:
-        with np.errstate(invalid="ignore", over="ignore"):
-            values = self._beta * np.asarray(y, dtype=np.float64)
-            values += self._base
-        return values
+    def _reduce(self, y) -> tuple:
+        """The per-path maximum of H at ``y`` and the first grid index attaining it."""
+        if self._beta is None:
+            if not np.all(np.isfinite(y)):
+                raise NonFinite("control objective evaluated non-finite")
+            return self._best, self._index
+        y = np.asarray(y, dtype=np.float64)
 
-    def _require_finite(self, y) -> None:
-        """A y-free node refuses a ``y`` that is not all finite."""
-        if not np.all(np.isfinite(y)):
-            raise NonFinite("control objective evaluated non-finite")
+        def fill(g, out, rows):
+            np.multiply(self._beta[g, rows], y[rows], out=out)
+            out += self._base[g, rows]
+
+        return _grid_max(fill, *self._base.shape)
 
     def f(self, y) -> np.ndarray:
         """``-max_u H(u)`` per path; raises NonFinite when a maximum is not finite."""
-        if self._beta is None:
-            self._require_finite(y)
-            best = self._best
-        else:
-            best = np.max(self._values(y), axis=0)
+        best = self._reduce(y)[0]
         if not np.all(np.isfinite(best)):
             raise NonFinite("control objective evaluated non-finite")
         return -best
@@ -223,19 +230,9 @@ class NodeHamiltonian:
     def argmax(self, y) -> np.ndarray:
         """The first grid control attaining the maximum, per path: (J, control_dim).
 
-        On a discounted node, the first row equal to a finite column
-        maximum is the one ``np.argmax`` picks, found on a boolean array
-        in place of ``np.argmax``'s transposed float copy; a column whose
-        maximum is NaN takes ``np.argmax``'s first NaN, on either node.
+        A column whose maximum is NaN takes ``np.argmax``'s first NaN.
         """
-        if self._beta is None:
-            self._require_finite(y)
-            return self.grid[self._index]
-        values = self._values(y)
-        best = np.max(values, axis=0)
-        if np.all(np.isfinite(best)):
-            return self.grid[np.argmax(values == best, axis=0)]
-        return self.grid[np.argmax(values, axis=0)]
+        return self.grid[self._reduce(y)[1]]
 
 
 def hjb_generator(cp: ControlProblem) -> Callable:

@@ -916,13 +916,13 @@ class TestMemoryEstimate:
         # a a', b and three value columns) in floats, the mask, and the
         # grid index with its step buffer in uint8, which holds G - 1 = 20.
         assert estimate == step + 8 * J * 1 + 8 * J * (2 + 2 + 1 + 3) + J * (1 + 2)
-        # A discount rate holds base, beta and the objective over the
-        # G = 21 grid points, and the argmax mask with its copy.
+        # A discount rate adds base and beta over the G = 21 grid points,
+        # which each y streams through the same reduction.
         G = 21
         cfg["problem"] = self.X_DEPENDENT
         discounted = cli._array_bytes(cli.RunConfig.from_dict(cfg),
                                       model.problem_from_dict(self.X_DEPENDENT))
-        assert discounted == step + 8 * J * 1 + (3 * 8 + 2) * G * J
+        assert discounted == estimate + 2 * 8 * G * J
 
     X_DEPENDENT = {
         "dim": 1, "horizon": 1.0, "mu": ["0"], "sigma": [["0.15*x[0]"]],
@@ -942,6 +942,10 @@ class TestMemoryEstimate:
                     "a": [["u[0]*x[0]", "0"], ["0", "u[1]*x[1]"]]},
     }
 
+    # The same control with a discount rate.
+    DISCOUNTED_K2 = {**Y_FREE_K2, "control": {**Y_FREE_K2["control"],
+                                              "beta": "-0.01*u[0]*x[1]^2"}}
+
     LINEAR_D2 = {
         "dim": 2, "horizon": 1.0, "mu": ["0.05*x[0]", "0.05*x[1]"],
         "sigma": [["0.2*x[0]", "0.05*x[0]"], ["0", "0.2*x[1]"]],
@@ -959,6 +963,7 @@ class TestMemoryEstimate:
         ("solve-hjb", "hjb_uncertain_vol", 4000, 16, 2),
         ("solve-hjb", X_DEPENDENT, 4000, 16, 2),
         ("solve-hjb", Y_FREE_K2, 2000, 4, 2),
+        ("solve-hjb", DISCOUNTED_K2, 2000, 4, 2),
         ("solve-2bsde", "bsb_uncertain_vol", 4000, 16, 2),
         ("solve-linear", "gbm_linear", 20_000, 4, 2),
         ("solve-linear", "heat", 20_000, 4, 2),
@@ -968,11 +973,13 @@ class TestMemoryEstimate:
         ("solve-linear", LINEAR_BOX, 20_000, 16, 2),
         ("solve-linear", "gbm_linear", 64, 1, 16),
         ("simulate", "gbm_linear", 20_000, 1, 2),
-    ], ids=["hjb-catalog", "hjb-x-dependent", "hjb-y-free-k2", "2bsde", "linear", "linear-heat", "linear-5e3",
-            "linear-2e3", "linear-d2", "linear-box", "linear-64-t16", "simulate-n1"])
+    ], ids=["hjb-catalog", "hjb-x-dependent", "hjb-y-free-k2", "hjb-discounted-k2", "2bsde",
+            "linear", "linear-heat", "linear-5e3", "linear-2e3", "linear-d2", "linear-box",
+            "linear-64-t16", "simulate-n1"])
     def test_a_run_holds_at_most_its_estimate(self, tmp_path, command, problem, J, N, threads):
-        # The x-dependent control widens all four node terms to (G, J);
-        # the y-free one at G = 441 holds (J,) columns only.
+        # The x-dependent control widens base and beta to (G, J); the
+        # y-free one at G = 441 holds (J,) columns only, and its
+        # discounted twin adds base and beta over those 441 controls.
         # At N = 4 the linear pass's working columns are half of its peak,
         # and at J = 2e3 the run's fixed overhead is a third.  At d = 2
         # Euler's full sigma outweighs the linear pass.  At J = 64 on 16

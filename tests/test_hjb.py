@@ -170,7 +170,7 @@ class TestYFreeNode:
     """Without beta, a node forms its objective once; the bits must not move.
 
     The reference is ``hamiltonian`` per grid control; a beta of ``+0.0``
-    takes the general path, with the same bits.
+    takes the discounted path, with the same bits.
     """
 
     J = 64
@@ -204,9 +204,8 @@ class TestYFreeNode:
     @staticmethod
     def spy(monkeypatch):
         calls = []
-        general = NodeHamiltonian._values
-        monkeypatch.setattr(NodeHamiltonian, "_values",
-                            lambda self, y: calls.append(1) or general(self, y))
+        reduce = hjb._grid_max
+        monkeypatch.setattr(hjb, "_grid_max", lambda *args: calls.append(1) or reduce(*args))
         return calls
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -214,11 +213,13 @@ class TestYFreeNode:
         calls = self.spy(monkeypatch)
         x, y, z, gam = self.states(seed)
         free = NodeHamiltonian(self.problem(), 0.3, x, z, gam)
+        assert len(calls) == 1  # the y-free node reduces its grid as it builds
         got = free.f(y), free.argmax(y), free.f(y)
-        assert calls == []  # the y-free node never rebuilds its objective
+        assert len(calls) == 1  # and never again
         general = NodeHamiltonian(self.problem(beta=0.0), 0.3, x, z, gam)
+        assert len(calls) == 1
         expected = general.f(y), general.argmax(y)
-        assert len(calls) == 2
+        assert len(calls) == 3  # a discounted node reduces once per call
         ref_f, ref_u = self.reference(self.problem(), x, y, z, gam)
         for f in (got[0], got[2], expected[0]):
             np.testing.assert_array_equal(_bits(f), _bits(ref_f))
@@ -267,13 +268,14 @@ class TestYFreeNode:
         np.testing.assert_array_equal(_bits(node.f(y)), _bits(ref_f))
         np.testing.assert_array_equal(node.argmax(y), ref_u)
 
-    def test_a_nan_column_takes_np_argmax_first_nan(self):
+    @pytest.mark.parametrize("beta", [None, -0.5], ids=["y-free", "discounted"])
+    def test_a_nan_column_takes_np_argmax_first_nan(self, beta):
         # Paths with x_0 < 0 see a NaN diffusion from the grid's third u_1 on.
         def a(t, x, u):
             scale = np.where((x[:, 0] < 0) & (u[1] > 0.2), np.nan, u[1])
             return scale[:, None, None] * x[:, :, None] * np.array([[1.0, 0.3]])
 
-        cp = self.problem(a=a)
+        cp = self.problem(beta=beta, a=a)
         x, y, z, gam = self.states(6)
         node = NodeHamiltonian(cp, 0.3, x, z, gam)
         with np.errstate(invalid="ignore"):
@@ -315,23 +317,37 @@ class TestYFreeNode:
         table[G // 3, 12], table[G // 2, 12] = np.inf, np.nan     # +inf, then NaN
         table[:, 13] = np.nan                                      # all NaN
         table[G // 3, 14], table[G // 2, 14] = np.nan, np.inf     # NaN, then +inf
+        table[:, 15] = -0.0                                        # -0 only
         return table
 
+    @pytest.mark.parametrize("discounted", [False, True], ids=["y-free", "discounted"])
     @pytest.mark.parametrize("G", [121, 441])
-    def test_special_columns_match_hamiltonian_bit_for_bit(self, monkeypatch, G):
+    def test_special_columns_match_hamiltonian_bit_for_bit(self, monkeypatch, G, discounted):
         # The kernel reads each control's row of a fixed table, by path
         # id in x_0, so the merge sees values the coefficients cannot
-        # make, -0.0 among them.
-        cp = dataclasses.replace(self.problem(), resolution=int(round(G ** 0.5)))
+        # make, -0.0 among them.  A discounted node's beta rows come from
+        # a second table, of finite nonpositive values and signed zeros,
+        # and y holds signed zeros: beta*y + base flips the sign of zeros.
+        # Column 15's beta*y is -0.0, so its objective stays all -0.0.
+        cp = dataclasses.replace(self.problem(beta=0.0 if discounted else None),
+                                 resolution=int(round(G ** 0.5)))
         table = self.special_table(G, G)
+        rng = np.random.default_rng(G + 1)
+        betas = -np.abs(rng.normal(size=table.shape))
+        betas[rng.random(table.shape) < 0.2] = 0.0
+        betas[rng.random(table.shape) < 0.2] = -0.0
+        betas[0, :] = -1e308
+        betas[:, 15] = 0.0
         rows = {tuple(u): g for g, u in enumerate(cp.grid())}
 
         def terms(cp, t, x, z, gamma, u, base):
-            base[...] = table[rows[tuple(u)], x[:, 0].astype(int)]
+            g, paths = rows[tuple(u)], x[:, 0].astype(int)
+            base[...] = table[g, paths]
+            return betas[g, paths] if discounted else None
 
         monkeypatch.setattr(hjb, "_control_terms", terms)
         J = table.shape[1]
-        x, y = np.zeros((J, 2)), np.zeros(J)
+        x, y = np.zeros((J, 2)), np.tile([0.0, -0.0], J // 2)
         x[:, 0] = np.arange(J)
         z, gam = np.zeros((J, 2)), np.zeros((J, 2, 2))
         node = NodeHamiltonian(cp, 0.3, x, z, gam)
@@ -413,11 +429,9 @@ class TestNodeMemory:
         y = rng.normal(size=J)
         np.testing.assert_array_equal(node.f(y), TestYFreeNode.reference(cp, x, y, z, gam)[0])
 
-    def test_a_discounted_node_holds_two_grid_arrays(self):
-        # base and beta over the G grid controls and one control's (J,)
-        # temporaries at a time; four (G, J) float arrays do not fit.
-        G, J = 21, 20_000
-        cp = ControlProblem(
+    @staticmethod
+    def discounted(G):
+        return ControlProblem(
             dim=1, control_dim=1, lower=np.array([0.1]), upper=np.array([0.2]),
             alpha=lambda t, x, u: 0.01 * u[0] * x[:, 0] ** 2,
             beta=lambda t, x, u: -0.01 * u[0] * x[:, 0] ** 2,
@@ -425,6 +439,12 @@ class TestNodeMemory:
             a=lambda t, x, u: u[0] * x[:, :, None],
             resolution=G,
         )
+
+    def test_a_discounted_node_holds_two_grid_arrays(self):
+        # base and beta over the G grid controls and one control's (J,)
+        # temporaries at a time; four (G, J) float arrays do not fit.
+        G, J = 21, 20_000
+        cp = self.discounted(G)
         rng = np.random.default_rng(0)
         x = rng.uniform(0.5, 1.5, size=(J, 1))
         z, gam = rng.normal(size=(J, 1)), rng.normal(size=(J, 1, 1))
@@ -437,6 +457,30 @@ class TestNodeMemory:
         assert peak <= (2 * 8 + 1) * G * J + 8 * 8 * J
         y = rng.normal(size=J)
         np.testing.assert_array_equal(node.f(y), TestYFreeNode.reference(cp, x, y, z, gam)[0])
+
+    @pytest.mark.parametrize("G", [21, 441])
+    def test_a_discounted_node_streams_its_objective(self, G):
+        # f and argmax reduce beta*y + base a control at a time: the
+        # running maximum, the candidate row, the mask, the index with its
+        # step and the returned columns, a bound in J alone, which one
+        # (G, J) float array at G = 21 already exceeds.
+        J = 5000
+        cp = self.discounted(G)
+        rng = np.random.default_rng(1)
+        x = rng.uniform(0.5, 1.5, size=(J, 1))
+        z, gam = rng.normal(size=(J, 1)), rng.normal(size=(J, 1, 1))
+        y = rng.normal(size=J)
+        node = NodeHamiltonian(cp, 0.3, x, z, gam)
+        tracemalloc.start()
+        try:
+            got = node.f(y), node.argmax(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * J
+        ref_f, ref_u = TestYFreeNode.reference(cp, x, y, z, gam)
+        np.testing.assert_array_equal(_bits(got[0]), _bits(ref_f))
+        np.testing.assert_array_equal(got[1], ref_u)
 
 
 class TestControlProblem:
