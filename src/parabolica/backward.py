@@ -44,7 +44,10 @@ standardized basis matrix and its one factorization: the Gram matrix of a
 well-conditioned design, a thin QR of any other) serves the Gamma, Z and
 Y fits, each target block solved on its own against that factorization so
 a block's bits do not depend on which other blocks are fitted; the fitted
-values at the fit states are read off the basis matrix itself.  ``sigma``
+values at the fit states are read off the basis matrix itself, and the
+fits share the design's coordinates to be read at the stopped paths'
+states.  A target or a Z/Gamma solve that overflows raises NonFinite
+naming its step, with no numpy warning before it.  ``sigma``
 and ``mu`` are evaluated once, ``sigma`` is inverted once (a division when
 every matrix is diagonal, a batched inverse otherwise) for both the Z and
 Gamma solves, and the ``mu'z`` and trace terms of ``phi`` are formed
@@ -92,19 +95,17 @@ Monte Carlo uncertainty of the reported number.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-# numpy loads np.random on first use; importing it here keeps that load
-# (about 1 MB) out of the run that screens a driver.
-from numpy.random import default_rng
 
 from . import hjb, regress
 from .errors import ConfigError, GammaDependence, NonFinite, SingularSigma
 from .linear_fk import Estimate
 from .model import ProblemSpec, as_points, diagonal, ito_terms
-from .paths import PathBatch
+from .paths import PathBatch, _normals, _uniforms
 
 __all__ = ["BackwardSolution", "backward_solve_semilinear", "backward_solve_2bsde"]
 
@@ -135,13 +136,14 @@ class BackwardSolution:
 def screen_driver(spec: ProblemSpec, gamma_free: bool) -> None:
     """Reject a driver the backward sweep cannot run or the theory does not cover.
 
-    Evaluates ``phi`` at eight random times in ``[0, T]``, each with a
-    random symmetric Hessian argument, on one draw of 16 random states, so
-    ``sigma`` and ``mu`` run once.  A non-finite value raises NonFinite
-    naming the driver and the time.  With ``gamma_free`` (the semi-linear
-    solver) each time takes a second Hessian argument; a spread beyond
-    1e-10 means the problem is genuinely second-order and raises
-    GammaDependence.  Otherwise (the 2BSDE order) each time evaluates
+    Evaluates ``phi`` at eight random times, one in each eighth of
+    ``[0, T]``, each with a random symmetric Hessian argument, on one draw
+    of 16 random states, so ``sigma`` and ``mu`` run once.  Every probe is
+    a draw of the paths' counter-based generator at a fixed seed.  A
+    non-finite value raises NonFinite naming the driver and the time.
+    With ``gamma_free`` (the semi-linear solver) each time takes a second
+    Hessian argument; a spread beyond 1e-10 means the problem is genuinely
+    second-order and raises GammaDependence.  Otherwise (the 2BSDE order) each time evaluates
     ``f`` once on the states stacked twice, at ``Gamma`` and at
     ``Gamma + P`` with ``P`` a random positive semidefinite matrix: the
     solution theory needs ``f`` non-increasing in its Hessian argument,
@@ -151,13 +153,17 @@ def screen_driver(spec: ProblemSpec, gamma_free: bool) -> None:
     """
     name = spec.name or "<anonymous>"
     samples, d = 16, spec.dim
-    rng = default_rng(0)
+    seeds = itertools.count(1)  # each draw takes the path generator's next seed
+
+    def normals(*shape):
+        return _normals(next(seeds), shape)
+
     x0 = spec.x0_default
     scale = 1.0 + float(np.max(np.abs(x0)))
-    times = rng.uniform(0.0, spec.horizon, size=8)
-    x = x0[None, :] + scale * rng.standard_normal((samples, d))
-    y = rng.standard_normal(samples)
-    z = rng.standard_normal((samples, d))
+    times = (np.arange(8) + _uniforms(0, 8)) * (spec.horizon / 8)  # one in each eighth
+    x = x0[None, :] + scale * normals(samples, d)
+    y = normals(samples)
+    z = normals(samples, d)
     mu = np.asarray(spec.mu(x), dtype=np.float64)
     sig = np.asarray(spec.sigma(x), dtype=np.float64)
     if not gamma_free:
@@ -165,7 +171,7 @@ def screen_driver(spec: ProblemSpec, gamma_free: bool) -> None:
     sig_diag = diagonal(sig)
 
     def symmetric():
-        gamma = rng.standard_normal((samples, d, d))
+        gamma = normals(samples, d, d)
         return 0.5 * (gamma + np.transpose(gamma, (0, 2, 1)))
 
     def phi(t, gamma):
@@ -178,7 +184,7 @@ def screen_driver(spec: ProblemSpec, gamma_free: bool) -> None:
             values = [phi(t, symmetric())[1] for _ in range(2)]
         else:
             gamma = symmetric()
-            m = rng.standard_normal((samples, d, d))
+            m = normals(samples, d, d)
             f_val, values = phi(t, np.concatenate([gamma, gamma + m @ np.transpose(m, (0, 2, 1))]))
         if not np.all(np.isfinite(values)):
             raise NonFinite(
@@ -425,7 +431,10 @@ def _sweep(
         dsg = regress.design(X[fit_rows, k], basis)
 
         def expect(target):
-            reg = regress.fit(dsg, target, basis)
+            try:
+                reg = regress.fit(dsg, target)
+            except NonFinite as exc:
+                raise NonFinite(f"non-finite backward value at step {k}") from exc
             return reg, regress.predict(reg, dsg if fit_on_rows else x)
 
         sig = np.asarray(spec.sigma(x), dtype=np.float64)
@@ -433,23 +442,26 @@ def _sweep(
         sig_diag, sig_inv = _invert_sigma(sig, alive, k)
 
         fit_g = None
-        if with_gamma:
-            target_g = z_n[fit_rows][:, :, None] * dW[fit_rows, k][:, None, :]
-            fit_g, Eg = expect(target_g.reshape(-1, d * d))
-            G = Eg.reshape(n_alive, d, d) / dt
-            # Gamma = E[Z dW'] sigma^{-1} / dt, symmetrized.
-            G = G / sig_diag[:, None, :] if sig_inv is None else G @ sig_inv
-            gamma = 0.5 * (G + np.transpose(G, (0, 2, 1)))
-        else:
-            gamma = np.zeros((n_alive, d, d))  # phi is evaluated at a zero Hessian
+        # An overflow in the targets or the solves is reported, with its
+        # step, by the fits' and the check's finiteness tests.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if with_gamma:
+                target_g = z_n[fit_rows][:, :, None] * dW[fit_rows, k][:, None, :]
+                fit_g, Eg = expect(target_g.reshape(-1, d * d))
+                G = Eg.reshape(n_alive, d, d) / dt
+                # Gamma = E[Z dW'] sigma^{-1} / dt, symmetrized.
+                G = G / sig_diag[:, None, :] if sig_inv is None else G @ sig_inv
+                gamma = 0.5 * (G + np.transpose(G, (0, 2, 1)))
+            else:
+                gamma = np.zeros((n_alive, d, d))  # phi is evaluated at a zero Hessian
 
-        fit_z, Ez = expect(dW[fit_rows, k] * y_n[fit_rows][:, None])
-        Ez = Ez.reshape(n_alive, d) / dt
-        # Z = sigma'^{-1} E[dW Y] / dt.
-        if sig_inv is None:
-            z = Ez / sig_diag
-        else:
-            z = np.einsum("jba,jb->ja", sig_inv, Ez)
+            fit_z, Ez = expect(dW[fit_rows, k] * y_n[fit_rows][:, None])
+            Ez = Ez.reshape(n_alive, d) / dt
+            # Z = sigma'^{-1} E[dW Y] / dt.
+            if sig_inv is None:
+                z = Ez / sig_diag
+            else:
+                z = np.einsum("jba,jb->ja", sig_inv, Ez)
         if not (np.all(np.isfinite(z)) and np.all(np.isfinite(gamma))):
             raise NonFinite(f"non-finite backward value at step {k}")
 

@@ -47,6 +47,7 @@ from . import expr as _expr
 from .errors import ConfigError, MissingGamma, NonFinite
 from .model import (_REQUIRED, ProblemSpec, _floats, _integer, diagonal, half_trace, known_keys,
                     read_key, require_memory)
+from .paths import _uniforms
 
 __all__ = [
     "ControlProblem",
@@ -304,15 +305,15 @@ def as_problem(cp: ControlProblem, base: ProblemSpec, name: Optional[str] = None
 
     The discount rate must be finite and nonpositive for the value
     function to be well-posed; a given ``beta`` is spot-checked at 8
-    times in [0, T], 64 states of the problem's domain ([-5, 5]^d on the
-    whole space) and every grid control, and a NaN or infinity there is
+    times, one in each eighth of [0, T], 64 states of the problem's domain
+    ([-5, 5]^d on the whole space) and every grid control, all drawn from
+    the paths' counter-based generator, and a NaN or infinity there is
     refused as a positive value is.
     """
     if cp.beta is not None:
-        rng = np.random.default_rng(0)
         lo, hi = (base.domain.lower, base.domain.upper) if base.domain is not None else (-5.0, 5.0)
-        xs = rng.uniform(lo, hi, size=(64, base.dim))
-        for t in rng.uniform(0.0, base.horizon, size=8):
+        xs = lo + (hi - lo) * _uniforms(0, (64, base.dim))
+        for t in (np.arange(8) + _uniforms(1, 8)) * (base.horizon / 8):  # one in each eighth
             for u in cp.grid():
                 beta = np.asarray(cp.beta(float(t), xs, u), dtype=np.float64)
                 bad = ~np.isfinite(beta) | (beta > 1e-10)

@@ -165,6 +165,19 @@ def _to_normal(h: np.ndarray, out: np.ndarray, scale: float) -> None:
     out *= scale
 
 
+def _normals(seed: int, shape) -> np.ndarray:
+    """Standard normal draws of ``shape``, one per hashed path state of ``seed``."""
+    out = np.empty(shape)
+    _to_normal(_path_states(seed, 0, out.size), out.reshape(-1), 1.0)
+    return out
+
+
+def _uniforms(seed: int, shape) -> np.ndarray:
+    """Uniform draws in [0, 1) of ``shape``: the top 53 bits of the path states of ``seed``."""
+    h = _path_states(seed, 0, int(np.prod(shape)))
+    return (h >> _U(11)).astype(np.float64).reshape(shape) * 2.0**-53
+
+
 def _draw_node(out: np.ndarray, states: np.ndarray, n: int, scale: float) -> None:
     """Fill ``out`` (count, d) with step n's N(0, scale^2) draws of the paths hashed to ``states``.
 

@@ -17,10 +17,11 @@ design whose condition ``sqrt(lambda_max / lambda_min)`` is at most 1e3
 is solved by the normal equations, which then lose at most about
 ``cond^2 * eps``, 2e-10 relative.  Every other design, the
 rank-deficient ones included, takes a thin QR whose triangle's singular
-values give the rank and condition.  :func:`fit` accepts either states
-or such a :class:`Design`, so several target blocks on the same states
-share one factorization while each is still solved on its own, and
-:func:`predict` at the design's states reuses its basis matrix.
+values give the rank and condition.  :func:`fit` solves on such a
+:class:`Design`, so several target blocks on the same states share one
+factorization while each is still solved on its own.  The design and its
+fits share one :class:`Coordinates` record, the basis and the state frame
+in which :func:`predict` builds the basis matrix at new states.
 
 The ridge penalty never touches the constant term, so the fitted
 surface reproduces the sample mean of the targets exactly for every
@@ -44,6 +45,7 @@ from .errors import DimensionMismatch, NonFinite, RegressionFailure
 
 __all__ = [
     "BasisSpec",
+    "Coordinates",
     "RegressionFit",
     "Design",
     "design",
@@ -76,20 +78,6 @@ class BasisSpec:
             raise RegressionFailure("need at least one bin per dimension")
         if self.ridge < 0:
             raise RegressionFailure("ridge penalty must be >= 0")
-
-
-@dataclass(frozen=True, eq=False)
-class RegressionFit:
-    basis: BasisSpec
-    dim: int
-    coefficients: np.ndarray        # (p,) or (p, k), standardized coordinates
-    condition_estimate: float
-    rank_deficient: bool
-    ridge_used: float
-    x_mean: Optional[np.ndarray] = None   # polynomial standardization
-    x_scale: Optional[np.ndarray] = None
-    box_min: Optional[np.ndarray] = None  # piecewise-constant binning box
-    box_max: Optional[np.ndarray] = None
 
 
 def multi_indices(d: int, q: int) -> list[tuple[int, ...]]:
@@ -145,24 +133,34 @@ def _poly_design(zt: np.ndarray, q: int) -> np.ndarray:
     return phi.T
 
 
-def _bin_indices(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, bins: int) -> np.ndarray:
-    width = np.where(hi > lo, hi - lo, 1.0)
-    raw = np.floor((x - lo) / width * bins).astype(np.int64)
-    per_dim = np.clip(raw, 0, bins - 1)
-    flat = np.zeros(len(x), dtype=np.int64)
-    for i in range(x.shape[1]):
-        flat = flat * bins + per_dim[:, i]
-    return flat
+@dataclass(frozen=True, eq=False)
+class Coordinates:
+    """The basis, the state width and the polynomial standardization or the
+    piecewise-constant binning box; :func:`design` builds one per design.
+    """
 
+    basis: BasisSpec
+    dim: int
+    x_mean: Optional[np.ndarray] = None   # polynomial standardization
+    x_scale: Optional[np.ndarray] = None
+    box_min: Optional[np.ndarray] = None  # piecewise-constant binning box
+    box_max: Optional[np.ndarray] = None
 
-def _design(basis, x, *, x_mean, x_scale, box_min, box_max) -> np.ndarray:
-    if basis.kind == "polynomial":
-        zt = (x.T - x_mean[:, None]) / x_scale[:, None]
-        return _poly_design(zt, basis.degree)
-    flat = _bin_indices(x, box_min, box_max, basis.bins)
-    phi = np.zeros((len(x), basis.bins ** x.shape[1]))
-    phi[np.arange(len(x)), flat] = 1.0
-    return phi
+    def matrix(self, x: np.ndarray) -> np.ndarray:
+        """Basis matrix (J, p) of validated (J, dim) states."""
+        if self.basis.kind == "polynomial":
+            zt = (x.T - self.x_mean[:, None]) / self.x_scale[:, None]
+            return _poly_design(zt, self.basis.degree)
+        lo, hi, bins = self.box_min, self.box_max, self.basis.bins
+        width = np.where(hi > lo, hi - lo, 1.0)
+        raw = np.floor((x - lo) / width * bins).astype(np.int64)
+        per_dim = np.clip(raw, 0, bins - 1)
+        flat = np.zeros(len(x), dtype=np.int64)
+        for i in range(self.dim):
+            flat = flat * bins + per_dim[:, i]
+        phi = np.zeros((len(x), bins ** self.dim))
+        phi[np.arange(len(x)), flat] = 1.0
+        return phi
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,22 +170,31 @@ class Design:
     Built by :func:`design`.  A well-conditioned design keeps its Gram
     matrix ``phi'phi`` and no ``q`` or ``r``; any other keeps the thin QR
     factors and no ``gram``.  Every :func:`fit` handed the same design
-    solves against this one factorization, and :func:`predict` at the
-    design's own states reuses ``phi`` instead of rebuilding it.
+    solves against this one factorization and shares its ``coords``, and
+    :func:`predict` at the design's own states reuses ``phi`` instead of
+    rebuilding it.
     """
 
-    basis: BasisSpec
-    dim: int
+    coords: Coordinates
     phi: np.ndarray                 # (J, p) basis functions at the states
     gram: Optional[np.ndarray]      # (p, p) phi'phi on the Gram route
     q: Optional[np.ndarray]         # (J, p) orthonormal columns, phi = q @ r
     r: Optional[np.ndarray]         # (p, p) upper triangular
     condition_estimate: float
     rank_deficient: bool
-    x_mean: Optional[np.ndarray] = None
-    x_scale: Optional[np.ndarray] = None
-    box_min: Optional[np.ndarray] = None
-    box_max: Optional[np.ndarray] = None
+
+
+@dataclass(frozen=True, eq=False)
+class RegressionFit:
+    coords: Coordinates             # shared with the design the fit was made on
+    coefficients: np.ndarray        # (p,) or (p, k), standardized coordinates
+    condition_estimate: float
+    rank_deficient: bool
+    ridge_used: float
+
+    @property
+    def basis(self) -> BasisSpec:
+        return self.coords.basis
 
 
 def design(states, basis: BasisSpec) -> Design:
@@ -211,24 +218,18 @@ def design(states, basis: BasisSpec) -> Design:
     if basis.kind == "polynomial":
         xt = np.ascontiguousarray(x.T)  # one contiguous row per dimension
         x = xt.T
-        x_mean = xt.mean(axis=1)
         std = xt.std(axis=1)
-        x_scale = np.where(std > 0, std, 1.0)
-        box_min = box_max = None
+        coords = Coordinates(basis, d, x_mean=xt.mean(axis=1),
+                             x_scale=np.where(std > 0, std, 1.0))
     else:
-        x_mean = x_scale = None
-        box_min, box_max = x.min(axis=0), x.max(axis=0)
+        coords = Coordinates(basis, d, box_min=x.min(axis=0), box_max=x.max(axis=0))
 
-    phi = _design(basis, x, x_mean=x_mean, x_scale=x_scale,
-                  box_min=box_min, box_max=box_max)
-    frame = dict(basis=basis, dim=d, phi=phi, x_mean=x_mean, x_scale=x_scale,
-                 box_min=box_min, box_max=box_max)
+    phi = coords.matrix(x)
     gram = phi.T @ phi
     ev = np.linalg.eigvalsh(gram)
     if ev[0] > 0 and ev[-1] <= _GRAM_MAX_RATIO * ev[0]:
-        return Design(gram=gram, q=None, r=None,
-                      condition_estimate=math.sqrt(ev[-1] / ev[0]),
-                      rank_deficient=False, **frame)
+        return Design(coords, phi, gram=gram, q=None, r=None,
+                      condition_estimate=math.sqrt(ev[-1] / ev[0]), rank_deficient=False)
 
     q, r = np.linalg.qr(phi)
     sv = np.linalg.svd(r, compute_uv=False)
@@ -236,25 +237,19 @@ def design(states, basis: BasisSpec) -> Design:
     rank = int(np.sum(sv > tol))
     with np.errstate(divide="ignore"):
         condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-    return Design(gram=None, q=q, r=r, condition_estimate=condition,
-                  rank_deficient=rank < p, **frame)
+    return Design(coords, phi, gram=None, q=q, r=r, condition_estimate=condition,
+                  rank_deficient=rank < p)
 
 
-def fit(states, targets, basis: BasisSpec) -> RegressionFit:
-    """Least-squares fit of targets on basis functions of states.
+def fit(dsg: Design, targets) -> RegressionFit:
+    """Least-squares fit of targets on the basis functions of a design's states.
 
-    ``states`` is a (J, d) array or a :class:`Design` already built from
-    one with this basis.  Vector targets (J, k) are fitted column-wise
-    against the design's one factorization.  Raises RegressionFailure
-    when there are fewer samples than basis functions, NonFinite on bad
-    inputs.
+    Vector targets (J, k) are fitted column-wise against the design's one
+    factorization, with the penalty of the design's basis.  Raises
+    DimensionMismatch when the targets' sample count is not the design's
+    and NonFinite on non-finite targets or coefficients.
     """
-    if isinstance(states, Design):
-        dsg = states
-        if dsg.basis != basis:
-            raise RegressionFailure("design was built for another basis")
-    else:
-        dsg = design(states, basis)
+    basis = dsg.coords.basis
     # Contiguous, so phi'y or q'y takes one matmul kernel whatever the
     # target's layout: a strided column fits to the bits of its copy.
     y = np.ascontiguousarray(targets, dtype=np.float64)
@@ -303,18 +298,8 @@ def fit(states, targets, basis: BasisSpec) -> RegressionFit:
     if not np.all(np.isfinite(coef)):
         raise NonFinite("regression produced non-finite coefficients")
 
-    return RegressionFit(
-        basis=basis,
-        dim=dsg.dim,
-        coefficients=coef[:, 0] if squeeze else coef,
-        condition_estimate=dsg.condition_estimate,
-        rank_deficient=dsg.rank_deficient,
-        ridge_used=ridge,
-        x_mean=dsg.x_mean,
-        x_scale=dsg.x_scale,
-        box_min=dsg.box_min,
-        box_max=dsg.box_max,
-    )
+    return RegressionFit(dsg.coords, coef[:, 0] if squeeze else coef,
+                         dsg.condition_estimate, dsg.rank_deficient, ridge)
 
 
 def predict(reg: RegressionFit, states) -> np.ndarray:
@@ -324,10 +309,7 @@ def predict(reg: RegressionFit, states) -> np.ndarray:
     on, whose basis matrix is then used as it stands.
     """
     if isinstance(states, Design):
-        if states.x_mean is not reg.x_mean or states.box_min is not reg.box_min:
+        if states.coords is not reg.coords:
             raise RegressionFailure("the fit was not made on this design")
         return states.phi @ reg.coefficients
-    x = _validate_states(states, reg.dim)
-    phi = _design(reg.basis, x, x_mean=reg.x_mean, x_scale=reg.x_scale,
-                  box_min=reg.box_min, box_max=reg.box_max)
-    return phi @ reg.coefficients
+    return reg.coords.matrix(_validate_states(states, reg.coords.dim)) @ reg.coefficients

@@ -93,18 +93,40 @@ class FdGrid:
 
     @staticmethod
     def cfl_steps(x_lo, x_hi, M, horizon, a_max) -> int:
-        """Smallest time-step count satisfying the stability bound."""
+        """Smallest time-step count satisfying the stability bound.
+
+        ConfigError when the bound needs more steps than a double can count.
+        """
         if a_max <= 0.0:
             return 1
         dx = (x_hi - x_lo) / (M - 1)
-        return max(1, math.ceil(2.0 * a_max * horizon / dx**2))
+        steps = 2.0 * a_max * horizon / dx**2
+        if not math.isfinite(steps):
+            raise _uncountable_steps(x_lo, x_hi, M)
+        return max(1, math.ceil(steps))
 
     @classmethod
     def for_problem(cls, spec: ProblemSpec, x_lo, x_hi, M, *, safety=1.25) -> "FdGrid":
-        """Probe the generator's diffusion slope and size the grid to it."""
+        """Probe the generator's diffusion slope and size the grid to it.
+
+        An interval whose width is not finite, or whose node spacing has
+        no finite positive square, raises ConfigError before any probe.
+        """
+        width = float(x_hi) - float(x_lo)
+        dx = width / max(int(M) - 1, 1)
+        if not (math.isfinite(width) and 0.0 < dx * dx < math.inf):
+            raise ConfigError(f"finite-difference interval [{x_lo}, {x_hi}] with M = {M} "
+                              "nodes has no finite, positive squared spacing dx^2")
         a_max = diffusion_slope(spec, x_lo, x_hi)
-        n = math.ceil(cls.cfl_steps(x_lo, x_hi, M, spec.horizon, a_max) * safety)
-        return cls(float(x_lo), float(x_hi), int(M), n, spec.horizon, a_max)
+        n = cls.cfl_steps(x_lo, x_hi, M, spec.horizon, a_max) * safety
+        if not math.isfinite(n):
+            raise _uncountable_steps(x_lo, x_hi, M)
+        return cls(float(x_lo), float(x_hi), int(M), math.ceil(n), spec.horizon, a_max)
+
+
+def _uncountable_steps(x_lo, x_hi, M) -> ConfigError:
+    return ConfigError(f"finite-difference interval [{x_lo}, {x_hi}] with M = {M} "
+                       "nodes needs a non-finite number of time steps")
 
 
 def diffusion_slope(spec: ProblemSpec, x_lo, x_hi, *, samples: int = 61) -> float:

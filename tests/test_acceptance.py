@@ -16,7 +16,7 @@ from parabolica import hjb, model, paths
 from parabolica.backward import backward_solve_2bsde, backward_solve_semilinear, screen_driver
 from parabolica.errors import ConfigError
 from parabolica.linear_fk import LinearCoefficients, feynman_kac_estimate
-from parabolica.regress import BasisSpec, fit, multi_indices, predict
+from parabolica.regress import BasisSpec, design, fit, multi_indices, predict
 from parabolica.verify import FdGrid, fd_solve_1d, twobsde_residuals
 from rate_fit import estimate_rate
 
@@ -248,7 +248,7 @@ def test_criterion_8_property_suites(acceptance):
     rng = np.random.default_rng(2)
     x = rng.normal(size=(200, 2))
     y = rng.normal(size=200)
-    reg = fit(x, y, BASIS2)
+    reg = fit(design(x, BASIS2), y)
     mean, std = x.mean(axis=0), x.std(axis=0)
     z = (x - mean) / np.where(std > 0, std, 1.0)
     cols = []

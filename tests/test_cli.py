@@ -541,6 +541,20 @@ class TestVerifySubcommand:
         with pytest.raises(ConfigError, match="holds no finite-difference node"):
             verify.verify_problem(model.catalog_get("heat"), window=(NAN, 1.0))
 
+    @pytest.mark.parametrize("x_lo, x_hi", [(0, 1e-300), (0, 1e-160), (0, 3.2e-154),
+                                            (-1e308, 1e308)],
+                             ids=["zero-spacing", "uncountable-steps",
+                                  "uncountable-with-safety", "infinite-width"])
+    def test_a_degenerate_interval_is_one_config_error_line(self, tmp_path, capsys, recwarn,
+                                                            x_lo, x_hi):
+        cfg = {"problem": "heat", "verify": {"x_lo": x_lo, "x_hi": x_hi, "M": 5}}
+        assert _run(tmp_path, "verify", cfg) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("parabolica: exit=1 error=ConfigError "
+                              f"detail=finite-difference interval [{float(x_lo)}, {x_hi}]")
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_a_verify_run_larger_than_memory_is_refused_before_computing(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -858,6 +872,20 @@ class TestExitCodes:
         assert err.startswith("parabolica: exit=2 error=NonFinite detail=")
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    # One step of 1e308, whose increments of about 1e154 overflow the Gamma
+    # target Z dW', and steps of 2.5e-321, over which E[Z dW'] / dt overflows.
+    @pytest.mark.parametrize("horizon, N, step", [(1e308, 1, 0), (1e-320, 4, 2)],
+                             ids=["target", "solve"])
+    def test_an_overflowing_backward_step_is_one_line_naming_it(self, tmp_path, capsys, recwarn,
+                                                                 horizon, N, step):
+        problem = {"dim": 1, "horizon": horizon, "mu": ["0"], "sigma": [["0.2*x[0]"]],
+                   "g": "x[0]^2", "f": "-0.02*x[0]^2*gamma[0][0]", "x0": [1]}
+        assert _run(tmp_path, "solve-2bsde", {"problem": problem, "J": 200, "N": N}) == 2
+        err = capsys.readouterr().err
+        assert err == ("parabolica: exit=2 error=NonFinite detail=non-finite backward value "
+                       f"at step {step}\n")
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("command, problem", [
         ("solve-semilinear", "semilinear_exp"),
         ("solve-2bsde", "bsb_uncertain_vol"),
@@ -1139,7 +1167,9 @@ class TestModuleEntryPoint:
         # The normal draws are the package's own, and the package does not
         # depend on scipy; only the tests' oracles load it.
         # The build version is the package's own too, so importlib.metadata
-        # (about 15 ms with email, csv and more) stays unloaded.
+        # (about 15 ms with email, csv and more) stays unloaded, and the
+        # screens draw their probes from the paths' generator, so
+        # numpy.random (about 14 ms) does too.
         runs = [("solve-hjb", "hjb_uncertain_vol"), ("solve-2bsde", "bsb_uncertain_vol"),
                 ("solve-semilinear", "semilinear_exp"), ("solve-linear", "gbm_linear"),
                 ("simulate", "gbm_linear"), ("verify", "heat")]
@@ -1155,7 +1185,7 @@ class TestModuleEntryPoint:
                 "codes = [cli.main([a[i], '--config', a[i + 1], '--out', a[i + 2]]) "
                 "for i in range(0, len(a), 3)]; "
                 "sys.exit(any(codes) and f'exit codes {codes}' or ', '.join("
-                "m for m in ('scipy', 'scipy.special', 'importlib.metadata') "
+                "m for m in ('scipy', 'scipy.special', 'importlib.metadata', 'numpy.random') "
                 "if m in sys.modules) or None)",
                 *argv,
             ],

@@ -38,7 +38,7 @@ class TestPolynomialFit:
     def test_constant_targets_reproduced_everywhere(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(40, 2))
-        reg = fit(x, np.full(40, 3.25), BasisSpec(degree=2))
+        reg = fit(design(x, BasisSpec(degree=2)), np.full(40, 3.25))
         query = rng.normal(size=(15, 2)) * 10
         np.testing.assert_allclose(predict(reg, query), 3.25, atol=1e-12)
 
@@ -46,7 +46,7 @@ class TestPolynomialFit:
         rng = np.random.default_rng(1)
         x = rng.uniform(-2, 5, size=50)
         y = 2 + 3 * x
-        reg = fit(x, y, BasisSpec(degree=1))
+        reg = fit(design(x, BasisSpec(degree=1)), y)
         fresh = rng.uniform(-10, 10, size=(20, 1))
         np.testing.assert_allclose(predict(reg, fresh), 2 + 3 * fresh[:, 0], atol=1e-10)
 
@@ -54,7 +54,7 @@ class TestPolynomialFit:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(20, 2))
         y = rng.normal(size=20)
-        reg = fit(x, y, BasisSpec(degree=2))
+        reg = fit(design(x, BasisSpec(degree=2)), y)
         want, phi = reference_poly_fit(x, y, 2)
         np.testing.assert_allclose(reg.coefficients, want, atol=1e-8)
         np.testing.assert_allclose(predict(reg, x), phi @ want, atol=1e-8)
@@ -63,12 +63,12 @@ class TestPolynomialFit:
         rng = np.random.default_rng(3)
         x = rng.uniform(-1, 1, size=(60, 1))
         y = 1.0 - 2.0 * x[:, 0] + 0.5 * x[:, 0] ** 2
-        reg = fit(x, y, BasisSpec(degree=2))
+        reg = fit(design(x, BasisSpec(degree=2)), y)
         np.testing.assert_allclose(predict(reg, x), y, atol=1e-10)
 
     def test_quadratic_on_grid(self):
         x = np.linspace(-1, 1, 101)
-        reg = fit(x, x**2, BasisSpec(degree=2))
+        reg = fit(design(x, BasisSpec(degree=2)), x**2)
         assert predict(reg, np.array([[0.5]]))[0] == pytest.approx(0.25, abs=1e-9)
 
 
@@ -77,7 +77,7 @@ class TestInvariants:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(200, 1))
         y = rng.normal(size=200) + x[:, 0] ** 3
-        reg = fit(x, y, BasisSpec(degree=2))
+        reg = fit(design(x, BasisSpec(degree=2)), y)
         assert predict(reg, x).mean() == pytest.approx(y.mean(), abs=1e-10)
 
     def test_mean_preserved_with_heavy_ridge(self):
@@ -86,7 +86,7 @@ class TestInvariants:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(200, 1))
         y = 4.0 + 3.0 * x[:, 0]
-        reg = fit(x, y, BasisSpec(degree=1, ridge=100.0))
+        reg = fit(design(x, BasisSpec(degree=1, ridge=100.0)), y)
         assert predict(reg, x).mean() == pytest.approx(y.mean(), abs=1e-9)
         slope = np.diff(predict(reg, np.array([[0.0], [1.0]])))[0]
         assert abs(slope) < 3.0  # slope shrunk
@@ -95,8 +95,8 @@ class TestInvariants:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(50, 2))
         y = rng.normal(size=50)
-        reg1 = fit(x, y, BasisSpec(degree=2))
-        reg2 = fit(x, predict(reg1, x), BasisSpec(degree=2))
+        reg1 = fit(design(x, BasisSpec(degree=2)), y)
+        reg2 = fit(design(x, BasisSpec(degree=2)), predict(reg1, x))
         np.testing.assert_allclose(reg2.coefficients, reg1.coefficients, atol=1e-9)
 
     def test_residual_rms_nonincreasing_in_degree(self):
@@ -105,7 +105,7 @@ class TestInvariants:
         y = np.sin(2 * x[:, 0]) + 0.1 * rng.normal(size=120)
         rms = []
         for q in range(5):
-            residual = predict(fit(x, y, BasisSpec(degree=q)), x) - y
+            residual = predict(fit(design(x, BasisSpec(degree=q)), y), x) - y
             rms.append(np.sqrt(np.mean(residual**2)))
         for lo, hi in zip(rms[1:], rms[:-1]):
             assert lo <= hi + 1e-12
@@ -114,10 +114,10 @@ class TestInvariants:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(60, 1))
         Y = rng.normal(size=(60, 3))
-        reg = fit(x, Y, BasisSpec(degree=2))
+        reg = fit(design(x, BasisSpec(degree=2)), Y)
         assert reg.coefficients.shape == (3, 3)
         for k in range(3):
-            single = fit(x, Y[:, k], BasisSpec(degree=2))
+            single = fit(design(x, BasisSpec(degree=2)), Y[:, k])
             np.testing.assert_allclose(reg.coefficients[:, k], single.coefficients,
                                        atol=1e-12)
         assert predict(reg, x).shape == (60, 3)
@@ -131,15 +131,15 @@ class TestInvariants:
         column = history[:, 7]
         assert not column.flags.c_contiguous
         dsg = design(x, BasisSpec(degree=2))
-        strided = fit(dsg, column, BasisSpec(degree=2))
-        copied = fit(dsg, column.copy(), BasisSpec(degree=2))
+        strided = fit(dsg, column)
+        copied = fit(dsg, column.copy())
         assert strided.coefficients.shape == (3,)
         np.testing.assert_array_equal(strided.coefficients, copied.coefficients)
 
     def test_condition_estimate_sane(self):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(100, 1))
-        reg = fit(x, rng.normal(size=100), BasisSpec(degree=2))
+        reg = fit(design(x, BasisSpec(degree=2)), rng.normal(size=100))
         assert 1.0 <= reg.condition_estimate < 1e4
         assert not reg.rank_deficient
         assert reg.ridge_used == 0.0
@@ -150,28 +150,28 @@ class TestDegenerate:
         # The root regression of a backward sweep: every state equal.
         y = np.array([1.0, 2.0, 3.0, 6.0])
         x = np.zeros((4, 1)) + 0.7
-        reg = fit(x, y, BasisSpec(degree=2))
+        reg = fit(design(x, BasisSpec(degree=2)), y)
         assert reg.rank_deficient
         assert reg.ridge_used == pytest.approx(1e-8)
         np.testing.assert_allclose(predict(reg, x), 3.0, atol=1e-9)
 
     def test_too_few_samples(self):
         with pytest.raises(RegressionFailure):
-            fit(np.ones((3, 1)), np.ones(3), BasisSpec(degree=3))
+            fit(design(np.ones((3, 1)), BasisSpec(degree=3)), np.ones(3))
 
     def test_nan_targets_rejected(self):
         with pytest.raises(NonFinite):
-            fit(np.ones((4, 1)), np.array([1.0, np.nan, 2.0, 3.0]), BasisSpec(degree=0))
+            fit(design(np.ones((4, 1)), BasisSpec(degree=0)), np.array([1.0, np.nan, 2.0, 3.0]))
 
     def test_nan_states_rejected(self):
         x = np.ones((4, 1))
         x[2] = np.inf
         with pytest.raises(NonFinite):
-            fit(x, np.ones(4), BasisSpec(degree=0))
+            fit(design(x, BasisSpec(degree=0)), np.ones(4))
 
     def test_predict_dimension_mismatch(self):
-        reg = fit(np.random.default_rng(0).normal(size=(10, 2)),
-                  np.ones(10), BasisSpec(degree=1))
+        x = np.random.default_rng(0).normal(size=(10, 2))
+        reg = fit(design(x, BasisSpec(degree=1)), np.ones(10))
         with pytest.raises(DimensionMismatch):
             predict(reg, np.ones((5, 3)))
 
@@ -191,14 +191,14 @@ class TestPiecewiseConstant:
         rng = np.random.default_rng(11)
         x = rng.normal(size=(30, 1))
         y = rng.normal(size=30)
-        reg = fit(x, y, BasisSpec(kind="piecewise_constant", bins=1))
+        reg = fit(design(x, BasisSpec(kind="piecewise_constant", bins=1)), y)
         np.testing.assert_allclose(predict(reg, np.array([[-5.0], [0.0], [9.0]])),
                                    y.mean(), atol=1e-12)
 
     def test_bin_means_recovered(self):
         x = np.array([0.0, 0.1, 0.2, 0.8, 0.9, 1.0])[:, None]
         y = np.array([1.0, 2.0, 3.0, 10.0, 11.0, 12.0])
-        reg = fit(x, y, BasisSpec(kind="piecewise_constant", bins=2))
+        reg = fit(design(x, BasisSpec(kind="piecewise_constant", bins=2)), y)
         np.testing.assert_allclose(predict(reg, np.array([[0.05], [0.95]])),
                                    [2.0, 11.0], atol=1e-9)
 
@@ -206,7 +206,7 @@ class TestPiecewiseConstant:
         # data occupies the outer bins only; the middle of [0, 4] is empty
         x = np.concatenate([np.linspace(0, 0.9, 10), np.linspace(3.1, 4, 10)])[:, None]
         y = np.concatenate([np.zeros(10), np.ones(10)])
-        reg = fit(x, y, BasisSpec(kind="piecewise_constant", bins=4))
+        reg = fit(design(x, BasisSpec(kind="piecewise_constant", bins=4)), y)
         assert reg.rank_deficient
         mid = predict(reg, np.array([[1.5], [2.5]]))
         np.testing.assert_allclose(mid, 0.5, atol=1e-6)
@@ -215,14 +215,14 @@ class TestPiecewiseConstant:
         rng = np.random.default_rng(12)
         x = rng.normal(size=(100, 2))
         y = rng.normal(size=100)
-        reg = fit(x, y, BasisSpec(kind="piecewise_constant", bins=3))
+        reg = fit(design(x, BasisSpec(kind="piecewise_constant", bins=3)), y)
         assert predict(reg, x).mean() == pytest.approx(y.mean(), abs=1e-10)
 
     def test_boundary_point_lands_in_last_bin(self):
         # bin-midpoint training data so no sample sits on a bin edge
         x = (np.arange(10) * 0.1 + 0.05)[:, None]
         y = x[:, 0]
-        reg = fit(x, y, BasisSpec(kind="piecewise_constant", bins=5))
+        reg = fit(design(x, BasisSpec(kind="piecewise_constant", bins=5)), y)
         # the right edge of the fitted box belongs to the last bin, not
         # a phantom bin past the end
         top = predict(reg, np.array([[0.95]]))[0]
@@ -252,7 +252,7 @@ class TestFactorizationRoutes:
         assert dsg.gram is not None and dsg.q is None and dsg.r is None
         assert dsg.condition_estimate <= 1e3
         want, *_ = np.linalg.lstsq(dsg.phi, Y, rcond=None)
-        got = fit(dsg, Y, BasisSpec(degree=q)).coefficients
+        got = fit(dsg, Y).coefficients
         assert _relative_error(got, want) <= 1e-10
 
     def test_ill_conditioned_design_takes_qr_and_matches_lstsq(self):
@@ -265,7 +265,7 @@ class TestFactorizationRoutes:
         assert 1e3 < dsg.condition_estimate < 1e6
         assert not dsg.rank_deficient
         want, *_ = np.linalg.lstsq(dsg.phi, y, rcond=None)
-        reg = fit(dsg, y, basis)
+        reg = fit(dsg, y)
         assert reg.ridge_used == 0.0
         assert _relative_error(reg.coefficients, want) <= 1e-10
 
@@ -278,7 +278,7 @@ class TestFactorizationRoutes:
         dsg = design(x, basis)
         assert dsg.gram is None and dsg.q is not None
         assert dsg.rank_deficient
-        reg = fit(dsg, y, basis)
+        reg = fit(dsg, y)
         assert reg.ridge_used == 1e-8
         np.testing.assert_allclose(predict(reg, dsg), y.mean(), rtol=0, atol=1e-12)
 
@@ -290,7 +290,7 @@ class TestFactorizationRoutes:
         basis = BasisSpec(degree=3, ridge=ridge)
         dsg = design(x, basis)
         assert dsg.gram is not None
-        reg = fit(dsg, y, basis)
+        reg = fit(dsg, y)
         assert reg.ridge_used == ridge
         assert predict(reg, dsg).mean() == pytest.approx(y.mean(), rel=0, abs=1e-12)
 
@@ -309,23 +309,13 @@ def test_multi_index_order_is_graded_lex():
 
 
 class TestSharedDesign:
-    def test_fit_on_a_design_is_the_fit_on_its_states(self):
-        rng = np.random.default_rng(13)
-        x = rng.normal(size=(300, 2)) + 4.0
-        Y = rng.normal(size=(300, 3))
-        basis = BasisSpec(degree=2)
-        dsg = design(x, basis)
-        for target in (Y[:, 0], Y):
-            a, b = fit(dsg, target, basis), fit(x, target, basis)
-            np.testing.assert_array_equal(a.coefficients, b.coefficients)
-            assert a.condition_estimate == b.condition_estimate
-
     def test_predict_on_the_design_reuses_its_basis_matrix(self):
         rng = np.random.default_rng(15)
         x = rng.uniform(1.0, 3.0, size=(200, 2))
         basis = BasisSpec(degree=3)
         dsg = design(x, basis)
-        reg = fit(dsg, rng.normal(size=(200, 2)), basis)
+        reg = fit(dsg, rng.normal(size=(200, 2)))
+        assert reg.coords is dsg.coords and reg.basis is basis
         np.testing.assert_array_equal(predict(reg, dsg), dsg.phi @ reg.coefficients)
         np.testing.assert_allclose(predict(reg, dsg), predict(reg, x), rtol=0, atol=1e-12)
 
@@ -344,10 +334,8 @@ class TestSharedDesign:
         rng = np.random.default_rng(17)
         x = rng.normal(size=(50, 1))
         dsg = design(x, BasisSpec(degree=2))
-        with pytest.raises(RegressionFailure):
-            fit(dsg, rng.normal(size=50), BasisSpec(degree=1))
-        reg = fit(x, rng.normal(size=50), BasisSpec(degree=2))
+        reg = fit(design(x, BasisSpec(degree=2)), rng.normal(size=50))
         with pytest.raises(RegressionFailure):
             predict(reg, dsg)
         with pytest.raises(DimensionMismatch):
-            fit(dsg, np.ones(49), BasisSpec(degree=2))
+            fit(dsg, np.ones(49))
